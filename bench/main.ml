@@ -734,11 +734,16 @@ let exp_a2 () =
         Stats.timeit (fun () ->
             Pb_lp.Milp.solve ~node_order ~presolve t.Pb_core.Translate.model)
       in
+      let nodes = sol.Pb_lp.Milp.nodes in
       rows :=
         [
           label;
-          string_of_int sol.Pb_lp.Milp.nodes;
+          string_of_int nodes;
           string_of_int sol.Pb_lp.Milp.lp_iterations;
+          Printf.sprintf "%.1f"
+            (float_of_int sol.Pb_lp.Milp.lp_iterations
+            /. float_of_int (max 1 nodes));
+          Printf.sprintf "%.0f" (float_of_int nodes /. elapsed);
           Printf.sprintf "%g" sol.Pb_lp.Milp.objective;
           fmt_seconds elapsed;
         ]
@@ -750,13 +755,18 @@ let exp_a2 () =
       ("best-bound + presolve", Pb_lp.Milp.Best_bound, true);
     ];
   Table.print
-    ~align:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
-    ~header:[ "configuration"; "bb nodes"; "lp iters"; "objective"; "time" ]
+    ~align:(Table.Left :: List.init 6 (fun _ -> Table.Right))
+    ~header:
+      [
+        "configuration"; "bb nodes"; "lp iters"; "pivots/node"; "nodes/s";
+        "objective"; "time";
+      ]
     (List.rev !rows);
   print_endline
     "shape check: all configurations agree on the optimum; best-bound\n\
      typically explores no more nodes than DFS; presolve pays a small\n\
-     fixed cost that only matters on models this size."
+     fixed cost that only matters on models this size. Each node re-solves\n\
+     warm from its parent's basis, so pivots/node stays in single digits."
 
 (* ---- A3: heuristic ablation (hill climbing vs annealing) ----------------- *)
 

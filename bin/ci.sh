@@ -34,6 +34,18 @@ if ! diff -u _build/ci/run_d1.norm _build/ci/run_d8.norm; then
   exit 1
 fi
 
+# LP warm-start differential: the lp suite's properties (warm re-solve =
+# cold solve after branch-and-bound bound changes, MILP = enumeration,
+# solve_all = ranked enumeration) at a fixed seed with QCHECK_LONG's
+# larger counts.
+echo "== LP differential (warm vs cold simplex, long qcheck counts) =="
+if ! QCHECK_SEED=20260806 QCHECK_LONG=1 ./_build/default/test/test_main.exe \
+  test lp >_build/ci/lp_long.txt 2>&1; then
+  echo "CI FAIL: LP differential suite failed at QCHECK_SEED=20260806"
+  tail -n 40 _build/ci/lp_long.txt
+  exit 1
+fi
+
 # Storage-engine differential gate: the same scripted session (DDL, DML,
 # duplicate rows, NULLs, scans, joins, grouped aggregates) replayed
 # against a PB_STORE=row server and a PB_STORE=columnar server must

@@ -307,6 +307,9 @@ let sql_replacements ?gov _db (c : Coeffs.t) pkg ~k =
     | _ -> assert false
   in
   let positions = Array.of_list (Package.indices pkg) in
+  (* One trial vector for every returned row, moved and moved back: a
+     fresh copy per row was most of this function's allocation. *)
+  let trial = Array.copy mult in
   let moves =
     List.filter_map
       (fun row ->
@@ -316,12 +319,15 @@ let sql_replacements ?gov _db (c : Coeffs.t) pkg ~k =
         let outs = List.init k (fun t -> positions.(int_at t)) in
         let ins = List.init k (fun t -> int_at (k + t)) in
         (* Re-validate against the full (possibly non-linear) semantics. *)
-        let trial = Array.copy mult in
         List.iter (fun i -> trial.(i) <- trial.(i) - 1) outs;
         List.iter (fun i -> trial.(i) <- trial.(i) + 1) ins;
-        if Array.exists (fun m -> m < 0) trial then None
-        else if Coeffs.check_mult c trial then Some (outs, ins)
-        else None)
+        let valid =
+          (not (Array.exists (fun m -> m < 0) trial))
+          && Coeffs.check_mult c trial
+        in
+        List.iter (fun i -> trial.(i) <- trial.(i) + 1) outs;
+        List.iter (fun i -> trial.(i) <- trial.(i) - 1) ins;
+        if valid then Some (outs, ins) else None)
       (Relation.to_list result)
   in
   (moves, sql)
@@ -461,6 +467,20 @@ let search ?(params = default_params) ?gov db (c : Coeffs.t) =
     | Some g -> Gov.check ~resource:Gov.Ls_restarts g <> None
     | None -> false
   in
+  (* Move-level poll: one round scores thousands of moves, so the losing
+     hybrid leg also checks its token every 256 of them and unwinds
+     through the handler below instead of finishing the round. *)
+  let scored = ref 0 in
+  let poll_move () =
+    incr scored;
+    if !scored land 255 = 0 then
+      match gov with
+      | Some g -> (
+          match Gov.check g with
+          | Some reason -> raise (Gov.Interrupted reason)
+          | None -> ())
+      | None -> ()
+  in
   let rng = Prng.create params.seed in
   let indexed =
     match c.formula with
@@ -549,6 +569,7 @@ let search ?(params = default_params) ?gov db (c : Coeffs.t) =
         let best_move = ref None and best_v = ref current in
         List.iter
           (fun (outs, ins) ->
+            poll_move ();
             if move_ok st ~outs ~ins then begin
               let v, _ = move_score st None ~outs ~ins in
               if v < !best_v -. 1e-12 then begin
@@ -593,6 +614,7 @@ let search ?(params = default_params) ?gov db (c : Coeffs.t) =
             else
               List.filter
                 (fun (outs, ins) ->
+                  poll_move ();
                   outs <> [] && ins <> []
                   && move_ok st ~outs ~ins
                   &&
@@ -617,6 +639,7 @@ let search ?(params = default_params) ?gov db (c : Coeffs.t) =
                 st.mult;
             List.filter
               (fun (outs, ins) ->
+                poll_move ();
                 move_ok st ~outs ~ins
                 &&
                 let v, _ = move_score st None ~outs ~ins in
@@ -634,6 +657,7 @@ let search ?(params = default_params) ?gov db (c : Coeffs.t) =
           let best_move = ref None and best_gain = ref current_obj in
           List.iter
             (fun (outs, ins) ->
+              poll_move ();
               if move_ok st ~outs ~ins then begin
                 let v, obj = move_score st (Some dir) ~outs ~ins in
                 if v <= 1e-12 && obj > !best_gain +. 1e-9 then begin
@@ -653,8 +677,9 @@ let search ?(params = default_params) ?gov db (c : Coeffs.t) =
       end
     done
   with Gov.Interrupted _ ->
-    (* The neighbourhood SQL query hit the stop mid-statement; keep the
-       best package found so far, like any other cancellation. *)
+    (* A move-level poll or the neighbourhood SQL query hit the stop
+       mid-round; keep the best package found so far, like any other
+       cancellation. *)
     ());
   {
     best = Option.map (Coeffs.package_of_mult c) !best_mult;

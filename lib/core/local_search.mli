@@ -58,8 +58,9 @@ val search :
   Pb_sql.Database.t ->
   Coeffs.t ->
   outcome
-(** [gov] is polled between restarts and between hill-climbing rounds
-    (and inside the neighbourhood SQL query); once it reports a stop —
+(** [gov] is polled between restarts, between hill-climbing rounds,
+    every 256 scored moves within a round, and inside the neighbourhood
+    SQL query; once it reports a stop —
     cancellation, deadline, or an exhausted [Ls_restarts] budget, the
     last checked only at restart boundaries — the search stops early and
     returns its best-so-far. The engine's hybrid strategy hands this leg

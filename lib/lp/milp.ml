@@ -27,11 +27,14 @@ type solution = {
 type node_order = Dfs | Best_bound
 
 (* A node is a set of tightened bounds layered over the base model,
-   carrying its parent's relaxation bound for best-first selection. *)
+   carrying its parent's relaxation bound for best-first selection and
+   its parent's optimal basis for the warm re-solve. *)
 type node = {
   nbounds : (int * float * float) list;
   depth : int;
   parent_bound : float;  (* in maximization sense *)
+  parent : int;  (* id of the node whose LP produced [snapshot]; -1 at the root *)
+  snapshot : Simplex.basis option;
 }
 
 let fractional_part x = Float.abs (x -. Float.round x)
@@ -50,28 +53,29 @@ let most_fractional model ~eps x =
   !best
 
 (* Try to turn an LP point into an integral feasible point by rounding
-   each integer variable both ways greedily. *)
-let rounding_heuristic model ~eps x =
+   each integer variable both ways greedily. The candidate is written into
+   [into], a buffer the caller owns; returns whether it is feasible. *)
+let rounding_heuristic model ~eps ~into x =
   let n = Array.length x in
-  let candidate = Array.copy x in
+  Array.blit x 0 into 0 n;
   for i = 0 to n - 1 do
     if Model.is_integer model i then begin
-      let lo, hi = Model.bounds model i in
-      let r = Float.round candidate.(i) in
+      let r = Float.round into.(i) in
       (* Clamp onto the integer lattice inside the bounds. *)
-      let r = Float.max (Float.ceil lo) (Float.min (Float.floor hi) r) in
-      candidate.(i) <- r
+      let r =
+        Float.max
+          (Float.ceil (Model.lower model i))
+          (Float.min (Float.floor (Model.upper model i)) r)
+      in
+      into.(i) <- r
     end
   done;
-  if
-    (* The feasibility tolerance here must stay below any strict-
-       inequality epsilon a translator bakes into the rhs (pb_core uses
-       1e-6), or rounding could admit points that violate a strict
-       constraint by exactly that margin. *)
-    Model.check_feasible ~eps:1e-7 model candidate
-    && Model.check_integral ~eps model candidate
-  then Some candidate
-  else None
+  (* The feasibility tolerance here must stay below any strict-
+     inequality epsilon a translator bakes into the rhs (pb_core uses
+     1e-6), or rounding could admit points that violate a strict
+     constraint by exactly that margin. *)
+  Model.check_feasible ~eps:1e-7 model into
+  && Model.check_integral ~eps model into
 
 let maximization_sense model =
   match Model.objective model with
@@ -115,7 +119,23 @@ let rec solve_impl ~gov ?(eps = 1e-6) ?(node_order = Dfs) ?(presolve = false)
       (List.rev node.nbounds)
   in
   let root_bound = if maximize then infinity else neg_infinity in
-  let stack = ref [ { nbounds = []; depth = 0; parent_bound = root_bound } ] in
+  let stack =
+    ref
+      [
+        {
+          nbounds = [];
+          depth = 0;
+          parent_bound = root_bound;
+          parent = -1;
+          snapshot = None;
+        };
+      ]
+  in
+  (* One working tableau for the whole search. [live] is the id of the
+     node whose LP it last solved: a child of that node re-solves in
+     place, any other node first refactors its parent's snapshot. *)
+  let lp = ref None and live = ref (-1) in
+  let rounded = Array.make n 0.0 in
   (* [bound] is the current node's relaxation objective; the global dual
      bound reported to the progress stream also folds in every node
      still awaiting exploration, so it is monotone (non-increasing when
@@ -173,7 +193,18 @@ let rec solve_impl ~gov ?(eps = 1e-6) ?(node_order = Dfs) ?(presolve = false)
           Gov.spend gov Gov.Milp_nodes 1;
           Metrics.incr m_bb_nodes;
           apply node;
-          let relax = Simplex.solve model in
+          let id = !nodes_explored in
+          let relax =
+            match !lp with
+            | None ->
+                let st, sol = Simplex.start model in
+                lp := Some st;
+                sol
+            | Some st ->
+                if node.parent = !live then Simplex.resolve st
+                else Simplex.resolve ?from:node.snapshot st
+          in
+          live := id;
           lp_iterations := !lp_iterations + relax.iterations;
           match relax.status with
           | Simplex.Infeasible -> ()
@@ -199,27 +230,29 @@ let rec solve_impl ~gov ?(eps = 1e-6) ?(node_order = Dfs) ?(presolve = false)
                    least-integral variable instead of recording. *)
                 let branch_var =
                   if branch_var >= 0 then branch_var
-                  else
-                    match rounding_heuristic model ~eps relax.x with
-                    | Some snapped ->
-                        record ~bound snapped;
-                        -1
-                    | None -> most_fractional model ~eps:1e-12 relax.x
+                  else if rounding_heuristic model ~eps ~into:rounded relax.x
+                  then begin
+                    record ~bound rounded;
+                    -1
+                  end
+                  else most_fractional model ~eps:1e-12 relax.x
                 in
                 if branch_var < 0 then ()
                 else begin
-                  (match rounding_heuristic model ~eps relax.x with
-                  | Some point -> record ~bound point
-                  | None -> ());
+                  if rounding_heuristic model ~eps ~into:rounded relax.x then
+                    record ~bound rounded;
                   let v = relax.x.(branch_var) in
                   let lo, hi = Model.bounds model branch_var in
                   let fl = Float.floor v and ce = Float.ceil v in
+                  let snapshot = Option.map Simplex.basis !lp in
                   (* Children with an empty domain are dropped outright. *)
                   let child lo hi =
                     {
                       nbounds = (branch_var, lo, hi) :: node.nbounds;
                       depth = node.depth + 1;
                       parent_bound = bound;
+                      parent = id;
+                      snapshot;
                     }
                   in
                   let down = if fl < lo then [] else [ child lo fl ] in
@@ -232,6 +265,13 @@ let rec solve_impl ~gov ?(eps = 1e-6) ?(node_order = Dfs) ?(presolve = false)
         end
   done;
   restore ();
+  (match !lp with
+  | Some st ->
+      let s = Simplex.stats st in
+      Trace.add_count "lp_warm" s.warm_solves;
+      Trace.add_count "lp_refactors" s.refactors;
+      Trace.add_count "lp_cold_fallbacks" s.cold_fallbacks
+  | None -> ());
   let nodes = !nodes_explored and lp_iterations = !lp_iterations in
   match !incumbent with
   | Some x ->

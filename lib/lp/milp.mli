@@ -2,11 +2,19 @@
 
     Depth-first search with best-bound tie-breaking, most-fractional
     branching, an LP-rounding primal heuristic to obtain early incumbents,
-    and resource governance through {!Pb_util.Gov}: one token poll per
+    warm-started node relaxations, and resource governance through {!Pb_util.Gov}: one token poll per
     node pop, so a cancellation, deadline, or node-budget stop returns
     the best incumbent found so far as [Feasible]. This is the
     "state-of-the-art constraint optimization solver" role of §4 — exact
-    on the instance sizes the experiments use. *)
+    on the instance sizes the experiments use.
+
+    The root relaxation is solved cold ({!Simplex.start}); every other
+    node re-solves on the same working tableau with the bounded dual
+    simplex ({!Simplex.resolve}). A node carries its parent's basis
+    snapshot, not a tableau: the child popped right after its parent
+    re-solves in place, and a backtracked node first refactors the
+    snapshot. The [milp.solve] span counts [lp_warm], [lp_refactors] and
+    [lp_cold_fallbacks]. *)
 
 type status =
   | Optimal         (** proven optimal integer solution *)
@@ -60,5 +68,7 @@ val solve_all :
     single package solution at a time"): after each solve, a constraint
     excluding exactly that 0/1 assignment is added and the model is solved
     again, until infeasible or [max_solutions] (default 10) is reached.
-    Returns (point, objective) in discovery order. Requires every integer
-    variable to be binary; raises [Invalid_argument] otherwise. *)
+    Returns (point, objective) in discovery order. Each solve starts a
+    fresh working tableau, since the no-good rows change the model.
+    Requires every integer variable to be binary; raises
+    [Invalid_argument] otherwise. *)

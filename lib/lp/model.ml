@@ -49,6 +49,8 @@ let add_var t ?(integer = false) ?(lower = 0.0) ?(upper = infinity) name =
 let num_vars t = t.nvars
 let var_name t i = t.vars.(i).vname
 let bounds t i = (t.vars.(i).lower, t.vars.(i).upper)
+let lower t i = t.vars.(i).lower
+let upper t i = t.vars.(i).upper
 
 let set_bounds t i lo hi =
   t.vars.(i).lower <- lo;
@@ -78,8 +80,18 @@ let objective_terms t =
   | Minimize terms -> fill (-1.0) terms);
   dense
 
+(* A loop rather than a fold, so the running sum stays unboxed: branch
+   and bound evaluates rows at every node. *)
 let eval_linear terms x =
-  List.fold_left (fun acc (c, v) -> acc +. (c *. x.(v))) 0.0 terms
+  let acc = ref 0.0 and rest = ref terms and continue = ref true in
+  while !continue do
+    match !rest with
+    | (c, v) :: tl ->
+        acc := !acc +. (c *. x.(v));
+        rest := tl
+    | [] -> continue := false
+  done;
+  !acc
 
 let objective_value t x =
   match t.obj with

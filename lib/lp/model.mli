@@ -26,6 +26,10 @@ val add_var :
 val num_vars : t -> int
 val var_name : t -> int -> string
 val bounds : t -> int -> float * float
+val lower : t -> int -> float
+val upper : t -> int -> float
+(** [lower]/[upper] are the two halves of {!bounds}, without the pair. *)
+
 val set_bounds : t -> int -> float -> float -> unit
 (** Used by branch & bound to tighten a variable on one branch. *)
 

@@ -1,11 +1,13 @@
-(** Two-phase primal simplex for linear programs with bounded variables.
+(** Simplex for linear programs with bounded variables: a cold two-phase
+    primal solve, and a warm re-solve by bounded dual simplex for
+    branch-and-bound.
 
     The solver keeps the tableau at [m] rows (one per constraint):
     variable bounds are handled by the bounded-variable pivot rules rather
     than by extra rows, which is what makes PaQL relaxations with
     thousands of binary columns and a handful of global constraints cheap
     to solve. Dantzig pricing with a Bland's-rule fallback guards against
-    cycling. *)
+    cycling; fixed columns ([lo = hi]) never enter the basis. *)
 
 type status =
   | Optimal
@@ -17,12 +19,65 @@ type solution = {
   status : status;
   x : float array;       (** structural variable values (model order) *)
   objective : float;     (** original-sense objective value at [x] *)
-  iterations : int;      (** total pivots across both phases *)
+  iterations : int;      (** total pivots across all phases *)
 }
 
 val solve : ?max_iterations:int -> Model.t -> solution
-(** Solve the LP relaxation of [model] (integrality markers are ignored).
-    [max_iterations] defaults to [200 * (m + n) + 1000].
+(** Solve the LP relaxation of [model] (integrality markers are ignored)
+    cold, by the two-phase primal simplex from a slack/artificial basis.
+    [max_iterations] defaults to [200 * (m + n) + 1000] per phase.
 
     Raises [Invalid_argument] if some variable has no finite bound on
     either side (the package translator never produces such variables). *)
+
+(** {2 Warm re-solves}
+
+    Branch-and-bound solves one model many times, changing only variable
+    bounds between solves. A {!state} keeps one working tableau for the
+    whole search: each re-solve starts from the basis the tableau holds
+    (or from a {!basis} snapshot of an earlier one) and re-optimises with
+    a bounded dual simplex, then certifies optimality with one primal
+    phase-2 pass. A re-solve that hits the iteration limit or cannot
+    refactor its snapshot falls back to the cold {!solve} path, in place. *)
+
+type state
+(** The working tableau of one model. The model's constraints and
+    objective are read once, by {!start}; they must not change while the
+    state is in use. Its variable bounds are read again at every solve. *)
+
+type basis
+(** A snapshot of a basis: the basic column indices plus which nonbasic
+    columns sit at their upper bound. It holds no tableau. *)
+
+val start : ?max_iterations:int -> Model.t -> state * solution
+(** [start model] solves [model] cold, like {!solve}, and keeps the
+    resulting tableau for later {!resolve}s. *)
+
+val resolve : ?from:basis -> state -> solution
+(** Re-solve the state's model under its current variable bounds. Without
+    [from], the live tableau re-optimises in place: a nonbasic column
+    whose bound moved goes to its new bound, the basic values follow, and
+    the dual simplex repairs the basic columns left outside their bounds.
+    With [from], the tableau is first refactored to that basis (up to [m]
+    Gauss-Jordan pivots on the original [A | I]; artificial columns in the
+    snapshot are dropped). [iterations] counts refactor, dual and primal
+    pivots, plus those of a cold fallback.
+
+    The returned [x] is a buffer owned by the state: the next [resolve]
+    overwrites it. *)
+
+val basis : state -> basis
+(** Snapshot the basis the tableau holds now. *)
+
+type stats = {
+  warm_solves : int;     (** {!resolve} calls *)
+  refactors : int;       (** of those, started from a snapshot *)
+  cold_fallbacks : int;  (** of those, finished by a cold solve *)
+  dual_pivots : int;
+}
+
+val stats : state -> stats
+(** Counts over the state's lifetime. The same events also feed the
+    process-wide counters [pb_lp_warm_solves_total],
+    [pb_lp_refactors_total], [pb_lp_cold_fallbacks_total] and
+    [pb_lp_dual_pivots_total]. *)

@@ -357,6 +357,61 @@ let test_engine_result_is_valid () =
       Engine.Hybrid;
     ]
 
+(* The hybrid race cancels the losing local-search leg through a child
+   token; the search must notice within a round, not after it. *)
+let test_local_search_cancel_within_round () =
+  let module Gov = Pb_util.Gov in
+  let db = items_db 1000 in
+  let c =
+    Coeffs.make db
+      (q
+         "SELECT PACKAGE(i) AS p FROM items i SUCH THAT COUNT(*) BETWEEN 20 \
+          AND 40 AND SUM(p.w) <= 1000000 MAXIMIZE SUM(p.v)")
+  in
+  let params =
+    {
+      Local_search.default_params with
+      restarts = 1;
+      max_rounds = 1;
+      sample_cap = 1_000_000;
+      use_sql_neighborhood = false;
+    }
+  in
+  let parent = Gov.create () in
+  let child = Gov.child parent in
+  Gov.cancel child;
+  let out = Local_search.search ~params ~gov:child db c in
+  Alcotest.(check int) "no restart" 0 out.stats.restarts_used;
+  Alcotest.(check int) "no round" 0 out.stats.rounds;
+  Alcotest.(check int) "no pair scored" 0 out.stats.pairs_examined;
+  Alcotest.(check bool) "parent untouched" false (Gov.cancelled parent);
+  (* Time one repair round plus one improvement round, uncancelled. *)
+  let t0 = Unix.gettimeofday () in
+  ignore (Local_search.search ~params db c);
+  let one_round = Unix.gettimeofday () -. t0 in
+  (* Cancel a longer search a quarter of a round into its first round. *)
+  let gov = Gov.child (Gov.create ()) in
+  let canceller =
+    Domain.spawn (fun () ->
+        while Gov.spent gov Gov.Ls_restarts < 1 do
+          Domain.cpu_relax ()
+        done;
+        Unix.sleepf (one_round /. 4.0);
+        Gov.cancel gov;
+        Unix.gettimeofday ())
+  in
+  let out =
+    Local_search.search ~params:{ params with max_rounds = 200 } ~gov db c
+  in
+  let stopped = Unix.gettimeofday () in
+  let cancelled_at = Domain.join canceller in
+  Alcotest.(check bool) "stopped in the first round" true (out.stats.rounds <= 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "stopped %.3fs after the cancel (one round: %.3fs)"
+       (stopped -. cancelled_at) one_round)
+    true
+    (stopped -. cancelled_at < one_round /. 4.0)
+
 let test_local_search_finds_valid () =
   let db = items_db 30 in
   let src =
@@ -629,6 +684,8 @@ let suite =
       test_engine_result_is_valid;
     Alcotest.test_case "local search finds valid" `Quick
       test_local_search_finds_valid;
+    Alcotest.test_case "local search cancels within a round" `Quick
+      test_local_search_cancel_within_round;
     Alcotest.test_case "non-linear fallback" `Quick
       test_local_search_nonlinear_fallback;
     Alcotest.test_case "sql replacements (paper example)" `Quick

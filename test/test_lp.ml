@@ -332,6 +332,243 @@ let test_milp_deadline_returns_quickly () =
   Alcotest.(check bool) "best incumbent returned" true
     (Model.check_feasible m s.x)
 
+(* ---- warm start --------------------------------------------------- *)
+
+module Prng = Pb_util.Prng
+module Metrics = Pb_obs.Metrics
+
+let test_fixed_columns_never_enter () =
+  (* Fixed columns with the most attractive reduced cost cannot move, so
+     pricing must skip them: adding them leaves the pivot count alone. *)
+  let build ~fixed =
+    let m = Model.create () in
+    let x = Model.add_var m ~upper:3.0 "x" in
+    let y = Model.add_var m "y" in
+    let z = Model.add_var m ~upper:5.0 "z" in
+    let pinned =
+      List.init fixed (fun i ->
+          Model.add_var m ~lower:0.0 ~upper:0.0 (Printf.sprintf "f%d" i))
+    in
+    let f = List.map (fun v -> (1.0, v)) pinned in
+    Model.add_constr m ([ (1.0, x); (1.0, y); (1.0, z) ] @ f) Model.Le 6.0;
+    Model.add_constr m ([ (1.0, x); (3.0, y) ] @ f) Model.Le 6.0;
+    Model.add_constr m [ (1.0, y); (1.0, z) ] Model.Ge 1.0;
+    Model.set_objective m
+      (Model.Maximize
+         ([ (3.0, x); (2.0, y); (1.0, z) ] @ List.map (fun v -> (100.0, v)) pinned));
+    m
+  in
+  let base = Simplex.solve (build ~fixed:0) in
+  let more = Simplex.solve (build ~fixed:6) in
+  Alcotest.check lp_status "status" Simplex.Optimal more.status;
+  check_float "same optimum" base.objective more.objective;
+  Alcotest.(check int) "no extra pivots" base.iterations more.iterations
+
+(* A random bounded LP: 20-60 integer-bounded columns, 2-8 rows of mixed
+   sense, feasible at a random interior point. *)
+let random_lp rng =
+  let ncols = Prng.int_in rng 20 60 and nrows = Prng.int_in rng 2 8 in
+  let m = Model.create () in
+  let point = Array.make ncols 0.0 in
+  let vars =
+    Array.init ncols (fun j ->
+        let lo = float_of_int (Prng.int_in rng (-2) 1) in
+        let hi = lo +. float_of_int (Prng.int_in rng 1 4) in
+        point.(j) <- Prng.float_in rng lo hi;
+        Model.add_var m ~integer:true ~lower:lo ~upper:hi (Printf.sprintf "x%d" j))
+  in
+  for _ = 1 to nrows do
+    let coefs =
+      Array.init ncols (fun _ ->
+          if Prng.int rng 3 = 0 then 0.0 else float_of_int (Prng.int_in rng (-9) 9))
+    in
+    let lhs = ref 0.0 in
+    Array.iteri (fun j c -> lhs := !lhs +. (c *. point.(j))) coefs;
+    let room = float_of_int (Prng.int_in rng 0 10) in
+    let sense, rhs =
+      match Prng.int rng 3 with
+      | 0 -> (Model.Le, !lhs +. room)
+      | 1 -> (Model.Ge, !lhs -. room)
+      | _ -> (Model.Eq, !lhs)
+    in
+    Model.add_constr m
+      (Array.to_list (Array.mapi (fun j c -> (c, vars.(j))) coefs))
+      sense rhs
+  done;
+  let terms =
+    Array.to_list
+      (Array.map (fun v -> (float_of_int (Prng.int_in rng (-9) 9), v)) vars)
+  in
+  Model.set_objective m
+    (if Prng.bool rng then Model.Maximize terms else Model.Minimize terms);
+  m
+
+(* Tighten one to three bounds the way branch-and-bound does: round a
+   fractional value down or up, shave an integral bound, and now and then
+   cross a domain so the node is infeasible. *)
+let tighten rng m (x : float array) =
+  for _ = 1 to Prng.int_in rng 1 3 do
+    let j = Prng.int rng (Model.num_vars m) in
+    let lo, hi = Model.bounds m j in
+    let v = if Array.length x > j then x.(j) else lo in
+    if Prng.int rng 8 = 0 then Model.set_bounds m j (hi +. 1.0) hi
+    else if Float.abs (v -. Float.round v) > 1e-6 then
+      if Prng.bool rng then Model.set_bounds m j lo (Float.floor v)
+      else Model.set_bounds m j (Float.ceil v) hi
+    else if hi > lo then
+      if Prng.bool rng then Model.set_bounds m j (lo +. 1.0) hi
+      else Model.set_bounds m j lo (hi -. 1.0)
+  done
+
+let same_answer m (warm : Simplex.solution) (cold : Simplex.solution) =
+  warm.status = cold.status
+  && (warm.status <> Simplex.Optimal
+     || Float.abs (warm.objective -. cold.objective)
+        <= 1e-6 *. (1.0 +. Float.abs cold.objective)
+        && Model.check_feasible ~eps:1e-5 m warm.x)
+
+let prop_warm_matches_cold =
+  QCheck.Test.make ~count:150 ~long_factor:20
+    ~name:"simplex: warm re-solve = cold solve after bound changes"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Prng.create seed in
+      let m = random_lp rng in
+      let st, root = Simplex.start m in
+      let snapshot = Simplex.basis st in
+      let root_bounds = Array.init (Model.num_vars m) (Model.bounds m) in
+      let ok = ref (same_answer m root (Simplex.solve m)) in
+      let last = ref (Array.copy root.x) in
+      (* A dive: each node re-solves in place from the previous basis. *)
+      for _ = 1 to 4 do
+        tighten rng m !last;
+        let warm = Simplex.resolve st in
+        ok := !ok && same_answer m warm (Simplex.solve m);
+        if warm.status = Simplex.Optimal then last := Array.copy warm.x
+      done;
+      (* A backtrack: refactor the root basis under the deepest bounds,
+         then under the root's own. *)
+      ok := !ok && same_answer m (Simplex.resolve ~from:snapshot st) (Simplex.solve m);
+      Array.iteri (fun j (lo, hi) -> Model.set_bounds m j lo hi) root_bounds;
+      let again = Simplex.resolve ~from:snapshot st in
+      !ok && same_answer m again root)
+
+(* Small integer programs (binary and REPEAT-style [0, k] domains, mixed
+   row senses): branch-and-bound must match exhaustive enumeration. *)
+let prop_milp_matches_enumeration =
+  QCheck.Test.make ~count:100 ~long_factor:20
+    ~name:"milp: REPEAT and binary models = enumeration"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Prng.create seed in
+      let n = Prng.int_in rng 2 5 and k = Prng.int_in rng 1 3 in
+      let m = Model.create () in
+      let vars =
+        Array.init n (fun i ->
+            Model.add_var m ~integer:true ~upper:(float_of_int k)
+              (Printf.sprintf "v%d" i))
+      in
+      let rows =
+        List.init (Prng.int_in rng 1 3) (fun _ ->
+            let coefs = Array.init n (fun _ -> float_of_int (Prng.int_in rng (-3) 9)) in
+            let rhs = float_of_int (Prng.int_in rng 0 (5 * n * k)) in
+            let sense = if Prng.int rng 4 = 0 then Model.Ge else Model.Le in
+            Model.add_constr m
+              (Array.to_list (Array.mapi (fun i c -> (c, vars.(i))) coefs))
+              sense rhs;
+            (coefs, sense, rhs))
+      in
+      let values = Array.init n (fun _ -> float_of_int (Prng.int_in rng (-2) 9)) in
+      Model.set_objective m
+        (Model.Maximize (Array.to_list (Array.mapi (fun i c -> (c, vars.(i))) values)));
+      let s = Milp.solve m in
+      let best = ref None and point = Array.make n 0 in
+      let rec enumerate i =
+        if i = n then begin
+          let dot c = Array.fold_left ( +. ) 0.0 (Array.mapi (fun j p -> c.(j) *. float_of_int p) point) in
+          if
+            List.for_all
+              (fun (c, sense, rhs) ->
+                match sense with Model.Ge -> dot c >= rhs | _ -> dot c <= rhs)
+              rows
+          then
+            let v = dot values in
+            match !best with Some b when b >= v -> () | _ -> best := Some v
+        end
+        else
+          for p = 0 to k do
+            point.(i) <- p;
+            enumerate (i + 1)
+          done
+      in
+      enumerate 0;
+      match (!best, s.Milp.status) with
+      | None, Milp.Infeasible -> true
+      | Some b, Milp.Optimal -> Float.abs (s.Milp.objective -. b) < 1e-6
+      | _ -> false)
+
+(* solve_all adds a no-good row between solves; a warm state carried over
+   would miss it. Its answers must be the best assignments, best first. *)
+let prop_solve_all_ranks_enumeration =
+  QCheck.Test.make ~count:60 ~long_factor:10
+    ~name:"solve_all: successive answers = ranked enumeration"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Prng.create seed in
+      let n = Prng.int_in rng 3 6 in
+      let m = Model.create () in
+      let vars =
+        Array.init n (fun i ->
+            Model.add_var m ~integer:true ~upper:1.0 (Printf.sprintf "v%d" i))
+      in
+      let w = Array.init n (fun _ -> float_of_int (Prng.int_in rng 1 9)) in
+      let budget = float_of_int (Prng.int_in rng 5 20) in
+      Model.add_constr m
+        (Array.to_list (Array.mapi (fun i v -> (w.(i), v)) vars))
+        Model.Le budget;
+      let values = Array.init n (fun _ -> float_of_int (Prng.int_in rng 1 9)) in
+      Model.set_objective m
+        (Model.Maximize (Array.to_list (Array.mapi (fun i v -> (values.(i), v)) vars)));
+      let objs = ref [] in
+      for mask = 0 to (1 lsl n) - 1 do
+        let wt = ref 0.0 and v = ref 0.0 in
+        for i = 0 to n - 1 do
+          if mask land (1 lsl i) <> 0 then begin
+            wt := !wt +. w.(i);
+            v := !v +. values.(i)
+          end
+        done;
+        if !wt <= budget then objs := !v :: !objs
+      done;
+      let ranked = List.sort (fun a b -> compare b a) !objs in
+      let k = 4 in
+      let expect = List.filteri (fun i _ -> i < k) ranked in
+      let got = List.map snd (Milp.solve_all ~max_solutions:k m) in
+      List.length got = List.length expect
+      && List.for_all2 (fun a b -> Float.abs (a -. b) < 1e-6) got expect)
+
+let test_warm_start_counters () =
+  let value name = Metrics.counter_value (Metrics.counter name) in
+  let names =
+    [
+      "pb_lp_warm_solves_total";
+      "pb_lp_refactors_total";
+      "pb_lp_dual_pivots_total";
+    ]
+  in
+  let before = List.map value names in
+  let fallbacks0 = value "pb_lp_cold_fallbacks_total" in
+  let s = Milp.solve (hard_knapsack 14) in
+  Alcotest.(check bool) "optimal" true (s.status = Milp.Optimal);
+  List.iter2
+    (fun name b ->
+      Alcotest.(check bool) (name ^ " moved") true (value name > b))
+    names before;
+  let warm = value "pb_lp_warm_solves_total" - List.hd before in
+  Alcotest.(check int) "one warm solve per non-root node" (s.nodes - 1) warm;
+  Alcotest.(check bool) "fallbacks are rare" true
+    (100 * (value "pb_lp_cold_fallbacks_total" - fallbacks0) <= warm)
+
 let suite =
   [
     Alcotest.test_case "lp basic" `Quick test_lp_basic;
@@ -360,4 +597,14 @@ let suite =
       test_milp_precancelled_returns_immediately;
     Alcotest.test_case "milp deadline returns quickly" `Quick
       test_milp_deadline_returns_quickly;
+    Alcotest.test_case "lp fixed columns never enter" `Quick
+      test_fixed_columns_never_enter;
+    Alcotest.test_case "milp warm-start counters" `Quick
+      test_warm_start_counters;
   ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        prop_warm_matches_cold;
+        prop_milp_matches_enumeration;
+        prop_solve_all_ranks_enumeration;
+      ]
