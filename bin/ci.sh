@@ -46,6 +46,19 @@ if ! QCHECK_SEED=20260806 QCHECK_LONG=1 ./_build/default/test/test_main.exe \
   exit 1
 fi
 
+# Partitioner differential: the partition suite's properties (the
+# segment/quickselect build = the sort-every-split reference oracle, with
+# centroids compared bitwise; O(1) group_of = a membership scan;
+# prepartitioned builds = the reference on ascending groups and valid on
+# hostile ones) at a fixed seed with QCHECK_LONG's larger counts.
+echo "== partition differential (build vs reference oracle, long qcheck counts) =="
+if ! QCHECK_SEED=20260806 QCHECK_LONG=1 ./_build/default/test/test_main.exe \
+  test partition >_build/ci/partition_long.txt 2>&1; then
+  echo "CI FAIL: partition differential suite failed at QCHECK_SEED=20260806"
+  tail -n 40 _build/ci/partition_long.txt
+  exit 1
+fi
+
 # Storage-engine differential gate: the same scripted session (DDL, DML,
 # duplicate rows, NULLs, scans, joins, grouped aggregates) replayed
 # against a PB_STORE=row server and a PB_STORE=columnar server must

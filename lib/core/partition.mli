@@ -21,13 +21,25 @@
       per-feature [min, max] envelope;
     - the construction is purely sequential and deterministic: no
       randomness, no domain pool, so the same inputs give bit-identical
-      partitions at any [PB_DOMAINS]. *)
+      partitions at any [PB_DOMAINS].
 
-type t = {
+    Construction is O(n log k) comparisons for [k] groups (times the
+    feature count for the spread scans): every group is a segment of one
+    shared permutation of the candidates, a split is an in-place
+    quickselect of the segment's lower half under the key [(value,
+    index)], and splittable groups wait in a heap keyed by (size
+    descending, smallest member ascending). The output is identical —
+    groups, group order and centroid bits — to the straightforward
+    sort-every-split formulation kept as the reference oracle in
+    [test/test_partition.ml]. *)
+
+type t = private {
   groups : int array array;
       (** [groups.(p)] = candidate indices of partition [p], ascending *)
   centroids : float array array;
-      (** [centroids.(p).(d)] = mean of feature [d] over group [p] *)
+      (** [centroids.(p).(d)] = mean of feature [d] over group [p],
+          summed over the members in ascending order *)
+  owner : int array;  (** [owner.(i)] = the partition holding candidate [i] *)
 }
 
 val build : target:int -> features:float array array -> n:int -> t
@@ -35,8 +47,23 @@ val build : target:int -> features:float array array -> n:int -> t
     [features] (each a per-candidate value array of length [n]).
     [target] is clamped to [1, n]; [n = 0] yields zero groups. *)
 
+val build_within :
+  features:float array array -> perm:int array -> (int * int) list -> t
+(** [build_within ~features ~perm segments] partitions candidates
+    [0, n), [n = Array.length perm], without letting any group straddle
+    a caller-imposed boundary. [perm] lists the candidates as
+    consecutive segments: [segments] gives each one's [(length, target)]
+    in order, the first covering [perm.(0 .. length - 1)]. Each segment
+    is median-split on its own into at most [max 1 (min target length)]
+    groups, exactly as {!build} splits the sub-relation of its members
+    taken in ascending order — the order of members within a segment
+    does not matter. The pieces are then canonicalised over all of
+    [0, n) as in {!build}. [perm] is reordered in place.
+    @raise Invalid_argument unless [perm] is a permutation of [0, n)
+    and the segment lengths are positive and sum to [n]. *)
+
 val group_count : t -> int
 
 val group_of : t -> int -> int
-(** [group_of t i] = the partition holding candidate [i].
-    O(groups); intended for tests and materialization setup. *)
+(** [group_of t i] = the partition holding candidate [i], in O(1).
+    @raise Invalid_argument if [i] is outside [0, n). *)

@@ -17,73 +17,39 @@ type params = {
 let default_params = { partitions = None; fanout = 4; prepartition = None }
 
 (* Partitioning constrained to caller-supplied groups (the shard
-   router's hash partitions): each prepartition group is sub-split by
-   the usual median-split build over its own members — so refine legs
-   never straddle a shard boundary — then the pieces are re-canonicalised
-   (ascending members, groups ordered by smallest member) and centroids
-   recomputed over the original features, restoring every Partition.build
-   invariant. Indices out of range or repeated are dropped; candidates
-   the prepartition misses form one extra group, so the result always
-   covers [0, n) exactly. *)
+   router's hash partitions): each prepartition group becomes one
+   segment of a single permutation and is sub-split by the usual
+   median-split build over its own members — so refine legs never
+   straddle a shard boundary — with a target proportional to its size.
+   Indices out of range or repeated are dropped; candidates the
+   prepartition misses form one extra group, so the result always covers
+   [0, n) exactly and satisfies every Partition.build invariant. *)
 let partition_within ~target ~features ~n (pre : int array array) =
-  let seen = Array.make (max n 1) false in
-  let clean =
-    Array.to_list pre
-    |> List.filter_map (fun g ->
-           let members =
-             Array.to_list g
-             |> List.filter_map (fun i ->
-                    if i >= 0 && i < n && not seen.(i) then begin
-                      seen.(i) <- true;
-                      Some i
-                    end
-                    else None)
-           in
-           if members = [] then None else Some (Array.of_list members))
+  let seen = Array.make n false in
+  let perm = Array.make n 0 and filled = ref 0 in
+  let segments = ref [] in
+  let take g =
+    let start = !filled in
+    Array.iter
+      (fun i ->
+        if i >= 0 && i < n && not seen.(i) then begin
+          seen.(i) <- true;
+          perm.(!filled) <- i;
+          incr filled
+        end)
+      g;
+    let m = !filled - start in
+    if m > 0 then
+      let sub_target =
+        max 1
+          (int_of_float
+             (Float.round (float_of_int (target * m) /. float_of_int n)))
+      in
+      segments := (m, sub_target) :: !segments
   in
-  let leftover =
-    List.init n Fun.id |> List.filter (fun i -> not seen.(i))
-  in
-  let clean =
-    match leftover with
-    | [] -> clean
-    | l -> clean @ [ Array.of_list l ]
-  in
-  let total = List.fold_left (fun acc g -> acc + Array.length g) 0 clean in
-  let groups =
-    List.concat_map
-      (fun g ->
-        let m = Array.length g in
-        let sub_target =
-          max 1
-            (int_of_float
-               (Float.round (float_of_int (target * m) /. float_of_int (max total 1))))
-        in
-        let sub_features =
-          Array.map (fun f -> Array.map (fun i -> f.(i)) g) features
-        in
-        let sub = Partition.build ~target:sub_target ~features:sub_features ~n:m in
-        Array.to_list sub.Partition.groups
-        |> List.map (fun sg ->
-               let mapped = Array.map (fun j -> g.(j)) sg in
-               Array.sort compare mapped;
-               mapped))
-      clean
-  in
-  let groups =
-    List.sort (fun a b -> compare a.(0) b.(0)) groups |> Array.of_list
-  in
-  let nfeat = Array.length features in
-  let centroids =
-    Array.map
-      (fun g ->
-        Array.init nfeat (fun d ->
-            let acc = ref 0.0 in
-            Array.iter (fun i -> acc := !acc +. features.(d).(i)) g;
-            !acc /. float_of_int (Array.length g)))
-      groups
-  in
-  { Partition.groups; centroids }
+  Array.iter take pre;
+  take (Array.init n Fun.id);
+  Partition.build_within ~features ~perm (List.rev !segments)
 
 type outcome = {
   best : Package.t option;
@@ -378,11 +344,15 @@ let search ~params ~pool ~gov (c : Coeffs.t) : outcome =
                         features;
                       !acc
                     in
-                    let keyed =
-                      Array.map (fun i -> (dist i, i)) groups.(p)
-                    in
-                    Array.sort compare keyed;
-                    let o = Array.map snd keyed in
+                    let g = groups.(p) in
+                    let dists = Array.map dist g in
+                    let o = Array.init (Array.length g) Fun.id in
+                    Array.sort
+                      (fun a b ->
+                        let k = Float.compare dists.(a) dists.(b) in
+                        if k <> 0 then k else Int.compare g.(a) g.(b))
+                      o;
+                    let o = Array.map (fun a -> g.(a)) o in
                     mat_order.(p) <- Some o;
                     o
               in

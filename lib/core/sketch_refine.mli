@@ -65,6 +65,20 @@ type params = {
 val default_params : params
 (** [{ partitions = None; fanout = 4; prepartition = None }] *)
 
+val partition_within :
+  target:int ->
+  features:float array array ->
+  n:int ->
+  int array array ->
+  Partition.t
+(** The partitioning [search] uses when [prepartition] is set:
+    [partition_within ~target ~features ~n pre] sub-splits each cleaned
+    group of [pre] (unknown and repeated indices dropped, uncovered
+    candidates appended as one extra group) with a target proportional
+    to its size, via {!Partition.build_within}. The result depends only
+    on the groups' member sets, and satisfies every {!Partition}
+    invariant on any input. *)
+
 type outcome = {
   best : Pb_paql.Package.t option;
   best_objective : float option;  (** compiled objective of [best] *)

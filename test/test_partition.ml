@@ -135,6 +135,303 @@ let test_build_deterministic () =
   let t2 = Partition.build ~target:17 ~features ~n:300 in
   Alcotest.(check bool) "two builds are structurally equal" true (t1 = t2)
 
+(* ---- differential against the reference partitioner ----------------- *)
+
+(* Reference oracle: the straightforward median-split partitioner — every
+   group a fresh ascending array, the largest picked by a list scan, each
+   split a full sort of boxed (value, index) keys under polymorphic
+   [compare]. Quadratic in the target, but obviously right; the
+   production builder must reproduce it bit for bit. *)
+module Reference = struct
+  let widest_dim features idx =
+    let best = ref (-1) and best_spread = ref 0.0 in
+    Array.iteri
+      (fun dim f ->
+        let lo = ref f.(idx.(0)) and hi = ref f.(idx.(0)) in
+        Array.iter
+          (fun i ->
+            let v = f.(i) in
+            if v < !lo then lo := v;
+            if v > !hi then hi := v)
+          idx;
+        let s = !hi -. !lo in
+        if s > !best_spread then begin
+          best := dim;
+          best_spread := s
+        end)
+      features;
+    if !best < 0 then None else Some !best
+
+  let sort_asc a = Array.sort compare (a : int array)
+
+  (* (groups, centroids) *)
+  let build ~target ~features ~n =
+    if n = 0 then ([||], [||])
+    else begin
+      let target = max 1 (min target n) in
+      let splittable = ref [ Array.init n Fun.id ] and final = ref [] in
+      let count () = List.length !splittable + List.length !final in
+      let rec pick best = function
+        | [] -> best
+        | g :: rest ->
+            let better =
+              match best with
+              | None -> true
+              | Some b ->
+                  Array.length g > Array.length b
+                  || (Array.length g = Array.length b && g.(0) < b.(0))
+            in
+            pick (if better then Some g else best) rest
+      in
+      while count () < target && !splittable <> [] do
+        let g = Option.get (pick None !splittable) in
+        splittable := List.filter (fun h -> h != g) !splittable;
+        match widest_dim features g with
+        | None -> final := g :: !final
+        | Some dim ->
+            let f = features.(dim) in
+            let by_value = Array.copy g in
+            Array.sort (fun i j -> compare (f.(i), i) (f.(j), j)) by_value;
+            let m = Array.length by_value in
+            let left = Array.sub by_value 0 (m / 2)
+            and right = Array.sub by_value (m / 2) (m - (m / 2)) in
+            sort_asc left;
+            sort_asc right;
+            splittable := left :: right :: !splittable
+      done;
+      let groups = Array.of_list (!splittable @ !final) in
+      Array.sort (fun a b -> compare a.(0) b.(0)) groups;
+      let d = Array.length features in
+      let centroids =
+        Array.map
+          (fun g ->
+            Array.init d (fun dim ->
+                let f = features.(dim) in
+                Array.fold_left (fun acc i -> acc +. f.(i)) 0.0 g
+                /. float_of_int (Array.length g)))
+          groups
+      in
+      (groups, centroids)
+    end
+
+  (* Prepartitioned build: clean the groups, sub-split each one on its
+     own relabelled features, map back, re-canonicalise. *)
+  let partition_within ~target ~features ~n (pre : int array array) =
+    let seen = Array.make (max n 1) false in
+    let clean =
+      Array.to_list pre
+      |> List.filter_map (fun g ->
+             let members =
+               Array.to_list g
+               |> List.filter_map (fun i ->
+                      if i >= 0 && i < n && not seen.(i) then begin
+                        seen.(i) <- true;
+                        Some i
+                      end
+                      else None)
+             in
+             if members = [] then None else Some (Array.of_list members))
+    in
+    let leftover = List.init n Fun.id |> List.filter (fun i -> not seen.(i)) in
+    let clean =
+      match leftover with [] -> clean | l -> clean @ [ Array.of_list l ]
+    in
+    let total = List.fold_left (fun acc g -> acc + Array.length g) 0 clean in
+    let groups =
+      List.concat_map
+        (fun g ->
+          let m = Array.length g in
+          let sub_target =
+            max 1
+              (int_of_float
+                 (Float.round
+                    (float_of_int (target * m) /. float_of_int (max total 1))))
+          in
+          let sub_features =
+            Array.map (fun f -> Array.map (fun i -> f.(i)) g) features
+          in
+          let sub_groups, _ =
+            build ~target:sub_target ~features:sub_features ~n:m
+          in
+          Array.to_list sub_groups
+          |> List.map (fun sg ->
+                 let mapped = Array.map (fun j -> g.(j)) sg in
+                 Array.sort compare mapped;
+                 mapped))
+        clean
+    in
+    let groups =
+      List.sort (fun a b -> compare a.(0) b.(0)) groups |> Array.of_list
+    in
+    let centroids =
+      Array.map
+        (fun g ->
+          Array.map
+            (fun f ->
+              Array.fold_left (fun acc i -> acc +. f.(i)) 0.0 g
+              /. float_of_int (Array.length g))
+            features)
+        groups
+    in
+    (groups, centroids)
+end
+
+(* Same groups, same order, and centroids equal bit for bit (so NaN
+   centroids match NaN centroids and 0. never stands in for -0.). *)
+let same_as_reference (t : Partition.t) (groups, centroids) =
+  t.Partition.groups = groups
+  && Array.length t.Partition.centroids = Array.length centroids
+  && Array.for_all2
+       (fun a b ->
+         Array.length a = Array.length b
+         && Array.for_all2
+              (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+              a b)
+       t.Partition.centroids centroids
+
+(* The partition.mli contract as a predicate, for the properties below. *)
+let is_valid (t : Partition.t) ~n =
+  let seen = Array.make n false in
+  let ok = ref (n = 0 || Array.length t.Partition.groups > 0) in
+  let prev_first = ref (-1) in
+  Array.iter
+    (fun g ->
+      if Array.length g = 0 || g.(0) <= !prev_first then ok := false
+      else prev_first := g.(0);
+      Array.iteri
+        (fun x i ->
+          if i < 0 || i >= n || seen.(i) || (x > 0 && g.(x - 1) >= i) then
+            ok := false
+          else seen.(i) <- true)
+        g)
+    t.Partition.groups;
+  !ok && Array.for_all Fun.id seen
+
+(* Hostile feature columns: few distinct values (heavy duplicates), NaN
+   in the first slot and elsewhere, signed zeros, infinities, constant
+   columns; zero to three features; targets at and around the clamps. *)
+let gen_instance st =
+  let n =
+    match Random.State.int st 4 with
+    | 0 -> Random.State.int st 6
+    | 1 | 2 -> Random.State.int st 60
+    | _ -> 60 + Random.State.int st 240
+  in
+  let d = Random.State.int st 4 in
+  let column () =
+    let distinct = 1 + Random.State.int st (if Random.State.bool st then 4 else 1000) in
+    let special = Random.State.int st 4 in
+    let col =
+      Array.init n (fun _ ->
+          match (special, Random.State.int st 10) with
+          | 1, 0 -> Float.nan
+          | 2, 0 -> 0.0
+          | 2, 1 -> -0.0
+          | 3, 0 -> if Random.State.bool st then infinity else neg_infinity
+          | _ -> float_of_int (Random.State.int st distinct) /. 4.0)
+    in
+    if n > 0 && Random.State.int st 4 = 0 then col.(0) <- Float.nan;
+    col
+  in
+  let features = Array.init d (fun _ -> column ()) in
+  let isqrt = int_of_float (sqrt (float_of_int n)) in
+  let targets = [| 0; 1; 2; isqrt; n; n + 5; 1 + Random.State.int st (n + 1) |] in
+  let target = targets.(Random.State.int st (Array.length targets)) in
+  (n, features, target)
+
+let seed_arb = QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+
+let prop_build_matches_reference =
+  QCheck.Test.make ~count:300 ~long_factor:20
+    ~name:"partition: build = reference oracle, centroids bitwise" seed_arb
+    (fun seed ->
+      let n, features, target = gen_instance (Random.State.make [| seed |]) in
+      same_as_reference
+        (Partition.build ~target ~features ~n)
+        (Reference.build ~target ~features ~n))
+
+let prop_group_of_matches_scan =
+  QCheck.Test.make ~count:200 ~long_factor:20
+    ~name:"partition: group_of = membership scan" seed_arb (fun seed ->
+      let n, features, target = gen_instance (Random.State.make [| seed |]) in
+      let t = Partition.build ~target ~features ~n in
+      let scan i =
+        let found = ref (-1) in
+        Array.iteri
+          (fun p g -> if Array.exists (fun j -> j = i) g then found := p)
+          t.Partition.groups;
+        !found
+      in
+      let rejects i =
+        match Partition.group_of t i with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      List.for_all (fun i -> Partition.group_of t i = scan i) (List.init n Fun.id)
+      && rejects (-1) && rejects n)
+
+(* Random shard-style prepartition: each candidate goes to one of a few
+   buckets (or is left out), buckets listed ascending; now and then an
+   out-of-range index or a repeat from an earlier bucket rides along at
+   the end, which cleaning drops without breaking the order. *)
+let gen_prepartition st ~n =
+  let buckets = 1 + Random.State.int st 4 in
+  let lists = Array.make buckets [] in
+  for i = n - 1 downto 0 do
+    let b = Random.State.int st (buckets + 1) in
+    if b < buckets then lists.(b) <- i :: lists.(b)
+  done;
+  Array.mapi
+    (fun b l ->
+      let extra =
+        match Random.State.int st 4 with
+        | 0 -> [ n + 7 ]
+        | 1 when b > 0 && lists.(0) <> [] -> [ List.hd lists.(0) ]
+        | _ -> []
+      in
+      Array.of_list (l @ extra))
+    lists
+
+let prop_within_matches_reference =
+  QCheck.Test.make ~count:200 ~long_factor:20
+    ~name:"partition_within: ascending prepartitions = reference" seed_arb
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let n, features, target = gen_instance st in
+      let pre = gen_prepartition st ~n in
+      same_as_reference
+        (Pb_core.Sketch_refine.partition_within ~target ~features ~n pre)
+        (Reference.partition_within ~target ~features ~n pre))
+
+(* Shuffled groups, duplicates, out-of-range indices: the result is a
+   valid partition and depends only on the groups' member sets. *)
+let prop_within_hostile =
+  QCheck.Test.make ~count:200 ~long_factor:20
+    ~name:"partition_within: hostile prepartitions stay valid" seed_arb
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let n, features, target = gen_instance st in
+      let pre =
+        Array.init (Random.State.int st 4) (fun _ ->
+            Array.init (Random.State.int st (n + 3)) (fun _ ->
+                Random.State.int st (n + 4) - 2))
+      in
+      (* Sorting within a group keeps its member set, and which group
+         claims a repeated index depends only on the order of groups. *)
+      let sorted =
+        Array.map
+          (fun g ->
+            let g = Array.copy g in
+            Array.sort compare g;
+            g)
+          pre
+      in
+      let t = Pb_core.Sketch_refine.partition_within ~target ~features ~n pre in
+      let u =
+        Pb_core.Sketch_refine.partition_within ~target ~features ~n sorted
+      in
+      is_valid t ~n && same_as_reference t (u.groups, u.centroids))
+
 (* ---- sketch-refine strategy: determinism across pool sizes ----------- *)
 
 let mk_db ?(b_range = 100) ~seed n =
@@ -286,3 +583,10 @@ let suite =
     Alcotest.test_case "deadline mid-refine yields Feasible incumbent" `Slow
       test_deadline_mid_refine;
   ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        prop_build_matches_reference;
+        prop_group_of_matches_scan;
+        prop_within_matches_reference;
+        prop_within_hostile;
+      ]
