@@ -1,6 +1,6 @@
 #!/bin/sh
 # Local CI driver: the checks a change must pass before it lands.
-#   bin/ci.sh            -- typecheck, build, tests (sequential + 8-domain)
+#   bin/ci.sh            -- typecheck, build, tests (sequential, 2- and 8-domain)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -14,25 +14,27 @@ echo "== dune runtest (PB_DOMAINS=1) =="
 dune runtest
 
 # The parallel evaluation layer must be invisible in test output: the
-# same suite, same seed, run on an 8-domain pool has to produce the
-# same results test-by-test. Run the built binary directly (no dune
-# noise), normalise timings away, and fail on any difference.
-echo "== determinism: test output identical at PB_DOMAINS=1 vs 8 =="
+# same suite, same seed, run on a 2-domain pool (the benchmark's pool
+# size) and on an 8-domain pool has to produce the same results
+# test-by-test as the sequential run. Run the built binary directly (no
+# dune noise), normalise timings away, and fail on any difference.
+echo "== determinism: test output identical at PB_DOMAINS=1 vs 2 and 8 =="
 mkdir -p _build/ci
 normalize() {
   sed -e 's/[0-9][0-9]*\.[0-9][0-9]*s/<time>/g' \
       -e "s/run has ID \`[A-Z0-9]*'/run has ID <id>/" "$1"
 }
-QCHECK_SEED=20260806 PB_DOMAINS=1 ./_build/default/test/test_main.exe \
-  >_build/ci/run_d1.txt 2>&1
-QCHECK_SEED=20260806 PB_DOMAINS=8 ./_build/default/test/test_main.exe \
-  >_build/ci/run_d8.txt 2>&1
-normalize _build/ci/run_d1.txt >_build/ci/run_d1.norm
-normalize _build/ci/run_d8.txt >_build/ci/run_d8.norm
-if ! diff -u _build/ci/run_d1.norm _build/ci/run_d8.norm; then
-  echo "CI FAIL: test output differs between PB_DOMAINS=1 and PB_DOMAINS=8"
-  exit 1
-fi
+for d in 1 2 8; do
+  QCHECK_SEED=20260806 PB_DOMAINS=$d ./_build/default/test/test_main.exe \
+    >_build/ci/run_d$d.txt 2>&1
+  normalize _build/ci/run_d$d.txt >_build/ci/run_d$d.norm
+done
+for d in 2 8; do
+  if ! diff -u _build/ci/run_d1.norm _build/ci/run_d$d.norm; then
+    echo "CI FAIL: test output differs between PB_DOMAINS=1 and PB_DOMAINS=$d"
+    exit 1
+  fi
+done
 
 # LP warm-start differential: the lp suite's properties (warm re-solve =
 # cold solve after branch-and-bound bound changes, MILP = enumeration,

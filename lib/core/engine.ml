@@ -97,9 +97,9 @@ type result = {
   stats : (string * string) list;
   progress : Progress.event list;
       (* incumbent trajectory of this run, oldest first; kept out of
-         [stats] because the speculative hybrid leg makes the event
-         count pool-size-dependent while the stats fingerprint must stay
-         bit-identical at any pool size *)
+         [stats] because events carry wall-clock times while the stats
+         fingerprint must stay bit-identical across runs and pool
+         sizes *)
 }
 
 (* Internal per-strategy report; [proven_optimal] means "this answer is
@@ -414,78 +414,35 @@ let run_hybrid ~pool ~gov db (c : Coeffs.t) =
             Printf.sprintf "cost model chose %s (%s)"
               choice.Cost_model.strategy_label choice.Cost_model.note
           in
-          let run gov = function
+          (* One path at every pool size: the chosen leg runs alone on
+             the calling domain.  Speculating with local search on a
+             second domain does not pay: exact legs mostly prove
+             optimality within budget, and the speculative leg's
+             allocation stalls them in stop-the-world minor
+             collections (DESIGN.md, "Hybrid is sequential"). *)
+          let report =
+            match choice.Cost_model.strategy_label with
             | "brute-force" -> run_brute_force ~pool ~gov ~use_pruning:false c
             | "brute-force+pruning" ->
                 run_brute_force ~pool ~gov ~use_pruning:true c
             | "ilp" -> run_ilp ~gov db c
             | _ -> run_local_search ~gov ~params:Local_search.default_params db c
           in
-          if Pool.size pool > 1 && choice.Cost_model.exact then begin
-            (* Race the exact leg against a speculative local search on
-               separate domains instead of running them back-to-back.
-               Both legs may read the shared database — local search
-               through subquery evaluation and the semantic oracle, the
-               exact legs when re-deriving an objective the compiler
-               could not linearize — but neither writes it: local
-               search keeps its temp neighbourhood tables in a private
-               scratch database, and every Database operation (lazy
-               index builds included) is serialized by its internal
-               mutex, so the legs share no unsynchronized mutable state.
-               Each leg runs under its own child of the request token:
-               children share the parent's budgets and deadline but add
-               a private cancellation flag, so the winning exact leg can
-               cancel the speculative search without poisoning the
-               parent.  The merge is deterministic: a proven-optimal leg
-               wins outright and the speculative search is cancelled
-               (its result discarded), otherwise local search was never
-               cancelled, ran to its seeded deterministic end, and the
-               merge equals the sequential fallback — bit-identical
-               reports at any pool size.  Note the invariance covers
-               the *report* only: a cancelled speculative leg has
-               already bumped metrics counters and emitted trace spans,
-               so metrics/trace totals may differ between pool sizes
-               even though reports are identical. *)
-            let g_exact = Gov.child gov and g_ls = Gov.child gov in
-            match
-              Pool.race pool
-                [
-                  (fun _cancelled ->
-                    let r = run g_exact choice.Cost_model.strategy_label in
-                    if r.proven_optimal then Gov.cancel g_ls;
-                    (r, r.proven_optimal));
-                  (fun _cancelled ->
-                    ( run_local_search ~gov:g_ls
-                        ~params:Local_search.default_params db c,
-                      false ));
-                ]
-            with
-            | [ leg; ls ] ->
-                if not leg.proven_optimal then
-                  tag (better_report c leg ls)
-                    (reason
-                   ^ "; budget exhausted, kept best of it and local-search")
-                else tag leg reason
-            | _ -> assert false
-          end
-          else begin
-            let report = run gov choice.Cost_model.strategy_label in
-            if
-              choice.Cost_model.exact
-              && (not report.proven_optimal)
-              && Gov.fate gov = None
-            then
-              (* Budget ran out before a proof: keep the better of the
-                 partial answer and a local-search pass.  When the token
-                 itself stopped the leg (cancellation or deadline) the
-                 fallback would stop at its first poll too, so skip it. *)
-              let ls =
-                run_local_search ~gov ~params:Local_search.default_params db c
-              in
-              tag (better_report c report ls)
-                (reason ^ "; budget exhausted, kept best of it and local-search")
-            else tag report reason
-          end
+          if
+            choice.Cost_model.exact
+            && (not report.proven_optimal)
+            && Gov.fate gov = None
+          then
+            (* Budget ran out before a proof: keep the better of the
+               partial answer and a local-search pass.  When the token
+               itself stopped the leg (cancellation or deadline) the
+               fallback would stop at its first poll too, so skip it. *)
+            let ls =
+              run_local_search ~gov ~params:Local_search.default_params db c
+            in
+            tag (better_report c report ls)
+              (reason ^ "; budget exhausted, kept best of it and local-search")
+          else tag report reason
         end)
   in
   { report with elapsed }
@@ -497,8 +454,8 @@ let run_coeffs ?pool ?gov ?(strategy = Hybrid) db (c : Coeffs.t) =
      elapsed is the strategy's own wall clock (hybrid: both legs); the
      engine.run span around it additionally covers verification. The
      progress recorder is keyed by the token's family, so incumbents
-     emitted by hybrid race legs running under child tokens on pool
-     domains still land in this run's trajectory. *)
+     emitted under child tokens on pool domains (SketchRefine's refine
+     legs) still land in this run's trajectory. *)
   let result, progress =
     Progress.with_recorder ~key:(Gov.family_id gov) (fun () ->
         Trace.with_span ~name:"engine.run" (fun () ->
@@ -515,10 +472,11 @@ let run_coeffs ?pool ?gov ?(strategy = Hybrid) db (c : Coeffs.t) =
               | Hybrid -> run_hybrid ~pool ~gov db c
             in
             let report = verified db c report in
-            (* The hybrid race polls child tokens only, so a stop that
-               originated on the request token (pre-cancellation, its
-               deadline) may not have latched on it yet — one boundary
-               poll makes [fate] below reliable at any pool size. *)
+            (* SketchRefine's MILPs poll child tokens only, so a stop
+               that originated on the request token (pre-cancellation,
+               its deadline) may not have latched on it yet — one
+               boundary poll makes [fate] below reliable at any pool
+               size. *)
             ignore (Gov.refresh gov);
             let proof =
               match Gov.fate gov with

@@ -12,12 +12,11 @@
     + when the chosen strategy exhausts its budget without a proof, fall
       back to heuristic local search and keep the better answer.
 
-    With a {!Pb_par.Pool} of size > 1 the hybrid strategy races the
-    chosen exact leg against a speculative local search on separate
-    domains instead of running them back-to-back; each leg runs under a
-    {!Pb_util.Gov.child} of the request token and a proven-optimal exact
-    leg cancels the speculative one. The merge rule is the same as the
-    sequential fallback, so results are bit-identical at any pool size.
+    The hybrid strategy takes this one path at every pool size: the
+    chosen leg runs on the calling domain, and local search runs after
+    it only when an exact leg stopped on its own budget without a proof
+    (never after a cancellation or deadline stop). Results are
+    bit-identical at any pool size.
 
     Every run is governed by a {!Pb_util.Gov.t} token carrying the
     deadline, cancellation flag and resource budgets; when the caller
@@ -83,10 +82,10 @@ type result = {
   progress : Pb_obs.Progress.event list;
       (** incumbent trajectory of this run, oldest first: one event per
           improvement of the best-known package, recorded by every
-          strategy (branch-and-bound, brute force, local search —
-          hybrid race legs included). Deliberately not part of [stats]:
-          speculative hybrid legs make the event {e count} depend on the
-          pool size even though the report itself is bit-identical. *)
+          strategy (branch-and-bound, brute force, local search,
+          SketchRefine — legs on pool domains included). Deliberately
+          not part of [stats]: events carry wall-clock times, while the
+          report itself is bit-identical across runs and pool sizes. *)
 }
 
 val run :
@@ -110,9 +109,9 @@ val run :
     the local-search fallback, exactly as the un-governed engine did).
 
     [pool] (default {!Pb_par.Pool.get_default}, i.e. sized by
-    [PB_DOMAINS]) parallelises brute-force enumeration and the hybrid
-    strategy's exact-vs-local-search race; pool size 1 runs the
-    sequential code paths unchanged. *)
+    [PB_DOMAINS]) parallelises brute-force enumeration and
+    SketchRefine's refine legs; pool size 1 runs the sequential code
+    paths unchanged. *)
 
 val run_coeffs :
   ?pool:Pb_par.Pool.t ->

@@ -292,9 +292,8 @@ let sql_replacements ?gov _db (c : Coeffs.t) pkg ~k =
   let card = Package.cardinality pkg in
   (* The neighbourhood query's FROM references only the two temp tables
      (every needed per-tuple value is precomputed into their columns), so
-     they live in a private scratch database: the shared catalog is never
-     mutated, which lets the engine's hybrid strategy run this search on
-     one domain while an exact leg reads the shared database on another. *)
+     they live in a private scratch database: a search never mutates the
+     shared catalog that other queries read. *)
   let scratch = Pb_sql.Database.create () in
   install_temp_tables scratch c indexed pkg;
   let sql =
@@ -467,9 +466,10 @@ let search ?(params = default_params) ?gov db (c : Coeffs.t) =
     | Some g -> Gov.check ~resource:Gov.Ls_restarts g <> None
     | None -> false
   in
-  (* Move-level poll: one round scores thousands of moves, so the losing
-     hybrid leg also checks its token every 256 of them and unwinds
-     through the handler below instead of finishing the round. *)
+  (* Move-level poll: one round scores thousands of moves, so a
+     cancelled request or a passed deadline is also noticed every 256 of
+     them and unwinds through the handler below instead of finishing the
+     round. *)
   let scored = ref 0 in
   let poll_move () =
     incr scored;

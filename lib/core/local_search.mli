@@ -63,11 +63,9 @@ val search :
     SQL query; once it reports a stop —
     cancellation, deadline, or an exhausted [Ls_restarts] budget, the
     last checked only at restart boundaries — the search stops early and
-    returns its best-so-far. The engine's hybrid strategy hands this leg
-    a {!Pb_util.Gov.child} token and cancels it when the exact leg wins
-    with a proof, so the speculative work is reclaimed instead of
-    discarded. A token that never stops leaves the search bit-identical
-    to one without. *)
+    returns its best-so-far, so a cancelled request or a passed deadline
+    frees the domain within a fraction of a round. A token that never
+    stops leaves the search bit-identical to one without. *)
 
 val sql_replacements :
   ?gov:Pb_util.Gov.t ->

@@ -43,7 +43,7 @@
     formulas and non-linear objectives report [applicable = false] with
     a reason, like {!Sql_generate}.
 
-    Determinism caveat (shared with the hybrid race): child tokens share
+    Determinism caveat: refine legs run under child tokens that share
     the family's budget meters, so when a budget or deadline fires {e
     mid-run} the stopping point depends on leg interleaving. Runs that
     finish within budget are bit-identical at any [PB_DOMAINS]. *)

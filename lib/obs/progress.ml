@@ -1,9 +1,9 @@
 (* Solver progress telemetry: the incumbent trajectory of a run.
 
    Recorders are keyed by the governance-token family id rather than by
-   thread: the hybrid strategy races its legs on separate pool domains,
-   so a thread-keyed stream would miss every incumbent a raced leg
-   finds, while the Gov token — child tokens included — travels through
+   thread: SketchRefine runs refine legs on separate pool domains, so a
+   thread-keyed stream would miss every incumbent such a leg finds,
+   while the Gov token — child tokens included — travels through
    every strategy loop already.  Emission is a no-op (one atomic load)
    while no recorder is installed anywhere, and a mutex-guarded
    registry lookup plus per-recorder append when one is; incumbent

@@ -9,9 +9,9 @@
     needs and the data model a future anytime serving mode will stream.
 
     Events are routed to {e recorders} keyed by the {!Pb_util.Gov}
-    family id of the run's governance token (not by thread: the hybrid
-    race runs legs on pool domains, and their child tokens share the
-    request family). Recorders nest — the engine installs one per run,
+    family id of the run's governance token (not by thread:
+    SketchRefine runs refine legs on pool domains, and their child
+    tokens share the request family). Recorders nest — the engine installs one per run,
     the server one per request — and each receives every event of its
     family. With no recorder installed anywhere, {!incumbent} is one
     atomic load. *)

@@ -1,8 +1,8 @@
 (* Fixed-size domain pool with a helping scheduler.
 
-   Layout: a pool of size [k] spawns [k - 1] worker domains that loop
-   on a shared FIFO of thunks.  Every parallel region is submitted by
-   some domain (the main domain, or a worker running a nested region);
+   Layout: a pool of size [k] runs up to [k - 1] worker domains that
+   loop on a shared FIFO of thunks.  Every parallel region is submitted
+   by some domain (the main domain, or a worker running a nested region);
    the submitter enqueues all but the first chunk, runs the first chunk
    itself, then *helps*: it keeps draining the shared queue until its
    own region's pending count reaches zero.  Because a submitter never
@@ -10,36 +10,67 @@
    in the worst case a region's submitter executes every one of its own
    chunks inline.
 
-   All cross-domain signalling goes through one mutex and one condition
-   variable: the condition is broadcast when work is enqueued, when a
-   region completes, and on shutdown.  Spurious wakeups are handled by
-   re-checking state in a loop. *)
+   Workers exist only while there is work.  A region spawns the workers
+   its chunks can use; an idle worker parks on the condition variable
+   and retires once [idle_cycles] major collections have ended without
+   a new region.  A parked worker is not free: every OCaml 5 minor
+   collection stops all domains, and a parked domain joins in through a
+   backup thread that must be woken, usually on another core, before the
+   collecting domain can go on — a wake-up paid on every collection of a
+   sequential workload that merely once used the pool.  Counting major
+   cycles rather than time keeps workers across the short sequential
+   stretches between the regions of one query (respawning them there
+   would churn domains, and each new domain builds its heap afresh).
+
+   Cross-domain signalling goes through one mutex and one condition
+   variable, broadcast when work is enqueued, when a region completes,
+   when a major cycle ends, when a worker retires and on shutdown.
+   Spurious wakeups are handled by re-checking state in a loop. *)
 
 type t = {
   size : int;
   mu : Mutex.t;
   cond : Condition.t;
   q : (unit -> unit) Queue.t;
+  cycles : int Atomic.t;  (** major collections ended since [create] *)
+  alarm : Gc.alarm option;  (** counts [cycles]; [None] at size 1 *)
+  mutable regions : int;  (** regions that have enqueued work *)
   mutable stopping : bool;
-  mutable workers : unit Domain.t list;
+  mutable live : int;  (** workers spawned and not yet retired *)
 }
 
 let size t = t.size
+let idle_cycles = 2
 
-let rec worker_body pool =
-  Mutex.lock pool.mu;
-  let rec next () =
-    if pool.stopping then None
+(* The next task for a worker, or [None] once it has retired.  A worker
+   retires under [mu] only with the queue empty, and submitters count
+   live workers under [mu] after enqueueing, so a region never counts on
+   a worker that is about to leave. *)
+let next_task pool =
+  let retire () =
+    pool.live <- pool.live - 1;
+    Condition.broadcast pool.cond;
+    Mutex.unlock pool.mu;
+    None
+  in
+  let rec wait regions cycles =
+    if pool.stopping then retire ()
     else
       match Queue.take_opt pool.q with
-      | Some task -> Some task
+      | Some _ as task ->
+          Mutex.unlock pool.mu;
+          task
+      | None when pool.regions <> regions -> wait pool.regions (Atomic.get pool.cycles)
+      | None when Atomic.get pool.cycles - cycles >= idle_cycles -> retire ()
       | None ->
           Condition.wait pool.cond pool.mu;
-          next ()
+          wait regions cycles
   in
-  let task = next () in
-  Mutex.unlock pool.mu;
-  match task with
+  Mutex.lock pool.mu;
+  wait pool.regions (Atomic.get pool.cycles)
+
+let rec worker_body pool =
+  match next_task pool with
   | None -> ()
   | Some task ->
       (* Region wrappers catch their own exceptions; a raise here would
@@ -47,31 +78,56 @@ let rec worker_body pool =
       (try task () with _ -> ());
       worker_body pool
 
+(* Bring the live workers up to [min (size - 1) wanted].  The runtime
+   detaches domain threads, so a retired worker needs no join; a spawn
+   refused at the runtime's domain limit leaves the work to the
+   submitter. *)
+let spawn_workers pool ~wanted =
+  Mutex.lock pool.mu;
+  let k = if pool.stopping then 0 else max 0 (min (pool.size - 1) wanted - pool.live) in
+  pool.live <- pool.live + k;
+  Mutex.unlock pool.mu;
+  for _ = 1 to k do
+    try ignore (Domain.spawn (fun () -> worker_body pool))
+    with Failure _ ->
+      Mutex.protect pool.mu (fun () ->
+          pool.live <- pool.live - 1;
+          Condition.broadcast pool.cond)
+  done
+
 let create k =
-  let size = max k 1 in
-  let pool =
-    {
-      size;
-      mu = Mutex.create ();
-      cond = Condition.create ();
-      q = Queue.create ();
-      stopping = false;
-      workers = [];
-    }
+  let size = max k 1 and cond = Condition.create () and cycles = Atomic.make 0 in
+  let alarm =
+    if size = 1 then None
+    else
+      Some
+        (Gc.create_alarm (fun () ->
+             Atomic.incr cycles;
+             Condition.broadcast cond))
   in
-  if size > 1 then
-    pool.workers <-
-      List.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker_body pool));
-  pool
+  {
+    size;
+    mu = Mutex.create ();
+    cond;
+    q = Queue.create ();
+    cycles;
+    alarm;
+    regions = 0;
+    stopping = false;
+    live = 0;
+  }
+
+let live_workers pool = Mutex.protect pool.mu (fun () -> pool.live)
 
 let shutdown pool =
+  Option.iter Gc.delete_alarm pool.alarm;
   Mutex.lock pool.mu;
-  let ws = pool.workers in
-  pool.workers <- [];
   pool.stopping <- true;
   Condition.broadcast pool.cond;
-  Mutex.unlock pool.mu;
-  List.iter Domain.join ws
+  while pool.live > 0 do
+    Condition.wait pool.cond pool.mu
+  done;
+  Mutex.unlock pool.mu
 
 let with_pool k f =
   let pool = create k in
@@ -153,8 +209,10 @@ let run_region pool (thunks : (unit -> unit) array) =
        for i = 1 to n - 1 do
          Queue.add (wrap i) pool.q
        done;
+       pool.regions <- pool.regions + 1;
        Condition.broadcast pool.cond;
        Mutex.unlock pool.mu;
+       spawn_workers pool ~wanted:(n - 1);
        wrap 0 ();
        (* Help until this region is fully drained.  We may execute
           chunks of other in-flight regions here; that is fine — they
@@ -223,21 +281,3 @@ let parallel_for pool ?chunk_size ?(should_stop = fun () -> false) n f =
           f i
         done)
   |> ignore
-
-let race pool legs =
-  let n = List.length legs in
-  let won = Atomic.make false in
-  let poll () = Atomic.get won in
-  let results = Array.make n None in
-  let thunks =
-    Array.of_list
-      (List.mapi
-         (fun i leg () ->
-           let v, winner = leg poll in
-           if winner then Atomic.set won true;
-           results.(i) <- Some v)
-         legs)
-  in
-  run_region pool thunks;
-  Array.to_list results
-  |> List.map (function Some v -> v | None -> assert false)

@@ -1,9 +1,14 @@
 (** Fixed-size domain pool for deterministic data parallelism.
 
-    A pool of size [k] owns [k - 1] worker domains plus the submitting
-    domain, which always participates in the work it submits.  A pool of
-    size 1 spawns no domains at all and runs everything inline, so the
-    sequential code path is untouched when parallelism is off.
+    A pool of size [k] runs up to [k - 1] worker domains plus the
+    submitting domain, which always participates in the work it submits.
+    Workers are spawned by the first parallel region that has chunks for
+    them and retire once two major collections have ended without a new
+    region, so a pool with nothing to do soon holds no domain (a parked
+    domain would have to be woken for every minor collection of the busy
+    one).  A pool of size 1 spawns no domains at all and runs everything
+    inline, so the sequential code path is untouched when parallelism is
+    off.
 
     Determinism contract: [map_chunks] / [map_reduce] split the index
     range [0, n) into contiguous chunks and deliver (or reduce) the
@@ -16,14 +21,19 @@
 type t
 
 val create : int -> t
-(** [create k] makes a pool of size [max k 1].  [create 1] spawns no
-    domains. *)
+(** [create k] makes a pool of size [max k 1].  It spawns no domain;
+    regions do, on demand. *)
 
 val size : t -> int
 
+val live_workers : t -> int
+(** Worker domains currently running or parked: at most [size - 1],
+    and 0 once the pool has been idle for two major collections. *)
+
 val shutdown : t -> unit
-(** Signal the workers to exit and join them.  Idempotent.  Submitting
-    work to a pool after [shutdown] runs it inline on the caller. *)
+(** Signal the workers to exit and wait until every one has.
+    Idempotent.  Submitting work to a pool after [shutdown] runs it
+    inline on the caller. *)
 
 val with_pool : int -> (t -> 'a) -> 'a
 (** [with_pool k f] runs [f] with a fresh pool and always shuts it
@@ -73,12 +83,3 @@ val map_reduce :
     followed by a left fold of [reduce], seeded with [init], over the
     chunk results in ascending chunk order — deterministic whenever the
     fold is insensitive to where the chunk boundaries fall. *)
-
-val race : t -> ((unit -> bool) -> 'a * bool) list -> 'a list
-(** [race pool legs] runs every leg concurrently.  Each leg receives a
-    [cancelled] poll function and returns [(value, won)]; as soon as
-    some leg returns [won = true] the poll starts answering [true] so
-    the remaining legs can bail out cooperatively.  All legs are joined
-    before [race] returns (so no leg can mutate shared counters after
-    the call completes) and the values come back in input order.  With
-    pool size 1 the legs run sequentially in input order. *)

@@ -3,8 +3,8 @@
    The representation is built for a poll-at-every-loop-head usage
    pattern: [check] is two atomic loads when nothing has happened
    (latched fate, own cancel flag), the parent chain is walked only for
-   cancellation (trees are 2 deep in practice: request token → race-leg
-   child), and the wall clock is consulted on a sampled subset of polls
+   cancellation (trees are 2 deep in practice: request token →
+   SketchRefine MILP child), and the wall clock is consulted on a sampled subset of polls
    so a token can be checked every few hundred inner-loop iterations
    without the time syscall dominating. *)
 

@@ -24,8 +24,9 @@
     Tokens form a tree: {!child} makes a token that inherits the
     parent's deadline and {e shares} its budget counters (resources
     spent by any child count against the family total) but has its own
-    cancellation flag, so the hybrid race can cancel one leg without
-    stopping the other, while cancelling the parent stops everyone. *)
+    cancellation flag, so one leg of a fan-out (SketchRefine's refine
+    MILPs) can be stopped without stopping the others, while cancelling
+    the parent stops everyone. *)
 
 type resource =
   | Milp_nodes  (** branch-and-bound nodes popped *)
@@ -74,8 +75,8 @@ val child : t -> t
 val family_id : t -> int
 (** Process-unique id of the token's root family; {!child} tokens share
     their root's id. Observability keys per-run event streams by it
-    (progress recorders survive the hybrid race because both legs'
-    child tokens map back to the request's family). *)
+    (progress recorders see incumbents from legs on pool domains
+    because their child tokens map back to the request's family). *)
 
 val cancel : t -> unit
 (** Flip the cancellation flag. Thread/domain/signal-safe; idempotent. *)
@@ -110,7 +111,7 @@ val refresh : t -> reason option
 (** Like {!check} with no resource, but always consults the wall clock
     (ordinary polls sample it). Called once at a run boundary it makes
     {!fate} reliable even when the run only ever polled {e child}
-    tokens — the hybrid race runs its legs under children, whose
+    tokens — SketchRefine solves its MILPs under children, whose
     latches are private, so a stop that originated on the request token
     itself would otherwise go unlatched on it. *)
 

@@ -357,8 +357,9 @@ let test_engine_result_is_valid () =
       Engine.Hybrid;
     ]
 
-(* The hybrid race cancels the losing local-search leg through a child
-   token; the search must notice within a round, not after it. *)
+(* A cancelled request stops local search through its token (here a
+   child token, whose parent must stay untouched); the search must
+   notice within a round, not after it. *)
 let test_local_search_cancel_within_round () =
   let module Gov = Pb_util.Gov in
   let db = items_db 1000 in

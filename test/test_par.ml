@@ -1,7 +1,6 @@
 (* Tests for the Pb_par domain pool: primitive correctness, determinism
-   of engine reports and SQL results across pool sizes, race
-   cancellation, and exact metric/trace totals under concurrent
-   hammering from 8 domains. *)
+   of engine reports and SQL results across pool sizes, and exact
+   metric/trace totals under concurrent hammering from 8 domains. *)
 
 module Pool = Pb_par.Pool
 module Metrics = Pb_obs.Metrics
@@ -78,53 +77,36 @@ let test_map_chunks_exception () =
             (Pool.map_chunks pool ~n:100 (fun ~lo ~hi:_ ->
                  if lo = 0 then invalid_arg "boom" else 0))))
 
-(* ---- race ------------------------------------------------------------ *)
-
-let test_race_order_and_win () =
-  List.iter
-    (fun size ->
-      Pool.with_pool size (fun pool ->
-          let results =
-            Pool.race pool
-              [
-                (fun _cancelled -> ("a", false));
-                (fun _cancelled -> ("b", true));
-                (fun _cancelled -> ("c", false));
-              ]
-          in
-          Alcotest.(check (list string))
-            (Printf.sprintf "values in input order at pool size %d" size)
-            [ "a"; "b"; "c" ] results))
-    pool_sizes
-
-(* Every leg counts its own increments; the shared counter must equal
-   their sum exactly once the race returns — concurrent increments lose
-   nothing, and no leg keeps running (and incrementing) after the join. *)
-let test_race_no_counter_drift () =
-  let registry = Metrics.create () in
-  let c = Metrics.counter ~registry "race_drift_total" in
-  Pool.with_pool 8 (fun pool ->
-      let winner _cancelled =
-        for _ = 1 to 1_000 do
-          Metrics.incr c
+(* Workers exist only while there is work: a fresh pool holds none, a
+   region brings up as many as its chunks can use, and an idle pool
+   retires them, so a sequential workload at PB_DOMAINS > 1 keeps no
+   parked domain for every minor collection to wake. *)
+let test_idle_pool_holds_no_domain () =
+  Pool.with_pool 4 (fun pool ->
+      Alcotest.(check int) "fresh pool" 0 (Pool.live_workers pool);
+      let region label =
+        let at_first_chunk = ref (-1) in
+        let total =
+          Pool.map_reduce pool ~chunk_size:1 ~n:32
+            ~map:(fun ~lo ~hi:_ ->
+              if lo = 0 then at_first_chunk := Pool.live_workers pool;
+              Unix.sleepf 0.001;
+              lo)
+            ~reduce:( + ) 0
+        in
+        Alcotest.(check int) (label ^ ": sum") (32 * 31 / 2) total;
+        Alcotest.(check int) (label ^ ": workers during the region") 3 !at_first_chunk;
+        (* Idle workers retire after two major collections without a
+           region; each [full_major] ends at least one. *)
+        let until = Unix.gettimeofday () +. 5.0 in
+        while Pool.live_workers pool > 0 && Unix.gettimeofday () < until do
+          Gc.full_major ();
+          Unix.sleepf 0.001
         done;
-        (1_000, true)
+        Alcotest.(check int) (label ^ ": workers once idle") 0 (Pool.live_workers pool)
       in
-      let loser cancelled =
-        let mine = ref 0 in
-        let i = ref 0 in
-        while !i < 50_000 && not (cancelled ()) do
-          Metrics.incr c;
-          incr mine;
-          incr i
-        done;
-        (!mine, false)
-      in
-      let counts = Pool.race pool [ winner; loser; loser; loser ] in
-      Alcotest.(check int)
-        "counter equals the sum of per-leg increments"
-        (List.fold_left ( + ) 0 counts)
-        (Metrics.counter_value c))
+      region "first region";
+      region "after retiring")
 
 (* ---- engine determinism ---------------------------------------------- *)
 
@@ -212,13 +194,91 @@ let test_brute_force_budget_deterministic () =
         pool_sizes)
     [ 1; 7; 64; 1000; 100_000 ]
 
-(* Hybrid with a starved ILP budget exercises the race + merge path. *)
+(* Hybrid with a starved ILP budget exercises the local-search fallback
+   and its merge. *)
 let test_hybrid_deterministic () =
   check_strategy_deterministic "hybrid" Engine.Hybrid ~ilp_max_nodes:25
 
 let test_hybrid_full_budget_deterministic () =
   check_strategy_deterministic "hybrid(full budget)" Engine.Hybrid
     ~ilp_max_nodes:200_000
+
+(* Hybrid runs one path at every pool size: local search only follows an
+   exact leg that stopped on its own budget without a proof. *)
+let ls_rounds = Metrics.counter "pb_engine_local_search_rounds_total"
+let ls_pairs = Metrics.counter "pb_engine_local_search_pairs_total"
+
+(* Run [f] with tracing on; return its value, the names of the spans it
+   recorded, and how far the local-search counters moved. *)
+let traced_ls f =
+  Trace.reset ();
+  Trace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_enabled false;
+      Trace.reset ())
+    (fun () ->
+      let rounds = Metrics.counter_value ls_rounds
+      and pairs = Metrics.counter_value ls_pairs in
+      let v = f () in
+      ( v,
+        List.map (fun (sp : Trace.span) -> sp.name) (Trace.spans ()),
+        Metrics.counter_value ls_rounds - rounds,
+        Metrics.counter_value ls_pairs - pairs ))
+
+let check_no_local_search label (_, spans, rounds, pairs) =
+  Alcotest.(check bool)
+    (label ^ ": no strategy.local-search span")
+    false
+    (List.mem "strategy.local-search" spans);
+  Alcotest.(check int) (label ^ ": local-search rounds") 0 rounds;
+  Alcotest.(check int) (label ^ ": local-search moves") 0 pairs
+
+let test_hybrid_proven_ilp_runs_no_local_search () =
+  let db = recipes_db 200 in
+  let c = Coeffs.make db (Parser.parse meal_query) in
+  Pool.with_pool 2 (fun pool ->
+      let ((r : Engine.result), _, _, _) as run =
+        traced_ls (fun () -> Engine.run_coeffs ~pool ~strategy:Engine.Hybrid db c)
+      in
+      Alcotest.(check string) "proof" "optimal" (Engine.proof_to_string r.proof);
+      Alcotest.(check bool)
+        "cost model chose ilp" true
+        (String.starts_with ~prefix:"cost model chose ilp"
+           (List.assoc "hybrid_choice" r.stats));
+      check_no_local_search "proven ilp at pool size 2" run)
+
+(* A token stop (cancellation, deadline) ends the run: the same proof
+   and objective at pool sizes 1 and 2, and no local-search fallback. *)
+let test_hybrid_token_stop_no_fallback () =
+  let db = recipes_db 200 in
+  let c = Coeffs.make db (Parser.parse meal_query) in
+  List.iter
+    (fun (label, make_gov) ->
+      let run size =
+        let ((r : Engine.result), _, _, _) as out =
+          Pool.with_pool size (fun pool ->
+              traced_ls (fun () ->
+                  Engine.run_coeffs ~pool ~gov:(make_gov ())
+                    ~strategy:Engine.Hybrid db c))
+        in
+        let label = Printf.sprintf "%s at pool size %d" label size in
+        Alcotest.(check string)
+          (label ^ ": proof") "cancelled" (Engine.proof_to_string r.proof);
+        check_no_local_search label out;
+        report_fingerprint r
+      in
+      Alcotest.(check string)
+        (label ^ ": report identical at pool sizes 1 and 2")
+        (run 1) (run 2))
+    [
+      ( "pre-cancelled",
+        fun () ->
+          let g = Pb_util.Gov.create () in
+          Pb_util.Gov.cancel g;
+          g );
+      ("past deadline", fun () -> Pb_util.Gov.create ~deadline_in:(-1.0) ());
+    ]
 
 (* ---- SQL determinism ------------------------------------------------- *)
 
@@ -329,10 +389,8 @@ let suite =
       test_map_chunks_order;
     Alcotest.test_case "map_chunks propagates exceptions" `Quick
       test_map_chunks_exception;
-    Alcotest.test_case "race returns values in input order" `Quick
-      test_race_order_and_win;
-    Alcotest.test_case "race cancellation leaves no counter drift" `Quick
-      test_race_no_counter_drift;
+    Alcotest.test_case "idle pool holds no worker domain" `Quick
+      test_idle_pool_holds_no_domain;
     Alcotest.test_case "brute force identical at pool sizes 1/2/8" `Quick
       test_brute_force_deterministic;
     Alcotest.test_case "unpruned brute force identical across pools" `Quick
@@ -343,6 +401,10 @@ let suite =
       test_hybrid_deterministic;
     Alcotest.test_case "hybrid full budget identical across pools" `Quick
       test_hybrid_full_budget_deterministic;
+    Alcotest.test_case "hybrid proven ilp runs no local search" `Quick
+      test_hybrid_proven_ilp_runs_no_local_search;
+    Alcotest.test_case "hybrid token stop: no fallback, pool-invariant" `Quick
+      test_hybrid_token_stop_no_fallback;
     Alcotest.test_case "SQL scan results identical across pools" `Quick
       test_sql_scan_deterministic;
     Alcotest.test_case "SQL hash join results identical across pools" `Quick
