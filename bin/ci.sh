@@ -61,6 +61,21 @@ if ! QCHECK_SEED=20260806 QCHECK_LONG=1 ./_build/default/test/test_main.exe \
   exit 1
 fi
 
+# Strategy differential: the differential suite's properties at a fixed
+# seed with QCHECK_LONG's larger counts — exact strategies = brute force,
+# SketchRefine (the strategy with its LP front, and the partition/
+# sketch/refine pipeline alone) returns valid packages with sound proofs,
+# bounds and gaps, never ends empty-handed on a feasible query, and its
+# front's proofs match whole-relation ILP on tables past the front's
+# kept-column count.
+echo "== strategy differential (SketchRefine front and pipeline, long qcheck counts) =="
+if ! QCHECK_SEED=20260806 QCHECK_LONG=1 ./_build/default/test/test_main.exe \
+  test differential >_build/ci/differential_long.txt 2>&1; then
+  echo "CI FAIL: strategy differential suite failed at QCHECK_SEED=20260806"
+  tail -n 40 _build/ci/differential_long.txt
+  exit 1
+fi
+
 # Storage-engine differential gate: the same scripted session (DDL, DML,
 # duplicate rows, NULLs, scans, joins, grouped aggregates) replayed
 # against a PB_STORE=row server and a PB_STORE=columnar server must

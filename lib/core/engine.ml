@@ -361,7 +361,11 @@ let run_sketch_refine ~pool ~gov ~params db (c : Coeffs.t) =
                 ( "stuck_partitions",
                   string_of_int out.Sketch_refine.stuck_partitions );
                 ("sketch_status", out.Sketch_refine.sketch_status);
+                ("front", out.Sketch_refine.front);
               ]
+              @ (match out.Sketch_refine.lp_bound with
+                | Some b -> [ ("lp_bound", Printf.sprintf "%.9g" b) ]
+                | None -> [])
               @ (match out.Sketch_refine.bound with
                 | Some b -> [ ("bound", Printf.sprintf "%.9g" b) ]
                 | None -> [])

@@ -34,14 +34,18 @@ type strategy =
       (** §4 option (i): enumerate candidate packages with SQL self-joins;
           exact but only applicable for narrow cardinality bounds *)
   | Sketch_refine of Sketch_refine.params
-      (** partition–sketch–refine (Brucato et al., SIGMOD'16): cluster
+      (** {!Sketch_refine.search}: a whole-relation LP front whose
+          reduced ILP is proven optimal (or the query infeasible) by a
+          weak-duality certificate, then — only without a proof —
+          partition–sketch–refine (Brucato et al., SIGMOD'16): cluster
           the candidates over the constraint attributes, solve a small
           representative-level MILP, then refine one partition at a time
           with its real tuples — refine legs fan out on the domain pool
           under {!Pb_util.Gov.child} tokens. Scales to relations where a
           whole-relation MILP cannot even build its model; reports a
-          sound optimality bound and gap when available (see
-          {!Sketch_refine}) *)
+          sound optimality bound and gap when available, and the stats
+          [front] ([certified], [infeasible] or [gave-way]) and
+          [lp_bound] *)
   | Hybrid
 
 val strategy_name : strategy -> string

@@ -3,6 +3,7 @@ module Analyze = Pb_paql.Analyze
 module Package = Pb_paql.Package
 module Model = Pb_lp.Model
 module Milp = Pb_lp.Milp
+module Simplex = Pb_lp.Simplex
 module Gov = Pb_util.Gov
 module Pool = Pb_par.Pool
 module Progress = Pb_obs.Progress
@@ -67,6 +68,11 @@ type outcome = {
   partition_seconds : float;
   sketch_seconds : float;
   refine_seconds : float;
+  front : string;
+  lp_bound : float option;
+  lp_pivots : int;
+  kept_columns : int;
+  front_seconds : float;
 }
 
 let empty_outcome =
@@ -86,6 +92,11 @@ let empty_outcome =
     partition_seconds = 0.0;
     sketch_seconds = 0.0;
     refine_seconds = 0.0;
+    front = "-";
+    lp_bound = None;
+    lp_pivots = 0;
+    kept_columns = 0;
+    front_seconds = 0.0;
   }
 
 let not_applicable reason = { empty_outcome with applicable = false; reason }
@@ -181,7 +192,7 @@ let milp_status_to_string = function
    the state, never of the pool or the clock. *)
 let materialize_cap = 200_000
 
-let search ~params ~pool ~gov (c : Coeffs.t) : outcome =
+let pipeline ~params ~pool ~gov (c : Coeffs.t) : outcome =
   match (rows_of_formula c, objective_of_coeffs c) with
   | Error reason, _ | _, Error reason -> not_applicable reason
   | Ok rows, Ok obj when c.n = 0 ->
@@ -667,5 +678,288 @@ let search ~params ~pool ~gov (c : Coeffs.t) : outcome =
           partition_seconds;
           sketch_seconds;
           refine_seconds;
+          front = "-";
+          lp_bound = None;
+          lp_pivots = 0;
+          kept_columns = 0;
+          front_seconds = 0.0;
         }
       end
+
+(* ---- LP front ----------------------------------------------------- *)
+
+(* At-lower columns the reduced ILP first keeps beside the LP's basic
+   and at-upper ones, and the factor the kept set grows by when the
+   reduced ILP is infeasible. *)
+let front_keep = 300
+let front_growth = 4
+
+(* Largest set of at-lower columns the front adds to prove an uncertified
+   reduced optimum; beyond it the pipeline takes over. *)
+let front_grow_limit = 16 * front_keep
+
+let m_front =
+  Pb_obs.Metrics.counter ~help:"SketchRefine runs that solved the whole-relation LP front"
+    "pb_engine_lp_front_total"
+
+let m_front_certified =
+  Pb_obs.Metrics.counter
+    ~help:"LP fronts whose reduced ILP was proven optimal (or infeasible) for the whole relation"
+    "pb_engine_lp_front_certified_total"
+
+type front_end =
+  | Certified of int array * float option  (** multiplicities, objective *)
+  | Proved_infeasible
+  | Gave_way of (int array * float option) option * float option
+      (** incumbent, and a bound in the objective's own sense *)
+
+type front = { fate : front_end; lp_bound : float option; pivots : int; kept : int }
+
+(* The [q] at-lower columns with the largest reduced costs (ties to the
+   lowest index), ascending, by a bounded min-heap over the whole
+   relation: O(n log q). *)
+let best_at_lower ~q ~n ~at_lower (d : float array) =
+  let heap = Array.make (max q 1) 0 and size = ref 0 in
+  (* [worse a b]: a ranks below b *)
+  let worse a b = d.(a) < d.(b) || (d.(a) = d.(b) && a > b) in
+  let swap i j =
+    let t = heap.(i) in
+    heap.(i) <- heap.(j);
+    heap.(j) <- t
+  in
+  let rec up i =
+    if i > 0 then
+      let p = (i - 1) / 2 in
+      if worse heap.(i) heap.(p) then begin
+        swap i p;
+        up p
+      end
+  in
+  let rec down i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let m = if l < !size && worse heap.(l) heap.(i) then l else i in
+    let m = if r < !size && worse heap.(r) heap.(m) then r else m in
+    if m <> i then begin
+      swap i m;
+      down m
+    end
+  in
+  if q > 0 then
+    for j = 0 to n - 1 do
+      if at_lower j then
+        if !size < q then begin
+          heap.(!size) <- j;
+          incr size;
+          up (!size - 1)
+        end
+        else if worse heap.(0) j then begin
+          heap.(0) <- j;
+          down 0
+        end
+    done;
+  Array.sub heap 0 !size
+
+(* Solve the whole-relation LP relaxation from the compiled rows, then
+   the ILP over the columns its final basis singles out, and certify
+   that ILP's optimum for the whole relation by weak duality. Runs on
+   the calling domain only, so it is deterministic at any pool size. *)
+let lp_front ~gov (c : Coeffs.t) rows_a needs_nonempty obj =
+  let n = c.n in
+  let mm = float_of_int c.max_mult in
+  let lp_rows =
+    if needs_nonempty then
+      Array.append rows_a
+        [| { coef = Array.make n 1.0; sense = Model.Ge; rhs = 1.0; nonempty = false } |]
+    else rows_a
+  in
+  let maximize, coef =
+    match obj with
+    | Linear (Ast.Maximize, coef) -> (true, coef)
+    | Linear (Ast.Minimize, coef) -> (false, coef)
+    | No_obj -> (true, Array.make n 0.0)
+  in
+  let st, lp =
+    Simplex.start_dense
+      ~rows:(Array.map (fun r -> r.coef) lp_rows)
+      ~senses:(Array.map (fun r -> r.sense) lp_rows)
+      ~rhs:(Array.map (fun r -> r.rhs) lp_rows)
+      ~maximize ~objective:coef ~lower:0.0 ~upper:mm ()
+  in
+  let finish ?lp_bound ~kept fate = { fate; lp_bound; pivots = lp.Simplex.iterations; kept } in
+  match lp.Simplex.status with
+  | Simplex.Infeasible -> finish ~kept:0 Proved_infeasible
+  | Simplex.Unbounded | Simplex.Iteration_limit -> finish ~kept:0 (Gave_way (None, None))
+  | Simplex.Optimal ->
+      let cert = Simplex.dual_bound st in
+      let d = cert.Simplex.reduced_costs in
+      (* Bounds live in the maximization form; an integral objective over
+         integral multiplicities takes integral values, so its bounds
+         round down (with slack for the duals' rounding noise). *)
+      let integral = Array.for_all Float.is_integer coef in
+      let snap v = if integral then Float.floor (v +. 1e-6) else v in
+      let own v = if maximize then v else 0.0 -. v in
+      let lp_bound = snap cert.Simplex.value in
+      let always = ref [] and n_at_lower = ref 0 in
+      for j = n - 1 downto 0 do
+        match Simplex.column st j with
+        | Simplex.At_lower -> incr n_at_lower
+        | Simplex.Basic | Simplex.At_upper -> always := j :: !always
+      done;
+      let always = Array.of_list !always in
+      let at_lower j = Simplex.column st j = Simplex.At_lower in
+      let front_gov =
+        match Gov.budget_left gov Gov.Milp_nodes with
+        | Some left -> Gov.capped gov Gov.Milp_nodes (max 1 (left / 2))
+        | None -> Gov.child gov
+      in
+      let solve_reduced kept =
+        let model = Model.create () in
+        let vars =
+          Array.map
+            (fun i ->
+              Model.add_var model ~integer:true ~lower:0.0 ~upper:mm (Printf.sprintf "x%d" i))
+            kept
+        in
+        let terms_over (w : float array) =
+          let out = ref [] in
+          for k = Array.length kept - 1 downto 0 do
+            let v = w.(kept.(k)) in
+            if v <> 0.0 then out := (v, vars.(k)) :: !out
+          done;
+          !out
+        in
+        Array.iteri
+          (fun ri r ->
+            Model.add_constr model ~name:(Printf.sprintf "row%d" ri) (terms_over r.coef) r.sense
+              r.rhs)
+          lp_rows;
+        let terms = terms_over coef in
+        Model.set_objective model (if maximize then Model.Maximize terms else Model.Minimize terms);
+        let sol = Milp.solve ~node_order:Milp.Best_bound ~gov:front_gov model in
+        let found =
+          if Array.length sol.Milp.x = 0 then None
+          else begin
+            let m = Array.make n 0 in
+            Array.iteri (fun k i -> m.(i) <- int_of_float (Float.round sol.Milp.x.(vars.(k)))) kept;
+            if Coeffs.check_mult c m then Some (m, Coeffs.objective_of_mult c m) else None
+          end
+        in
+        (sol.Milp.status, found)
+      in
+      let rec attempt q =
+        let extra = best_at_lower ~q ~n ~at_lower d in
+        let kept = Array.append always extra in
+        Array.sort Int.compare kept;
+        let whole = Array.length extra = !n_at_lower in
+        let status, found = solve_reduced kept in
+        let n_kept = Array.length kept in
+        match (status, found) with
+        | Milp.Infeasible, _ when whole -> finish ~lp_bound ~kept:n_kept Proved_infeasible
+        | Milp.Infeasible, _ when Gov.check ~resource:Gov.Milp_nodes front_gov = None ->
+            attempt (q * front_growth)
+        | Milp.Optimal, Some (m, objective) ->
+            (* A package that uses an at-lower column j is worth at most
+               its cutoff L(y) + min(d_j, 0). [z] is proven optimal once
+               no excluded column's cutoff beats it; otherwise only the
+               columns whose cutoff does can be in a better package, and
+               as they are the top ones by reduced cost, keeping exactly
+               them makes the next optimum certified. *)
+            let z = match objective with Some v -> own v | None -> 0.0 in
+            let tol = 1e-9 *. Float.max 1.0 (Float.abs z) in
+            let in_kept = Bytes.make n '\000' in
+            Array.iter (fun i -> Bytes.set in_kept i '\001') kept;
+            let outside = ref neg_infinity and need = ref 0 in
+            for j = 0 to n - 1 do
+              if at_lower j then begin
+                let cutoff = snap (cert.Simplex.value +. Float.min d.(j) 0.0) in
+                if cutoff > z +. tol then incr need;
+                if Bytes.get in_kept j = '\000' then outside := Float.max !outside cutoff
+              end
+            done;
+            if whole || obj = No_obj || !outside <= z +. tol then
+              finish ~lp_bound ~kept:n_kept (Certified (m, objective))
+            else if !need <= front_grow_limit
+                    && Gov.check ~resource:Gov.Milp_nodes front_gov = None
+            then attempt !need
+            else
+              finish ~lp_bound ~kept:n_kept
+                (Gave_way (Some (m, objective), Some (own (Float.max z !outside))))
+        | _, found -> finish ~lp_bound ~kept:n_kept (Gave_way (found, Some (own lp_bound)))
+      in
+      let r = attempt front_keep in
+      { r with lp_bound = Option.map own r.lp_bound }
+
+let better_of ~maximize (a : Package.t option * float option) (b : Package.t option * float option) =
+  match (a, b) with
+  | (None, _), _ -> b
+  | _, (None, _) -> a
+  | (Some _, Some va), (Some _, Some vb) ->
+      if (maximize && vb > va +. 1e-12) || ((not maximize) && vb < va -. 1e-12) then b else a
+  | _ -> a
+
+let search ~params ~pool ~gov (c : Coeffs.t) : outcome =
+  match (rows_of_formula c, objective_of_coeffs c) with
+  | Error reason, _ | _, Error reason -> not_applicable reason
+  | Ok _, Ok _ when c.n = 0 -> pipeline ~params ~pool ~gov c
+  | Ok rows, Ok obj -> (
+      let rows_a = Array.of_list rows in
+      let needs_nonempty = Array.exists (fun r -> r.nonempty) rows_a in
+      Pb_obs.Metrics.incr m_front;
+      let f, front_seconds =
+        Trace.timed ~name:"sketch-refine.lp" (fun () ->
+            let f = lp_front ~gov c rows_a needs_nonempty obj in
+            Trace.add_count "pivots" f.pivots;
+            Trace.add_count "kept_columns" f.kept;
+            Trace.add_count
+              (match f.fate with
+              | Certified _ -> "certified"
+              | Proved_infeasible -> "infeasible"
+              | Gave_way _ -> "gave_way")
+              1;
+            f)
+      in
+      let with_front (o : outcome) front =
+        let lp_bound = match obj with No_obj -> None | Linear _ -> f.lp_bound in
+        { o with front; lp_bound; lp_pivots = f.pivots; kept_columns = f.kept; front_seconds }
+      in
+      let package_of (m, objective) = (Some (Coeffs.package_of_mult c m), objective) in
+      match f.fate with
+      | Certified (m, objective) ->
+          Pb_obs.Metrics.incr m_front_certified;
+          let best, best_objective = package_of (m, objective) in
+          with_front
+            { empty_outcome with best; best_objective;
+              bound = (match obj with No_obj -> None | Linear _ -> objective);
+              gap = (match obj with No_obj -> None | Linear _ -> Some 0.0);
+              proven_optimal = true; sketch_status = "lp-front" }
+            "certified"
+      | Proved_infeasible ->
+          Pb_obs.Metrics.incr m_front_certified;
+          with_front
+            { empty_outcome with proven_optimal = true; sketch_status = "lp-infeasible" }
+            "infeasible"
+      | Gave_way (incumbent, front_bound) ->
+          let mine = match incumbent with Some i -> package_of i | None -> (None, None) in
+          let maximize = match obj with Linear (Ast.Minimize, _) -> false | _ -> true in
+          (* A deadline or cancellation would stop the pipeline at its
+             first poll: hand back what the front holds instead. *)
+          let o =
+            if Gov.refresh gov <> None then { empty_outcome with sketch_status = "lp-front" }
+            else pipeline ~params ~pool ~gov c
+          in
+          let best, best_objective = better_of ~maximize mine (o.best, o.best_objective) in
+          let bound =
+            match (obj, front_bound, o.bound) with
+            | No_obj, _, _ -> None
+            | Linear _, Some x, Some y -> Some (if maximize then Float.min x y else Float.max x y)
+            | Linear _, (Some _ as b), None | Linear _, None, b -> b
+          in
+          let proven_optimal, gap =
+            match (obj, bound, best_objective) with
+            | No_obj, _, _ -> (best <> None || o.proven_optimal, None)
+            | Linear _, Some b, Some v ->
+                let g = Float.abs (b -. v) /. Float.max 1.0 (Float.abs v) in
+                (g <= 1e-9, Some g)
+            | Linear _, _, _ -> (best = None && o.proven_optimal, None)
+          in
+          with_front { o with best; best_objective; bound; gap; proven_optimal } "gave-way")

@@ -43,6 +43,10 @@
     formulas and non-linear objectives report [applicable = false] with
     a reason, like {!Sql_generate}.
 
+    {!search} puts an LP front before this pipeline (see there), which
+    proves most answers optimal outright; the pipeline runs only when
+    the front holds no proof.
+
     Determinism caveat: refine legs run under child tokens that share
     the family's budget meters, so when a budget or deadline fires {e
     mid-run} the stopping point depends on leg interleaving. Runs that
@@ -98,7 +102,35 @@ type outcome = {
   partition_seconds : float;
   sketch_seconds : float;
   refine_seconds : float;
+  front : string;
+      (** what the LP front of {!search} did: ["certified"] (its reduced
+          ILP is the whole relation's optimum), ["infeasible"] (it
+          proved the query infeasible), ["gave-way"] (no proof; the
+          pipeline ran after it), or ["-"] (not run: {!pipeline}, an
+          empty relation, or a query the front does not apply to) *)
+  lp_bound : float option;
+      (** the front's Lagrangian bound [L(y)] on the true optimum, in the
+          objective's own sense (rounded toward the optimum when every
+          objective coefficient is an integer); [None] when the LP did
+          not solve to optimality, the query has no objective, or the
+          front did not run *)
+  lp_pivots : int;  (** simplex pivots of the whole-relation LP *)
+  kept_columns : int;  (** columns of the front's last reduced ILP *)
+  front_seconds : float;
 }
+
+val pipeline :
+  params:params ->
+  pool:Pb_par.Pool.t ->
+  gov:Pb_util.Gov.t ->
+  Coeffs.t ->
+  outcome
+(** Partition, sketch and refine, as described above, with no LP front.
+    Cooperative: polls [gov] at round boundaries and threads child
+    tokens into every MILP, so cancellation, deadline and the
+    [Milp_nodes] budget stop in-flight legs; all legs are joined before
+    returning (no orphaned solves). On a governed stop the best
+    incumbent found so far is returned. *)
 
 val search :
   params:params ->
@@ -106,8 +138,32 @@ val search :
   gov:Pb_util.Gov.t ->
   Coeffs.t ->
   outcome
-(** Run the pipeline. Cooperative: polls [gov] at round boundaries and
-    threads child tokens into every MILP, so cancellation, deadline and
-    the [Milp_nodes] budget stop in-flight legs; all legs are joined
-    before returning (no orphaned solves). On a governed stop the best
-    incumbent found so far is returned. *)
+(** The strategy's entry point: an LP front, then {!pipeline} only when
+    the front holds no proof.
+
+    The front solves the whole-relation LP relaxation once
+    ({!Pb_lp.Simplex.start_dense} over the compiled coefficient vectors,
+    a row of ones added when the empty package is excluded), then the
+    ILP (best-bound first) over the columns the final basis singles
+    out — basic and at-upper ones plus the 300 at-lower ones with the
+    best reduced costs. With the basis's duals [y], clamped to the row
+    senses, every package is worth at most [L(y)], and one that uses an
+    at-lower column [j] at most its cutoff [L(y) + min(d_j, 0)] (both
+    rounded toward the optimum when every objective coefficient is an
+    integer); so the reduced optimum [z] is the whole relation's once no
+    excluded cutoff beats it. Otherwise the front re-solves once over
+    every column whose cutoff beats [z] (they are the top ones by
+    reduced cost; at most 4,800 at-lower columns), which certifies its
+    optimum by construction. An infeasible LP proves the query infeasible; an
+    infeasible reduced ILP grows the kept set four-fold until it is the
+    whole relation, whose infeasibility is again a proof.
+    Objective-less queries take any package the reduced ILP finds. The
+    front runs on the calling domain, so it is deterministic at any
+    pool size.
+
+    The front spends at most half of [gov]'s remaining [Milp_nodes]
+    (a {!Pb_util.Gov.capped} child). Without a proof, and unless [gov]
+    was cancelled or its deadline passed, {!pipeline} runs on what is
+    left; the better of the two packages is returned (ties to the
+    front's), and its gap is taken against the tighter of the front's
+    bound and the bound sketch's. *)

@@ -37,6 +37,109 @@ type node = {
   snapshot : Simplex.basis option;
 }
 
+(* The open nodes. Depth-first pops the newest. Best-bound pops the node
+   with the best parent bound, the newest among equals — the node a scan
+   of the depth-first stack would pick — from a binary heap, so a pop
+   costs O(log open) rather than a scan and a copy of every open node. *)
+type frontier = {
+  best_first : bool;
+  maximize : bool;
+  mutable stack : node list;  (* depth-first: newest first *)
+  mutable heap : node array;  (* best-bound: heap order on [ranks_above] *)
+  mutable seqs : int array;  (* push order of [heap]'s nodes *)
+  mutable size : int;
+  mutable next_seq : int;
+}
+
+let frontier node_order ~maximize root =
+  let best_first = node_order = Best_bound in
+  {
+    best_first;
+    maximize;
+    stack = (if best_first then [] else [ root ]);
+    heap = Array.make (if best_first then 64 else 0) root;
+    seqs = Array.make (if best_first then 64 else 0) 0;
+    size = (if best_first then 1 else 0);
+    next_seq = 1;
+  }
+
+let ranks_above f i j =
+  let bi = f.heap.(i).parent_bound and bj = f.heap.(j).parent_bound in
+  (if f.maximize then bi > bj else bi < bj) || (bi = bj && f.seqs.(i) > f.seqs.(j))
+
+let swap f i j =
+  let n = f.heap.(i) and s = f.seqs.(i) in
+  f.heap.(i) <- f.heap.(j);
+  f.seqs.(i) <- f.seqs.(j);
+  f.heap.(j) <- n;
+  f.seqs.(j) <- s
+
+let rec sift_up f i =
+  if i > 0 then
+    let p = (i - 1) / 2 in
+    if ranks_above f i p then begin
+      swap f i p;
+      sift_up f p
+    end
+
+let rec sift_down f i =
+  let l = (2 * i) + 1 and r = (2 * i) + 2 in
+  let top = if l < f.size && ranks_above f l i then l else i in
+  let top = if r < f.size && ranks_above f r top then r else top in
+  if top <> i then begin
+    swap f i top;
+    sift_down f top
+  end
+
+(* Push [nodes], first element newest — what prepending them to the
+   depth-first stack means. *)
+let push f nodes =
+  if not f.best_first then f.stack <- nodes @ f.stack
+  else
+    List.iter
+      (fun node ->
+        if f.size = Array.length f.heap then begin
+          f.heap <- Array.append f.heap (Array.make f.size node);
+          f.seqs <- Array.append f.seqs (Array.make f.size 0)
+        end;
+        f.heap.(f.size) <- node;
+        f.seqs.(f.size) <- f.next_seq;
+        f.next_seq <- f.next_seq + 1;
+        f.size <- f.size + 1;
+        sift_up f (f.size - 1))
+      (List.rev nodes)
+
+let pop f =
+  if not f.best_first then (
+    match f.stack with
+    | [] -> None
+    | node :: rest ->
+        f.stack <- rest;
+        Some node)
+  else if f.size = 0 then None
+  else begin
+    let top = f.heap.(0) in
+    f.size <- f.size - 1;
+    if f.size > 0 then begin
+      f.heap.(0) <- f.heap.(f.size);
+      f.seqs.(0) <- f.seqs.(f.size);
+      sift_down f 0
+    end;
+    Some top
+  end
+
+let is_empty f = if f.best_first then f.size = 0 else f.stack = []
+
+let fold_open f g init =
+  if not f.best_first then List.fold_left g init f.stack
+  else begin
+    let acc = ref init in
+    for i = 0 to f.size - 1 do
+      acc := g !acc f.heap.(i)
+    done;
+    !acc
+  end
+
 let fractional_part x = Float.abs (x -. Float.round x)
 
 let most_fractional model ~eps x =
@@ -119,17 +222,9 @@ let rec solve_impl ~gov ?(eps = 1e-6) ?(node_order = Dfs) ?(presolve = false)
       (List.rev node.nbounds)
   in
   let root_bound = if maximize then infinity else neg_infinity in
-  let stack =
-    ref
-      [
-        {
-          nbounds = [];
-          depth = 0;
-          parent_bound = root_bound;
-          parent = -1;
-          snapshot = None;
-        };
-      ]
+  let open_nodes =
+    frontier node_order ~maximize
+      { nbounds = []; depth = 0; parent_bound = root_bound; parent = -1; snapshot = None }
   in
   (* One working tableau for the whole search. [live] is the id of the
      node whose LP it last solved: a child of that node re-solves in
@@ -147,39 +242,18 @@ let rec solve_impl ~gov ?(eps = 1e-6) ?(node_order = Dfs) ?(presolve = false)
       incumbent_obj := obj;
       Metrics.incr m_incumbents;
       let global_bound =
-        List.fold_left
+        fold_open open_nodes
           (fun acc n ->
             if maximize then Float.max acc n.parent_bound
             else Float.min acc n.parent_bound)
-          bound !stack
+          bound
       in
       Progress.incumbent ~key:(Gov.family_id gov) ~strategy:"ilp"
         ~bound:global_bound ~nodes:!nodes_explored obj
     end
   in
-  (* Pop according to the node order: head for DFS, best parent bound for
-     best-first (maximization sense; parent_bound is already signed). *)
-  let pop () =
-    match (node_order, !stack) with
-    | _, [] -> None
-    | Dfs, node :: rest ->
-        stack := rest;
-        Some node
-    | Best_bound, first :: _ ->
-        let better_bound a b =
-          if maximize then a.parent_bound > b.parent_bound
-          else a.parent_bound < b.parent_bound
-        in
-        let best =
-          List.fold_left
-            (fun acc node -> if better_bound node acc then node else acc)
-            first !stack
-        in
-        stack := List.filter (fun node -> node != best) !stack;
-        Some best
-  in
-  while !stack <> [] && (not !budget_hit) do
-    match pop () with
+  while (not (is_empty open_nodes)) && not !budget_hit do
+    match pop open_nodes with
     | None -> ()
     | Some node ->
         (* One governance poll per node pop: cancellation/deadline stop
@@ -258,8 +332,8 @@ let rec solve_impl ~gov ?(eps = 1e-6) ?(node_order = Dfs) ?(presolve = false)
                   let down = if fl < lo then [] else [ child lo fl ] in
                   let up = if ce > hi then [] else [ child ce hi ] in
                   (* Explore the rounding-preferred side first. *)
-                  if v -. fl > 0.5 then stack := up @ down @ !stack
-                  else stack := down @ up @ !stack
+                  if v -. fl > 0.5 then push open_nodes (up @ down)
+                  else push open_nodes (down @ up)
                 end
               end
         end

@@ -36,7 +36,9 @@ type node_order =
   | Dfs  (** depth-first (stack); low memory, good with strong incumbents *)
   | Best_bound
       (** always expand the frontier node with the best parent relaxation
-          bound; typically fewer nodes, more frontier bookkeeping *)
+          bound (the most recently created among equals), kept in a
+          binary heap; typically fewer nodes, and it reaches packages at
+          the relaxation bound sooner *)
 
 val solve :
   ?gov:Pb_util.Gov.t ->

@@ -20,16 +20,23 @@ let eps_infeas = 1e-6
    as singular and the solve starts cold. *)
 let eps_refactor = 1e-7
 
+(* Where a state reads its structural bounds: a model's variable bounds,
+   which branch-and-bound moves between solves, or one fixed box shared
+   by every column of a dense load. *)
+type bounds_src = Of_model of Model.t | Box of float * float
+
 (* Working state of one model's LP. Columns: structural vars, then one
    slack per row, then the artificials a cold start appends. Over its
    first [ncols] columns the tableau always holds B^-1·[A | I | art], so
    its slack block is B^-1. The model's rows and objective are copied in
-   once; only its variable bounds are read again, at every solve. *)
+   once (a dense load shares its rows instead); only the variable bounds
+   are read again, at every solve. *)
 type state = {
-  model : Model.t;
+  src : bounds_src;
   m : int;
   n : int;
-  a0 : float array array;     (* m x n original structural coefficients *)
+  a0 : float array array;     (* m x n original structural coefficients;
+                                 never written *)
   rhs : float array;
   slack_lo : float array;     (* slack bounds encode the row sense *)
   slack_hi : float array;
@@ -91,39 +98,30 @@ let m_dual_pivots =
   Pb_obs.Metrics.counter ~help:"Dual simplex pivots in warm re-solves"
     "pb_lp_dual_pivots_total"
 
-let create ?max_iterations model =
-  let n = Model.num_vars model in
-  let constrs = Array.of_list (Model.constraints model) in
-  let m = Array.length constrs in
+let make ?max_iterations ~src ~a0 ~rhs ~senses ~obj ~obj_sign n =
+  let m = Array.length a0 in
   let ncols_max = n + (2 * m) in
-  let a0 = Array.make_matrix m n 0.0 in
-  let rhs = Array.make m 0.0 in
   let slack_lo = Array.make m 0.0 and slack_hi = Array.make m 0.0 in
   Array.iteri
-    (fun i (c : Model.constr) ->
-      List.iter (fun (coef, v) -> a0.(i).(v) <- a0.(i).(v) +. coef) c.terms;
-      rhs.(i) <- c.rhs;
-      match c.sense with
+    (fun i sense ->
+      match sense with
       | Model.Le -> slack_hi.(i) <- infinity
       | Model.Ge -> slack_lo.(i) <- neg_infinity
       | Model.Eq -> ())
-    constrs;
+    senses;
   let max_iterations =
     match max_iterations with Some k -> k | None -> (200 * (m + n)) + 1000
   in
   {
-    model;
+    src;
     m;
     n;
     a0;
     rhs;
     slack_lo;
     slack_hi;
-    obj = Model.objective_terms model;
-    obj_sign =
-      (match Model.objective model with
-      | Model.Maximize _ -> 1.0
-      | Model.Minimize _ -> -1.0);
+    obj;
+    obj_sign;
     max_iterations;
     ncols = n + m;
     a = Array.make_matrix m ncols_max 0.0;
@@ -145,13 +143,40 @@ let create ?max_iterations model =
     n_dual_pivots = 0;
   }
 
+let create ?max_iterations model =
+  let n = Model.num_vars model in
+  let constrs = Array.of_list (Model.constraints model) in
+  let a0 = Array.map (fun _ -> Array.make n 0.0) constrs in
+  Array.iteri
+    (fun i (c : Model.constr) ->
+      List.iter (fun (coef, v) -> a0.(i).(v) <- a0.(i).(v) +. coef) c.terms)
+    constrs;
+  make ?max_iterations ~src:(Of_model model) ~a0
+    ~rhs:(Array.map (fun (c : Model.constr) -> c.rhs) constrs)
+    ~senses:(Array.map (fun (c : Model.constr) -> c.sense) constrs)
+    ~obj:(Model.objective_terms model)
+    ~obj_sign:
+      (match Model.objective model with
+      | Model.Maximize _ -> 1.0
+      | Model.Minimize _ -> -1.0)
+    n
+
+let lower t j = match t.src with Of_model m -> Model.lower m j | Box (l, _) -> l
+let upper t j = match t.src with Of_model m -> Model.upper m j | Box (_, u) -> u
+
+let var_name t j =
+  match t.src with Of_model m -> Model.var_name m j | Box _ -> Printf.sprintf "x%d" j
+
 (* Branch-and-bound can tighten a variable into an empty domain. *)
 let crossed t =
-  let found = ref false in
-  for j = 0 to t.n - 1 do
-    if Model.lower t.model j > Model.upper t.model j then found := true
-  done;
-  !found
+  match t.src with
+  | Box (l, u) -> l > u
+  | Of_model m ->
+      let found = ref false in
+      for j = 0 to t.n - 1 do
+        if Model.lower m j > Model.upper m j then found := true
+      done;
+      !found
 
 (* Put nonbasic column [j] on the finite bound its [at_upper] bit names,
    or on the other one when that side is infinite. *)
@@ -211,7 +236,7 @@ let load_cold t =
   Array.fill t.at_upper 0 (Array.length t.at_upper) false;
   (* Structural variables: nonbasic at the finite bound nearest zero. *)
   for j = 0 to n - 1 do
-    let l = Model.lower t.model j and u = Model.upper t.model j in
+    let l = lower t j and u = upper t j in
     t.lo.(j) <- l;
     t.hi.(j) <- u;
     if Float.is_finite l then t.xval.(j) <- l
@@ -222,7 +247,7 @@ let load_cold t =
     else
       invalid_arg
         (Printf.sprintf "Simplex: variable %s is free on both sides"
-           (Model.var_name t.model j))
+           (var_name t j))
   done;
   (* Choose an initial basis row by row: use the slack when the residual
      fits its bounds, otherwise clamp the slack and add an artificial. *)
@@ -570,26 +595,29 @@ let cold t =
    changes by -a_ij·δ. Basic columns only take the new bounds; the dual
    simplex repairs any that now lie outside them. *)
 let sync_bounds t =
-  for j = 0 to t.n - 1 do
-    let l = Model.lower t.model j and u = Model.upper t.model j in
-    if l <> t.lo.(j) || u <> t.hi.(j) then begin
-      t.lo.(j) <- l;
-      t.hi.(j) <- u;
-      if not t.is_basic.(j) then begin
-        let old = t.xval.(j) in
-        place_nonbasic t j;
-        let delta = t.xval.(j) -. old in
-        if delta <> 0.0 then
-          for i = 0 to t.m - 1 do
-            let aij = t.a.(i).(j) in
-            if aij <> 0.0 then begin
-              let b = t.basis.(i) in
-              t.xval.(b) <- t.xval.(b) -. (aij *. delta)
-            end
-          done
-      end
-    end
-  done
+  match t.src with
+  | Box _ -> ()
+  | Of_model m ->
+      for j = 0 to t.n - 1 do
+        let l = Model.lower m j and u = Model.upper m j in
+        if l <> t.lo.(j) || u <> t.hi.(j) then begin
+          t.lo.(j) <- l;
+          t.hi.(j) <- u;
+          if not t.is_basic.(j) then begin
+            let old = t.xval.(j) in
+            place_nonbasic t j;
+            let delta = t.xval.(j) -. old in
+            if delta <> 0.0 then
+              for i = 0 to t.m - 1 do
+                let aij = t.a.(i).(j) in
+                if aij <> 0.0 then begin
+                  let b = t.basis.(i) in
+                  t.xval.(b) <- t.xval.(b) -. (aij *. delta)
+                end
+              done
+          end
+        end
+      done
 
 (* Rebuild the tableau for a snapshot basis, under the model's current
    bounds: reset to [A | I] with the slack basis, then pivot each
@@ -649,10 +677,15 @@ let refactor t (snap : basis) =
     None
   end
   else begin
-    for j = 0 to n - 1 do
-      t.lo.(j) <- Model.lower t.model j;
-      t.hi.(j) <- Model.upper t.model j
-    done;
+    (match t.src with
+    | Of_model md ->
+        for j = 0 to n - 1 do
+          t.lo.(j) <- Model.lower md j;
+          t.hi.(j) <- Model.upper md j
+        done
+    | Box (l, u) ->
+        Array.fill t.lo 0 n l;
+        Array.fill t.hi 0 n u);
     for j = 0 to base_cols - 1 do
       if not t.is_basic.(j) then place_nonbasic t j
     done;
@@ -687,6 +720,73 @@ let start ?max_iterations model =
   (t, record (cold t))
 
 let solve ?max_iterations model = snd (start ?max_iterations model)
+
+let start_dense ?max_iterations ~rows ~senses ~rhs ~maximize ~objective ~lower
+    ~upper () =
+  let n = Array.length objective in
+  if Array.length senses <> Array.length rows
+     || Array.length rhs <> Array.length rows
+     || Array.exists (fun r -> Array.length r <> n) rows
+  then invalid_arg "Simplex.start_dense: row, sense and rhs shapes differ";
+  let t =
+    make ?max_iterations ~src:(Box (lower, upper)) ~a0:rows ~rhs ~senses
+      ~obj:(if maximize then Array.copy objective else Array.map Float.neg objective)
+      ~obj_sign:(if maximize then 1.0 else -1.0)
+      n
+  in
+  (t, record (cold t))
+
+type column = Basic | At_lower | At_upper
+
+let column t j =
+  if t.is_basic.(j) then Basic else if t.at_upper.(j) then At_upper else At_lower
+
+(* y = c_B·B^-1 under the phase-2 costs, with B^-1 read off the slack
+   block of the tableau. *)
+let duals t =
+  if not t.loaded then invalid_arg "Simplex.dual_bound: no basis loaded";
+  let y = Array.make t.m 0.0 in
+  for k = 0 to t.m - 1 do
+    let b = t.basis.(k) in
+    let cb = if b < t.n then t.obj.(b) else 0.0 in
+    if cb <> 0.0 then begin
+      let row = t.a.(k) in
+      for i = 0 to t.m - 1 do
+        y.(i) <- y.(i) +. (cb *. row.(t.n + i))
+      done
+    end
+  done;
+  y
+
+type dual_bound = { prices : float array; reduced_costs : float array; value : float }
+
+let dual_bound t =
+  let y = duals t in
+  (* A <= row's price is >= 0 and a >= row's <= 0 in any dual feasible
+     point; clamping only removes the pivots' rounding noise. *)
+  Array.iteri
+    (fun i v ->
+      if t.slack_hi.(i) = infinity && t.slack_lo.(i) = 0.0 then y.(i) <- Float.max 0.0 v
+      else if t.slack_lo.(i) = neg_infinity then y.(i) <- Float.min 0.0 v)
+    y;
+  let d = Array.copy t.obj in
+  Array.iteri
+    (fun i yi ->
+      if yi <> 0.0 then begin
+        let row = t.a0.(i) in
+        for j = 0 to t.n - 1 do
+          d.(j) <- d.(j) -. (yi *. row.(j))
+        done
+      end)
+    y;
+  let v = ref 0.0 in
+  Array.iteri (fun i yi -> if yi <> 0.0 then v := !v +. (yi *. t.rhs.(i))) y;
+  for j = 0 to t.n - 1 do
+    let dj = d.(j) in
+    if dj > 0.0 then v := !v +. (dj *. upper t j)
+    else if dj < 0.0 then v := !v +. (dj *. lower t j)
+  done;
+  { prices = y; reduced_costs = d; value = !v }
 
 let basis t =
   let upper = Bytes.make ((t.ncols + 7) / 8) '\000' in

@@ -53,6 +53,59 @@ val start : ?max_iterations:int -> Model.t -> state * solution
 (** [start model] solves [model] cold, like {!solve}, and keeps the
     resulting tableau for later {!resolve}s. *)
 
+val start_dense :
+  ?max_iterations:int ->
+  rows:float array array ->
+  senses:Model.sense array ->
+  rhs:float array ->
+  maximize:bool ->
+  objective:float array ->
+  lower:float ->
+  upper:float ->
+  unit ->
+  state * solution
+(** Solve [max] (or [min]) [objective·x] subject to
+    [rows.(i)·x senses.(i) rhs.(i)] and [lower <= x_j <= upper] for
+    every column, cold, like {!start} on the equivalent model. The rows
+    are used in place as the state's original coefficients: they are
+    never copied or written, so a caller holding dense coefficient
+    vectors (one per constraint, as PaQL's compiled atoms do) builds no
+    per-term lists and no model. The state has no model behind it, so
+    its bounds never move and {!resolve} only re-optimises in place.
+    Raises [Invalid_argument] when the shapes disagree. *)
+
+(** {2 Dual certificates} *)
+
+type column = Basic | At_lower | At_upper
+
+val column : state -> int -> column
+(** Where structural column [j] sits in the basis the tableau holds. *)
+
+type dual_bound = {
+  prices : float array;
+      (** the row prices [y = c_B·B^-1] of the basis, one per constraint
+          in model order, clamped to the signs the row senses allow
+          ([>= 0] on [<=] rows, [<= 0] on [>=] rows) *)
+  reduced_costs : float array;
+      (** [d_j = c_j - prices·A_j] per structural column, maximization
+          form *)
+  value : float;
+      (** the Lagrangian bound
+          [L(y) = y·b + Σ_j max(d_j·u_j, d_j·l_j)] under the current
+          variable bounds, maximization form *)
+}
+
+val dual_bound : state -> dual_bound
+(** The duals of the basis the tableau holds, in the maximization form
+    of the objective (negated for [Minimize], like
+    {!Model.objective_terms}), and what weak duality makes of them: every point inside
+    the bounds that satisfies the rows has (maximization-form) objective
+    at most [value]. A point with [x_j >= l_j + 1] is worth at most
+    [value + min(d_j, 0)], which is what lets a search over a subset of
+    the columns prove itself optimal for all of them. From an optimal
+    basis [value] equals the LP optimum up to rounding. Raises
+    [Invalid_argument] before any solve. *)
+
 val resolve : ?from:basis -> state -> solution
 (** Re-solve the state's model under its current variable bounds. Without
     [from], the live tableau re-optimises in place: a nonbasic column

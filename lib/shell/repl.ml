@@ -201,6 +201,13 @@ let explain_analyze ?gov st text =
                   Buffer.add_string buf
                     ("  " ^ Progress.event_to_string e ^ "\n"))
                 events);
+          (match result.Pb_core.Engine.stats with
+          | [] -> ()
+          | stats ->
+              Buffer.add_string buf
+                ("stats: "
+                ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) stats)
+                ^ "\n"));
           (match result.Pb_core.Engine.objective with
           | Some v -> Buffer.add_string buf (Printf.sprintf "objective: %g\n" v)
           | None -> ());

@@ -42,6 +42,9 @@ type t = {
   parent : t option;
   latched : reason option Atomic.t;
   polls : int Atomic.t;  (* throttles clock reads in [check] *)
+  caps : (int * int * int Atomic.t) list;
+      (* private (resource index, limit, spend) caps of a [capped]
+         subtree; children inherit them *)
 }
 
 let family_counter = Atomic.make 0
@@ -61,6 +64,7 @@ let make ~deadline ~limits =
     parent = None;
     latched = Atomic.make None;
     polls = Atomic.make 0;
+    caps = [];
   }
 
 let create ?deadline_in ?deadline_at ?milp_nodes ?bf_candidates ?ls_restarts
@@ -95,6 +99,10 @@ let child t =
     polls = Atomic.make 0;
   }
 
+let capped t r n =
+  let t = child t in
+  if n <= 0 then t else { t with caps = (idx r, n, Atomic.make 0) :: t.caps }
+
 let family_id t = t.family
 
 let cancel t = Atomic.set t.cancel_flag true
@@ -110,9 +118,16 @@ let latch t r =
 
 let fate t = Atomic.get t.latched
 
+let cap_left t i =
+  List.fold_left
+    (fun acc (ci, limit, spent) ->
+      if ci = i then min acc (limit - Atomic.get spent) else acc)
+    max_int t.caps
+
 let over_budget t r =
   let i = idx r in
-  t.limits.(i) <> max_int && Atomic.get t.spent_counters.(i) >= t.limits.(i)
+  (t.limits.(i) <> max_int && Atomic.get t.spent_counters.(i) >= t.limits.(i))
+  || (t.caps <> [] && cap_left t i <= 0)
 
 (* Consult the clock on the first poll and every 32nd thereafter: loop
    heads poll every couple hundred iterations, so deadline detection
@@ -161,14 +176,23 @@ let tick ?resource t =
 let tick_opt ?resource = function None -> () | Some t -> tick ?resource t
 
 let spend t r n =
-  ignore (Atomic.fetch_and_add t.spent_counters.(idx r) n)
+  let i = idx r in
+  ignore (Atomic.fetch_and_add t.spent_counters.(i) n);
+  if t.caps <> [] then
+    List.iter
+      (fun (ci, _, spent) -> if ci = i then ignore (Atomic.fetch_and_add spent n))
+      t.caps
 
 let spent t r = Atomic.get t.spent_counters.(idx r)
 
 let budget_left t r =
   let i = idx r in
-  if t.limits.(i) = max_int then None
-  else Some (max 0 (t.limits.(i) - Atomic.get t.spent_counters.(i)))
+  let family =
+    if t.limits.(i) = max_int then max_int
+    else t.limits.(i) - Atomic.get t.spent_counters.(i)
+  in
+  let left = min family (cap_left t i) in
+  if left = max_int then None else Some (max 0 left)
 
 let remaining_time t =
   if t.deadline = infinity then None

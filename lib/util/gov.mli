@@ -72,6 +72,14 @@ val child : t -> t
     parent (or any ancestor) also stops the child; cancelling the child
     does not stop the parent. *)
 
+val capped : t -> resource -> int -> t
+(** [capped t r n] is a {!child} of [t] that may also spend at most [n]
+    more of [r], counted from now, by itself and its own descendants:
+    their spend still counts against the family's shared budget, and the
+    token reports [Budget r] once either the family budget or its private
+    cap is used up. Other tokens of the family do not see the cap.
+    [n <= 0] adds no cap. *)
+
 val family_id : t -> int
 (** Process-unique id of the token's root family; {!child} tokens share
     their root's id. Observability keys per-run event streams by it
@@ -121,7 +129,8 @@ val spend : t -> resource -> int -> unit
 
 val spent : t -> resource -> int
 val budget_left : t -> resource -> int option
-(** Remaining budget, [None] = unlimited. Never negative. *)
+(** Remaining budget, [None] = unlimited, under the tighter of the
+    family budget and any {!capped} limit. Never negative. *)
 
 val remaining_time : t -> float option
 (** Seconds until the deadline, [None] = no deadline. Never negative. *)

@@ -220,20 +220,43 @@ let print_sr (i, parts) = Printf.sprintf "%s partitions=%d" (print_inst i) parts
 
 let sr_gen = Gen.pair inst_gen (Gen.int_range 1 5)
 
-let prop_sketch_refine_valid =
-  QCheck.Test.make ~count:60
-    ~name:"sketch-refine packages valid (Coeffs.check); proofs agree with bf"
+(* The strategy through the engine (LP front, then the pipeline when
+   the front holds no proof), and the partition/sketch/refine pipeline
+   alone with its outcome read as the engine would. *)
+let sr_engine parts db c =
+  Engine.run_coeffs
+    ~gov:(Pb_util.Gov.create ~milp_nodes:500_000 ())
+    ~strategy:(Engine.Sketch_refine (sr_params parts))
+    db c
+
+let sr_pipeline parts _db c : Engine.result =
+  let out =
+    Pb_core.Sketch_refine.pipeline ~params:(sr_params parts)
+      ~pool:(Pb_par.Pool.get_default ())
+      ~gov:(Pb_util.Gov.create ~milp_nodes:500_000 ())
+      c
+  in
+  {
+    package = out.best;
+    objective = out.best_objective;
+    proof =
+      (if not out.proven_optimal then Engine.Feasible
+       else if out.best = None then Engine.Infeasible
+       else Engine.Optimal);
+    strategy_used = "sketch-refine";
+    elapsed = 0.0;
+    stats = (if out.applicable then [] else [ ("not_applicable", out.reason) ]);
+    progress = [];
+  }
+
+let prop_sketch_refine_valid_on ~name run =
+  QCheck.Test.make ~count:60 ~long_factor:10 ~name
     (QCheck.make ~print:print_sr sr_gen)
     (fun (i, parts) ->
       let db = db_of i in
       let q = Parser.parse (query_of i) in
       let c = Pb_core.Coeffs.make db q in
-      let r =
-        Engine.run_coeffs
-          ~gov:(Pb_util.Gov.create ~milp_nodes:500_000 ())
-          ~strategy:(Engine.Sketch_refine (sr_params parts))
-          db c
-      in
+      let (r : Engine.result) = run parts db c in
       if List.mem_assoc "not_applicable" r.stats then true
       else begin
         (match r.package with
@@ -279,12 +302,22 @@ let prop_sketch_refine_valid =
               | _ -> true)
       end)
 
+let prop_sketch_refine_valid =
+  prop_sketch_refine_valid_on
+    ~name:"sketch-refine packages valid (Coeffs.check); proofs agree with bf"
+    sr_engine
+
+let prop_pipeline_valid =
+  prop_sketch_refine_valid_on
+    ~name:"sketch-refine pipeline alone: packages valid; proofs agree with bf"
+    sr_pipeline
+
 (* The bound must truly bound, and the gap must truly contain: wherever
    the exact oracle ran to a proof, the true optimum is on the right
    side of [bound], hence within [gap * max(1, |objective|)] of the
    returned objective — the "within its own reported gap" guarantee. *)
-let prop_sketch_refine_gap =
-  QCheck.Test.make ~count:60 ~name:"sketch-refine bound and gap are sound"
+let prop_sketch_refine_gap_on ~name solve =
+  QCheck.Test.make ~count:60 ~long_factor:10 ~name
     (QCheck.make ~print:print_sr sr_gen)
     (fun (i, parts) ->
       let bf = oracle i in
@@ -293,9 +326,8 @@ let prop_sketch_refine_gap =
         let db = db_of i in
         let q = Parser.parse (query_of i) in
         let c = Pb_core.Coeffs.make db q in
-        let out =
-          Pb_core.Sketch_refine.search ~params:(sr_params parts)
-            ~pool:(Pb_par.Pool.get_default ())
+        let (out : Pb_core.Sketch_refine.outcome) =
+          solve ~params:(sr_params parts) ~pool:(Pb_par.Pool.get_default ())
             ~gov:(Pb_util.Gov.unlimited ()) c
         in
         if not out.applicable then true
@@ -329,6 +361,155 @@ let prop_sketch_refine_gap =
                       opt g v (print_sr (i, parts))
                 | _ -> true)
         end)
+
+let prop_sketch_refine_gap =
+  prop_sketch_refine_gap_on ~name:"sketch-refine bound and gap are sound"
+    Pb_core.Sketch_refine.search
+
+let prop_pipeline_gap =
+  prop_sketch_refine_gap_on
+    ~name:"sketch-refine pipeline alone: bound and gap are sound"
+    Pb_core.Sketch_refine.pipeline
+
+(* The LP front proves infeasibility only from an infeasible LP or an
+   infeasible reduced ILP over the whole relation, so with budget to
+   spare the strategy never ends empty-handed on a feasible query. The
+   pipeline alone can: a sketch over representatives may find nothing
+   although real packages exist. *)
+let prop_search_finds_a_package =
+  QCheck.Test.make ~count:60 ~long_factor:10
+    ~name:"sketch-refine never ends without a package when bf finds one"
+    (QCheck.make ~print:print_sr sr_gen)
+    (fun (i, parts) ->
+      let bf = oracle i in
+      if not (feasible bf) then true
+      else
+        let db = db_of i in
+        let c = Pb_core.Coeffs.make db (Parser.parse (query_of i)) in
+        let out =
+          Pb_core.Sketch_refine.search ~params:(sr_params parts)
+            ~pool:(Pb_par.Pool.get_default ())
+            ~gov:(Pb_util.Gov.unlimited ()) c
+        in
+        (not out.applicable) || out.best <> None
+        || QCheck.Test.fail_reportf "no package although bf found one on %s"
+             (print_sr (i, parts)))
+
+(* Tables past the front's 300 kept at-lower columns, so its reduced
+   ILP leaves columns out and the reduced-cost certificate decides:
+   every proof the strategy claims must match whole-relation ILP, and
+   no package may beat ILP's proven optimum. *)
+type wide = { wrows : (int * int) array; klo : int; khi : int; cap : int; wmax : bool }
+
+let wide_gen =
+  let open Gen in
+  let* n = int_range 320 520 in
+  let* wrows = array_repeat n (pair (int_range 1 50) (int_range 0 200)) in
+  let* klo = int_range 1 6 in
+  let* span = int_range 0 6 in
+  let* cap = int_range 5 160 in
+  let* wmax = bool in
+  return { wrows; klo; khi = klo + span; cap; wmax }
+
+let wide_query w =
+  Printf.sprintf
+    "SELECT PACKAGE(R) AS P FROM t R SUCH THAT COUNT(*) BETWEEN %d AND %d AND \
+     SUM(P.a) <= %d %s SUM(P.b)"
+    w.klo w.khi w.cap (if w.wmax then "MAXIMIZE" else "MINIMIZE")
+
+let prop_front_matches_ilp =
+  QCheck.Test.make ~count:12 ~long_factor:5
+    ~name:"sketch-refine LP front proofs match whole-relation ILP"
+    (QCheck.make
+       ~print:(fun w -> Printf.sprintf "%d rows: %s" (Array.length w.wrows) (wide_query w))
+       wide_gen)
+    (fun w ->
+      let db =
+        db_of { rows = Array.to_list w.wrows; k = 1; bound = None; dir = NoObj }
+      in
+      let c = Pb_core.Coeffs.make db (Parser.parse (wide_query w)) in
+      let ilp = Engine.run_coeffs ~gov:(Pb_util.Gov.unlimited ()) ~strategy:Engine.Ilp db c in
+      let sr =
+        Engine.run_coeffs ~gov:(Pb_util.Gov.unlimited ())
+          ~strategy:(Engine.Sketch_refine Pb_core.Sketch_refine.default_params)
+          db c
+      in
+      let show (r : Engine.result) =
+        Printf.sprintf "%s %s" (Engine.proof_to_string r.proof)
+          (match r.objective with Some v -> string_of_float v | None -> "-")
+      in
+      let fail () =
+        QCheck.Test.fail_reportf "ilp %s, sketch-refine %s [%s] on %s" (show ilp) (show sr)
+          (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) sr.stats))
+          (wide_query w)
+      in
+      (match sr.package with
+      | Some pkg when not (Pb_core.Coeffs.check c pkg) -> fail ()
+      | _ -> ());
+      if not (proven ilp) then true
+      else
+        match (sr.proof, ilp.objective, sr.objective) with
+        | Engine.Infeasible, _, _ when feasible ilp -> fail ()
+        | Engine.Optimal, _, _ when not (objectives_agree ilp sr) -> fail ()
+        | _, Some opt, Some got
+          when (w.wmax && got > opt +. tol) || ((not w.wmax) && got < opt -. tol) ->
+            fail ()
+        | _ -> true)
+
+(* The optimum hidden behind decoys, so the certificate has to refuse
+   the first reduced optimum: 310-400 heavy rows (a = 30, c = 10, value
+   ~305) that the LP ranks above every light row (a = 25, c = 0); SUM(c)
+   admits one heavy row, SUM(a) cannot take a heavy and a light one, and
+   the best package is two light rows. The first reduced ILP keeps the
+   heavy rows and only the best light one, so it finds one heavy row;
+   a front that certified it would claim a wrong optimum. *)
+let decoy_gen =
+  let open Gen in
+  let* n_heavy = int_range 310 400 in
+  let* n_light = int_range 2 8 in
+  let* heavy = list_repeat n_heavy (map (fun b -> (30, 300 + b, 10)) (int_range 0 10)) in
+  let* light = list_repeat n_light (map (fun b -> (25, 160 + b, 0)) (int_range 0 25)) in
+  shuffle_l (((25, 200, 0) :: light) @ heavy)
+
+let prop_front_refuses_decoys =
+  QCheck.Test.make ~count:3 ~long_factor:5
+    ~name:"sketch-refine LP front refuses a decoy reduced optimum"
+    (QCheck.make ~print:(fun rows -> Printf.sprintf "%d rows" (List.length rows)) decoy_gen)
+    (fun rows ->
+      let db = Pb_sql.Database.create () in
+      let schema =
+        Schema.make
+          [
+            { Schema.name = "id"; ty = Value.T_int };
+            { Schema.name = "a"; ty = Value.T_int };
+            { Schema.name = "b"; ty = Value.T_int };
+            { Schema.name = "c"; ty = Value.T_int };
+          ]
+      in
+      Pb_sql.Database.put db "t"
+        (Relation.create schema
+           (List.mapi
+              (fun i (a, b, c) -> [| Value.Int (i + 1); Value.Int a; Value.Int b; Value.Int c |])
+              rows));
+      let q =
+        Parser.parse
+          "SELECT PACKAGE(R) AS P FROM t R SUCH THAT COUNT(*) BETWEEN 1 AND 3 AND \
+           SUM(P.a) <= 50 AND SUM(P.c) <= 10 MAXIMIZE SUM(P.b)"
+      in
+      let c = Pb_core.Coeffs.make db q in
+      let ilp = Engine.run_coeffs ~gov:(Pb_util.Gov.unlimited ()) ~strategy:Engine.Ilp db c in
+      let sr =
+        Engine.run_coeffs ~gov:(Pb_util.Gov.unlimited ())
+          ~strategy:(Engine.Sketch_refine Pb_core.Sketch_refine.default_params)
+          db c
+      in
+      (ilp.proof = Engine.Optimal && sr.proof = Engine.Optimal && objectives_agree ilp sr)
+      || QCheck.Test.fail_reportf "ilp %s %s, sketch-refine %s %s [%s]"
+           (Engine.proof_to_string ilp.proof)
+           (match ilp.objective with Some v -> string_of_float v | None -> "-")
+           (Engine.proof_to_string sr.proof)
+           (match sr.objective with Some v -> string_of_float v | None -> "-")
+           (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) sr.stats)))
 
 (* ---- compiled expression evaluation vs the interpreter ---------------- *)
 
@@ -513,5 +694,7 @@ let suite =
       prop_ilp; prop_sqlgen; prop_pruning; prop_local_search; prop_hybrid;
       prop_gov_never_better;
       prop_sketch_refine_valid; prop_sketch_refine_gap;
+      prop_pipeline_valid; prop_pipeline_gap; prop_search_finds_a_package;
+      prop_front_matches_ilp; prop_front_refuses_decoys;
       prop_compiled_eq_interpreted; prop_like_compiled;
     ]

@@ -569,6 +569,98 @@ let test_warm_start_counters () =
   Alcotest.(check bool) "fallbacks are rare" true
     (100 * (value "pb_lp_cold_fallbacks_total" - fallbacks0) <= warm)
 
+(* The dual certificate behind SketchRefine's LP front, on small
+   bounded models with columns in [0, k] and mixed row senses: from the
+   final basis, L(y) bounds every feasible integer point, equals the LP
+   optimum, and L(y) + d_j bounds every feasible point with x_j >= 1.
+   The same LP loaded as dense rows ({!Simplex.start_dense}) reaches the
+   same optimum and the same bound. *)
+let prop_dual_certificate =
+  QCheck.Test.make ~count:200 ~long_factor:20
+    ~name:"simplex: dual bound certifies LP optimum and integer points"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Prng.create seed in
+      let n = Prng.int_in rng 2 5 and k = Prng.int_in rng 1 3 in
+      let kf = float_of_int k in
+      let m = Model.create () in
+      let vars =
+        Array.init n (fun i ->
+            Model.add_var m ~integer:true ~upper:kf (Printf.sprintf "v%d" i))
+      in
+      let rows =
+        Array.init (Prng.int_in rng 1 3) (fun _ ->
+            let coefs = Array.init n (fun _ -> float_of_int (Prng.int_in rng (-3) 9)) in
+            let rhs = float_of_int (Prng.int_in rng 0 (4 * n * k)) in
+            let sense =
+              match Prng.int rng 5 with 0 -> Model.Ge | 1 -> Model.Eq | _ -> Model.Le
+            in
+            Model.add_constr m
+              (Array.to_list (Array.mapi (fun i c -> (c, vars.(i))) coefs))
+              sense rhs;
+            (coefs, sense, rhs))
+      in
+      let values = Array.init n (fun _ -> float_of_int (Prng.int_in rng (-4) 9)) in
+      let maximize = Prng.bool rng in
+      let terms = Array.to_list (Array.mapi (fun i c -> (c, vars.(i))) values) in
+      Model.set_objective m (if maximize then Model.Maximize terms else Model.Minimize terms);
+      let st, lp = Simplex.start m in
+      let dense_st, dense_lp =
+        Simplex.start_dense
+          ~rows:(Array.map (fun (c, _, _) -> c) rows)
+          ~senses:(Array.map (fun (_, s, _) -> s) rows)
+          ~rhs:(Array.map (fun (_, _, r) -> r) rows)
+          ~maximize ~objective:values ~lower:0.0 ~upper:kf ()
+      in
+      let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs b) in
+      if lp.Simplex.status <> dense_lp.Simplex.status then
+        QCheck.Test.fail_reportf "model and dense loads disagree on the status"
+      else if lp.Simplex.status <> Simplex.Optimal then true
+      else begin
+        let own v = if maximize then v else -.v in
+        let cert = Simplex.dual_bound st in
+        let dense_cert = Simplex.dual_bound dense_st in
+        if not (close cert.Simplex.value (own lp.Simplex.objective)) then
+          QCheck.Test.fail_reportf "L(y) = %.17g but the LP optimum is %.17g"
+            cert.Simplex.value (own lp.Simplex.objective);
+        if not (close dense_lp.Simplex.objective lp.Simplex.objective
+                && close dense_cert.Simplex.value cert.Simplex.value)
+        then QCheck.Test.fail_reportf "dense load: LP %.17g, L(y) %.17g"
+               dense_lp.Simplex.objective dense_cert.Simplex.value;
+        let point = Array.make n 0 in
+        let dot c = Array.fold_left ( +. ) 0.0 (Array.mapi (fun j p -> c.(j) *. float_of_int p) point) in
+        let slack = 1e-9 *. Float.max 1.0 (Float.abs cert.Simplex.value) in
+        let ok = ref true in
+        let rec enumerate i =
+          if i = n then begin
+            if
+              Array.for_all
+                (fun (c, sense, rhs) ->
+                  match sense with
+                  | Model.Ge -> dot c >= rhs
+                  | Model.Le -> dot c <= rhs
+                  | Model.Eq -> dot c = rhs)
+                rows
+            then begin
+              let v = own (dot values) in
+              if v > cert.Simplex.value +. slack then ok := false;
+              Array.iteri
+                (fun j p ->
+                  if p >= 1 && v > cert.Simplex.value +. cert.Simplex.reduced_costs.(j) +. slack
+                  then ok := false)
+                point
+            end
+          end
+          else
+            for p = 0 to k do
+              point.(i) <- p;
+              enumerate (i + 1)
+            done
+        in
+        enumerate 0;
+        !ok
+      end)
+
 let suite =
   [
     Alcotest.test_case "lp basic" `Quick test_lp_basic;
@@ -607,4 +699,5 @@ let suite =
         prop_warm_matches_cold;
         prop_milp_matches_enumeration;
         prop_solve_all_ranks_enumeration;
+        prop_dual_certificate;
       ]

@@ -338,6 +338,26 @@ let test_explain_analyze () =
         "package saved" true
         (contains "saved as plan" save.Pb_shell.Repl.output))
 
+(* Under sketch-refine the LP front shows up three ways: its span, its
+   counters, and the front/lp_bound stats. *)
+let test_explain_analyze_front () =
+  let st = Pb_shell.Repl.create (demo_db ()) in
+  ignore (Pb_shell.Repl.handle st "\\strategy sketch-refine");
+  let out =
+    (Pb_shell.Repl.handle st ("\\explain analyze " ^ meal_query)).Pb_shell.Repl.output
+  in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("output has " ^ needle) true (contains needle out))
+    [
+      "sketch-refine.lp";
+      "pb_engine_lp_front_total +1";
+      "pb_engine_lp_front_certified_total +1";
+      "stats: ";
+      "front=certified";
+      "lp_bound=";
+    ]
+
 let test_explain_analyze_bad_query () =
   let st = Pb_shell.Repl.create (demo_db ()) in
   let reaction = Pb_shell.Repl.handle st "\\explain analyze SELECT PACKAGE(" in
@@ -735,6 +755,7 @@ let suite =
     ("reset keeps registrations.", `Quick, test_reset_keeps_registrations);
     ("slow log thresholds and ordering.", `Quick, test_slow_log);
     ("EXPLAIN ANALYZE prints tree and counters.", `Quick, test_explain_analyze);
+    ("EXPLAIN ANALYZE shows the SketchRefine LP front.", `Quick, test_explain_analyze_front);
     ("EXPLAIN ANALYZE parse error is safe.", `Quick, test_explain_analyze_bad_query);
     ("\\metrics dumps the registry.", `Quick, test_metrics_command);
     ("\\slowlog command cycle.", `Quick, test_slowlog_command);

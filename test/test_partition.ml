@@ -464,25 +464,47 @@ let fingerprint (r : Engine.result) =
     Engine.proof_to_string r.proof,
     r.stats )
 
+(* Everything but the wall-clock fields of an outcome. *)
+let outcome_fingerprint (o : Pb_core.Sketch_refine.outcome) =
+  ( (match o.best with
+    | None -> []
+    | Some p -> Array.to_list (Pb_paql.Package.multiplicities p)),
+    o.best_objective,
+    (o.bound, o.gap, o.proven_optimal, o.partitions_built),
+    (o.refine_steps, o.refined_partitions, o.stuck_partitions, o.sketch_status),
+    (o.front, o.lp_bound, o.lp_pivots, o.kept_columns) )
+
+(* Both the strategy (LP front first) and the partition/sketch/refine
+   pipeline alone, which the front mostly pre-empts on this instance. *)
 let test_pool_determinism () =
   let query =
     "SELECT PACKAGE(R) AS P FROM t R SUCH THAT COUNT(*) BETWEEN 1 AND 6 AND \
      SUM(P.a) <= 60 MAXIMIZE SUM(P.b)"
+  in
+  let params =
+    { Pb_core.Sketch_refine.partitions = Some 20; fanout = 4; prepartition = None }
   in
   let run pool_size =
     Pool.with_pool pool_size (fun pool ->
         let db = mk_db ~seed:7 300 in
         let q = Pb_paql.Parser.parse query in
         Engine.run ~pool ~gov:(Gov.unlimited ())
-          ~strategy:
-            (Engine.Sketch_refine
-               { Pb_core.Sketch_refine.partitions = Some 20; fanout = 4; prepartition = None })
-          db q)
+          ~strategy:(Engine.Sketch_refine params) db q)
+  in
+  let run_pipeline pool_size =
+    Pool.with_pool pool_size (fun pool ->
+        let db = mk_db ~seed:7 300 in
+        let c = Coeffs.make db (Pb_paql.Parser.parse query) in
+        Pb_core.Sketch_refine.pipeline ~params ~pool ~gov:(Gov.unlimited ()) c)
   in
   let r1 = run 1 and r8 = run 8 in
   Alcotest.(check bool) "found a package" true (Option.is_some r1.package);
   Alcotest.(check bool) "pool size 1 and 8 bit-identical" true
-    (fingerprint r1 = fingerprint r8)
+    (fingerprint r1 = fingerprint r8);
+  let p1 = run_pipeline 1 and p8 = run_pipeline 8 in
+  Alcotest.(check bool) "pipeline found a package" true (Option.is_some p1.best);
+  Alcotest.(check bool) "pipeline at pool size 1 and 8 bit-identical" true
+    (outcome_fingerprint p1 = outcome_fingerprint p8)
 
 (* ---- governance: deadline mid-refine -------------------------------- *)
 
@@ -493,16 +515,19 @@ let milp_nodes_total () =
   | Some v -> v
   | None -> 0.0
 
-(* A deadline that fires while refine legs are in flight must produce
-   [Feasible] with the current incumbent — never [Cancelled] when a
-   package is already in hand — and must join every leg before
-   returning: the global branch-and-bound node counter has to be
-   completely still afterwards. The instance (many small partitions,
-   a wide COUNT window spreading sketch mass across dozens of them) is
-   sized so refinement takes far longer than the deadline, while the
-   sketch itself finishes almost immediately and seeds an incumbent.
-   Deadlines race the machine, so we try a ladder of budgets and
-   require that at least one run is actually stopped mid-refine. *)
+(* A deadline that fires while refine legs are in flight must stop the
+   pipeline with the current incumbent — no proof claimed, the package
+   in hand (the engine then reports [Feasible], never [Cancelled]) —
+   and must join every leg before returning: the global
+   branch-and-bound node counter has to be completely still afterwards.
+   The test drives the partition/sketch/refine pipeline alone: the
+   strategy's LP front solves this instance exactly before any refine
+   leg starts. The instance (many small partitions, a wide COUNT window
+   spreading sketch mass across dozens of them) is sized so refinement
+   takes far longer than the deadline, while the sketch itself finishes
+   almost immediately and seeds an incumbent. Deadlines race the
+   machine, so we try a ladder of budgets and require that at least one
+   run is actually stopped mid-refine. *)
 let test_deadline_mid_refine () =
   (* near-unique b values spread the sketch mass across dozens of small
      partitions, so refinement takes many rounds while the sketch (and
@@ -516,27 +541,25 @@ let test_deadline_mid_refine () =
   let c = Coeffs.make db q in
   let attempt deadline =
     let gov = Gov.create ~deadline_in:deadline ~milp_nodes:0 () in
-    Engine.run_coeffs ~gov
-      ~strategy:
-        (Engine.Sketch_refine
-           { Pb_core.Sketch_refine.partitions = Some 2000; fanout = 4; prepartition = None })
-      db c
+    let out =
+      Pb_core.Sketch_refine.pipeline
+        ~params:
+          { Pb_core.Sketch_refine.partitions = Some 2000; fanout = 4; prepartition = None }
+        ~pool:(Pool.get_default ()) ~gov c
+    in
+    (out, Gov.refresh gov)
   in
-  let stopped (r : Engine.result) =
-    List.mem ("stopped", "deadline") r.stats
-  in
+  let stopped (_, fate) = fate = Some Gov.Deadline in
   let debug = Sys.getenv_opt "PB_TEST_DEBUG" <> None in
   let rec find = function
     | [] -> None
     | d :: rest -> (
-        let r = attempt d in
+        let ((out : Pb_core.Sketch_refine.outcome), _) as r = attempt d in
         if debug then
-          Printf.eprintf "attempt d=%g stopped=%b package=%b proof=%s stats=[%s]\n%!"
-            d (stopped r) (Option.is_some r.package)
-            (Engine.proof_to_string r.proof)
-            (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) r.stats));
-        match (stopped r, r.package) with
-        | true, Some _ -> Some r
+          Printf.eprintf "attempt d=%g stopped=%b package=%b proven=%b refine_steps=%d\n%!"
+            d (stopped r) (Option.is_some out.best) out.proven_optimal out.refine_steps;
+        match (stopped r, out.best) with
+        | true, Some _ -> Some out
         | _ -> find rest)
   in
   (* The stop window — after the sketch seeds an incumbent, before the
@@ -553,19 +576,90 @@ let test_deadline_mid_refine () =
   | None ->
       Alcotest.fail
         "no attempt was deadline-stopped mid-refine with an incumbent in hand"
+  | Some out ->
+      if out.proven_optimal then
+        Alcotest.fail
+          "deadline stop with an incumbent must not claim a proof";
+      (match out.best with
+      | Some pkg ->
+          Alcotest.(check bool) "incumbent satisfies all constraints" true
+            (Coeffs.check c pkg)
+      | None -> assert false);
+      (* no orphaned refine MILP: the node counter must be still *)
+      let s1 = milp_nodes_total () in
+      Thread.delay 0.15;
+      let s2 = milp_nodes_total () in
+      Alcotest.(check (float 0.0)) "no MILP still running after return" s1 s2
+
+(* The same contract one level up, for a deadline that fires inside the
+   strategy's LP front: the front's reduced ILP holds an incumbent but
+   no proof, so the engine must answer [Feasible] with that package
+   (never [Cancelled]), skip the pipeline, and leave no MILP running.
+   The instance is a correlated knapsack (value = 1000·weight + noise
+   under a tight weight cap), whose reduced ILP finds packages at once
+   but needs far more branch-and-bound than any rung of the ladder to
+   prove one optimal. *)
+let test_deadline_in_front () =
+  let st = Random.State.make [| 42 |] in
+  let schema =
+    Schema.make
+      [
+        { Schema.name = "id"; ty = Value.T_int };
+        { Schema.name = "a"; ty = Value.T_int };
+        { Schema.name = "b"; ty = Value.T_int };
+      ]
+  in
+  let rows =
+    List.init 5_000 (fun i ->
+        let a = 100_000 + Random.State.int st 900_000 in
+        [| Value.Int (i + 1); Value.Int a; Value.Int (a + 10_000) |])
+  in
+  let db = Pb_sql.Database.create () in
+  Pb_sql.Database.put db "t" (Relation.create schema rows);
+  let q =
+    Pb_paql.Parser.parse
+      "SELECT PACKAGE(R) AS P FROM t R SUCH THAT COUNT(*) BETWEEN 1 AND 40 \
+       AND SUM(P.a) <= 7777777 MAXIMIZE SUM(P.b)"
+  in
+  let c = Coeffs.make db q in
+  let debug = Sys.getenv_opt "PB_TEST_DEBUG" <> None in
+  let attempt deadline =
+    let gov = Gov.create ~deadline_in:deadline ~milp_nodes:0 () in
+    Engine.run_coeffs ~gov
+      ~strategy:(Engine.Sketch_refine Pb_core.Sketch_refine.default_params)
+      db c
+  in
+  let in_front (r : Engine.result) =
+    List.mem ("stopped", "deadline") r.stats
+    && List.assoc_opt "front" r.stats = Some "gave-way"
+    && List.assoc_opt "partitions" r.stats = Some "0"
+  in
+  let rec find = function
+    | [] -> None
+    | d :: rest -> (
+        let r = attempt d in
+        if debug then
+          Printf.eprintf "front attempt d=%g proof=%s package=%b stats=[%s]\n%!" d
+            (Engine.proof_to_string r.proof) (Option.is_some r.package)
+            (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) r.stats));
+        match (in_front r, r.package) with
+        | true, Some _ -> Some r
+        | _ -> find rest)
+  in
+  match find [ 0.3; 0.15; 0.5; 0.8; 1.2; 2.0 ] with
+  | None ->
+      Alcotest.fail "no attempt was deadline-stopped inside the LP front with an incumbent"
   | Some r ->
       (match r.proof with
       | Engine.Feasible -> ()
       | p ->
-          Alcotest.failf
-            "deadline stop with an incumbent must be Feasible, got %s"
+          Alcotest.failf "deadline stop inside the front must be Feasible, got %s"
             (Engine.proof_to_string p));
       (match r.package with
       | Some pkg ->
           Alcotest.(check bool) "incumbent satisfies all constraints" true
             (Coeffs.check c pkg)
       | None -> assert false);
-      (* no orphaned refine MILP: the node counter must be still *)
       let s1 = milp_nodes_total () in
       Thread.delay 0.15;
       let s2 = milp_nodes_total () in
@@ -582,6 +676,8 @@ let suite =
       test_pool_determinism;
     Alcotest.test_case "deadline mid-refine yields Feasible incumbent" `Slow
       test_deadline_mid_refine;
+    Alcotest.test_case "deadline inside the LP front yields Feasible incumbent" `Slow
+      test_deadline_in_front;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

@@ -214,10 +214,21 @@ let test_prepartition_sound () =
   in
   Alcotest.(check string) "strategy" "sketch-refine"
     result.Pb_core.Engine.strategy_used;
-  match result.Pb_core.Engine.package with
+  (match result.Pb_core.Engine.package with
   | None -> Alcotest.fail "prepartitioned sketch-refine found nothing"
   | Some pkg ->
       Alcotest.(check bool) "package passes Coeffs.check" true
+        (Pb_core.Coeffs.check coeffs pkg));
+  (* the strategy's LP front settles this query before partitioning, so
+     the prepartitioned pipeline is also run on its own *)
+  let out =
+    Pb_core.Sketch_refine.pipeline ~params ~pool:(Pb_par.Pool.get_default ())
+      ~gov:(Pb_util.Gov.create ()) coeffs
+  in
+  match out.Pb_core.Sketch_refine.best with
+  | None -> Alcotest.fail "prepartitioned pipeline found nothing"
+  | Some pkg ->
+      Alcotest.(check bool) "pipeline package passes Coeffs.check" true
         (Pb_core.Coeffs.check coeffs pkg)
 
 let test_prepartition_tolerates_garbage () =
@@ -237,10 +248,19 @@ let test_prepartition_tolerates_garbage () =
     Pb_core.Engine.run ~strategy:(Pb_core.Engine.Sketch_refine params) db query
   in
   let coeffs = Pb_core.Coeffs.make db query in
-  match result.Pb_core.Engine.package with
+  (match result.Pb_core.Engine.package with
   | None -> () (* finding nothing is sound *)
   | Some pkg ->
       Alcotest.(check bool) "package passes Coeffs.check" true
+        (Pb_core.Coeffs.check coeffs pkg));
+  let out =
+    Pb_core.Sketch_refine.pipeline ~params ~pool:(Pb_par.Pool.get_default ())
+      ~gov:(Pb_util.Gov.create ()) coeffs
+  in
+  match out.Pb_core.Sketch_refine.best with
+  | None -> ()
+  | Some pkg ->
+      Alcotest.(check bool) "pipeline package passes Coeffs.check" true
         (Pb_core.Coeffs.check coeffs pkg)
 
 (* ---- router vs single node over real sockets -------------------------- *)

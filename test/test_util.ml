@@ -244,6 +244,29 @@ let test_gov_shared_spend () =
     (Gov.check ~resource:Gov.Bf_candidates a
     = Some (Gov.Budget Gov.Bf_candidates))
 
+(* A capped child spends from the family budget but stops at its own
+   cap; its descendants share the cap, the rest of the family does not. *)
+let test_gov_capped () =
+  let parent = Gov.create ~milp_nodes:100 () in
+  let capped = Gov.capped parent Gov.Milp_nodes 10 in
+  let leg = Gov.child capped in
+  Alcotest.(check bool) "cap is the tighter limit" true
+    (Gov.budget_left capped Gov.Milp_nodes = Some 10);
+  Gov.spend leg Gov.Milp_nodes 4;
+  Gov.spend parent Gov.Milp_nodes 30;
+  Alcotest.(check bool) "family spend does not count against the cap" true
+    (Gov.budget_left leg Gov.Milp_nodes = Some 6);
+  Gov.spend capped Gov.Milp_nodes 6;
+  Alcotest.(check bool) "capped subtree stops at its cap" true
+    (Gov.check ~resource:Gov.Milp_nodes leg = Some (Gov.Budget Gov.Milp_nodes));
+  Alcotest.(check bool) "the family goes on" true
+    (Gov.check ~resource:Gov.Milp_nodes parent = None
+    && Gov.budget_left parent Gov.Milp_nodes = Some 60);
+  Alcotest.(check bool) "other resources are not capped" true
+    (Gov.check ~resource:Gov.Bf_candidates leg = None);
+  Alcotest.(check bool) "a cap of 0 adds none" true
+    (Gov.budget_left (Gov.capped parent Gov.Milp_nodes 0) Gov.Milp_nodes = Some 60)
+
 let test_gov_deadline () =
   let g = Gov.create ~deadline_in:0.005 () in
   Thread.delay 0.02;
@@ -316,6 +339,7 @@ let suite =
     Alcotest.test_case "gov child cancellation" `Quick
       test_gov_child_cancellation;
     Alcotest.test_case "gov shared spend counters" `Quick test_gov_shared_spend;
+    Alcotest.test_case "gov capped child" `Quick test_gov_capped;
     Alcotest.test_case "gov deadline" `Quick test_gov_deadline;
     Alcotest.test_case "gov cross-thread cancel" `Quick
       test_gov_cross_thread_cancel;
