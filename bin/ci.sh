@@ -76,6 +76,20 @@ if ! QCHECK_SEED=20260806 QCHECK_LONG=1 ./_build/default/test/test_main.exe \
   exit 1
 fi
 
+# Columnar differential: the columnar suite's properties at a fixed seed
+# with QCHECK_LONG's larger counts — random SQL sessions answer the same
+# in both storage modes, tables roundtrip through the columnar image,
+# and PaQL candidates gathered through a (compressed) image are the
+# stored rows themselves, equal to the row path, with bitwise equal
+# coefficient vectors across random write sessions.
+echo "== columnar differential (row vs columnar, long qcheck counts) =="
+if ! QCHECK_SEED=20260806 QCHECK_LONG=1 ./_build/default/test/test_main.exe \
+  test columnar >_build/ci/columnar_long.txt 2>&1; then
+  echo "CI FAIL: columnar differential suite failed at QCHECK_SEED=20260806"
+  tail -n 40 _build/ci/columnar_long.txt
+  exit 1
+fi
+
 # Storage-engine differential gate: the same scripted session (DDL, DML,
 # duplicate rows, NULLs, scans, joins, grouped aggregates) replayed
 # against a PB_STORE=row server and a PB_STORE=columnar server must

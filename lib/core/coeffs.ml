@@ -79,7 +79,8 @@ let tuple_values_of ?batch ~pkg_schema ~rows expr =
       | None -> by_rows ())
   | None -> by_rows ()
 
-let compile_atom ?batch ~pkg_schema ~rows ~n = function
+(* [values e] is the per-candidate vector of aggregate argument [e]. *)
+let compile_atom ~values ~n = function
   | Analyze.Linear { terms; cmp; rhs } ->
       let coef = Array.make n 0.0 in
       let has_sum = ref false in
@@ -90,24 +91,21 @@ let compile_atom ?batch ~pkg_schema ~rows ~n = function
               Array.iteri (fun i x -> coef.(i) <- x +. c) coef
           | Analyze.Sum_term e ->
               has_sum := true;
-              let vals = tuple_values_of ?batch ~pkg_schema ~rows e in
-              Array.iteri (fun i x -> coef.(i) <- coef.(i) +. (c *. x)) vals)
+              Array.iteri
+                (fun i x -> coef.(i) <- coef.(i) +. (c *. x))
+                (values e))
         terms;
       C_linear { coef; cmp; rhs; has_sum = !has_sum }
-  | Analyze.Avg_atom { arg; cmp; rhs } ->
-      C_avg { arg = tuple_values_of ?batch ~pkg_schema ~rows arg; cmp; rhs }
+  | Analyze.Avg_atom { arg; cmp; rhs } -> C_avg { arg = values arg; cmp; rhs }
   | Analyze.Extremum { maximum; arg; cmp; rhs } ->
-      C_ext
-        { maximum; arg = tuple_values_of ?batch ~pkg_schema ~rows arg; cmp; rhs }
+      C_ext { maximum; arg = values arg; cmp; rhs }
 
-let rec compile_formula ?batch ~pkg_schema ~rows ~n = function
+let rec compile_formula ~values ~n = function
   | Analyze.True -> C_true
   | Analyze.False -> C_false
-  | Analyze.Atom a -> C_atom (compile_atom ?batch ~pkg_schema ~rows ~n a)
-  | Analyze.And fs ->
-      C_and (List.map (compile_formula ?batch ~pkg_schema ~rows ~n) fs)
-  | Analyze.Or fs ->
-      C_or (List.map (compile_formula ?batch ~pkg_schema ~rows ~n) fs)
+  | Analyze.Atom a -> C_atom (compile_atom ~values ~n a)
+  | Analyze.And fs -> C_and (List.map (compile_formula ~values ~n) fs)
+  | Analyze.Or fs -> C_or (List.map (compile_formula ~values ~n) fs)
 
 let make db (query : Ast.t) =
   (match Analyze.validate_query query with
@@ -124,12 +122,25 @@ let make db (query : Ast.t) =
   let pkg_schema =
     Schema.qualify query.package_alias (Relation.schema candidates)
   in
+  (* Each distinct aggregate argument is extracted once per [make] (a
+     BETWEEN linearizes into two atoms over the same argument, and the
+     objective often repeats a constraint's). The vectors are only read
+     from here on, so atoms may share one. *)
+  let memo = ref [] in
+  let values expr =
+    match List.assoc_opt expr !memo with
+    | Some v -> v
+    | None ->
+        let v = tuple_values_of ?batch ~pkg_schema ~rows expr in
+        memo := (expr, v) :: !memo;
+        v
+  in
   let formula =
     match query.such_that with
     | None -> Ok C_true
     | Some e -> (
         match Analyze.linearize e with
-        | Ok f -> Ok (compile_formula ?batch ~pkg_schema ~rows ~n f)
+        | Ok f -> Ok (compile_formula ~values ~n f)
         | Error reason -> Error reason)
   in
   let objective =
@@ -146,10 +157,9 @@ let make db (query : Ast.t) =
                 | Analyze.Count_term ->
                     Array.iteri (fun i x -> coef.(i) <- x +. c) coef
                 | Analyze.Sum_term arg ->
-                    let vals = tuple_values_of ?batch ~pkg_schema ~rows arg in
                     Array.iteri
                       (fun i x -> coef.(i) <- coef.(i) +. (c *. x))
-                      vals)
+                      (values arg))
               terms;
             Some (Some (dir, coef)))
   in

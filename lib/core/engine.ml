@@ -451,7 +451,16 @@ let run_hybrid ~pool ~gov db (c : Coeffs.t) =
   in
   { report with elapsed }
 
-let run_coeffs ?pool ?gov ?(strategy = Hybrid) db (c : Coeffs.t) =
+(* Candidate generation and coefficient extraction, under their own span
+   so that traces account for them. *)
+let coeffs db query =
+  Trace.with_span ~name:"paql.coeffs" (fun () ->
+      let c = Coeffs.make db query in
+      Trace.add_count "candidates" c.n;
+      c)
+
+(* [make_coeffs] runs inside the engine.run span. *)
+let run_with ?pool ?gov ?(strategy = Hybrid) db make_coeffs =
   let pool = match pool with Some p -> p | None -> Pool.get_default () in
   let gov = match gov with Some g -> g | None -> Gov.create () in
   (* Every run_* times itself through its strategy span, so the report's
@@ -463,6 +472,7 @@ let run_coeffs ?pool ?gov ?(strategy = Hybrid) db (c : Coeffs.t) =
   let result, progress =
     Progress.with_recorder ~key:(Gov.family_id gov) (fun () ->
         Trace.with_span ~name:"engine.run" (fun () ->
+            let c : Coeffs.t = make_coeffs () in
             let report =
               match strategy with
               | Brute_force { use_pruning } ->
@@ -515,11 +525,14 @@ let run_coeffs ?pool ?gov ?(strategy = Hybrid) db (c : Coeffs.t) =
   in
   { result with progress }
 
+let run_coeffs ?pool ?gov ?strategy db c =
+  run_with ?pool ?gov ?strategy db (fun () -> c)
+
 let run ?pool ?gov ?strategy db query =
-  run_coeffs ?pool ?gov ?strategy db (Coeffs.make db query)
+  run_with ?pool ?gov ?strategy db (fun () -> coeffs db query)
 
 let next_packages ?gov ?(limit = 5) db query =
-  let c = Coeffs.make db query in
+  let c = coeffs db query in
   if linearizable c && c.max_mult = 1 then begin
     let t = Translate.build c in
     let cut_count = ref 0 in

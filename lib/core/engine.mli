@@ -115,7 +115,11 @@ val run :
     [pool] (default {!Pb_par.Pool.get_default}, i.e. sized by
     [PB_DOMAINS]) parallelises brute-force enumeration and
     SketchRefine's refine legs; pool size 1 runs the sequential code
-    paths unchanged. *)
+    paths unchanged.
+
+    Candidate generation and coefficient extraction ({!Coeffs.make}) run
+    inside the run's ["engine.run"] span, as a ["paql.coeffs"] span with
+    a ["candidates"] counter. *)
 
 val run_coeffs :
   ?pool:Pb_par.Pool.t ->

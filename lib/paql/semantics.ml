@@ -4,15 +4,42 @@ module Value = Pb_relation.Value
 module Executor = Pb_sql.Executor
 module Table = Pb_store.Table
 
-(* Candidates in columnar form: the input table's image plus the selected
-   distinct-row ids in original row order (candidate index i is row
-   [positions.(i)]), so PaQL coefficient extraction can run batch kernels
-   instead of per-tuple interpretation. *)
+(* Candidates in columnar form: the input table's image, the selected
+   distinct-row ids in original row order (candidate index i is distinct
+   row [positions.(i)]) for batch kernels, and the candidates' rows
+   themselves. The rows are gathered from the stored relation, not
+   rebuilt from the image: when the image is multiplicity-compressed,
+   candidate i's row is the stored row at its original index, whose
+   distinct id is [positions.(i)]. *)
 type batch = {
   table : Table.t;
   schema : Schema.t;  (* input-alias-qualified *)
   positions : int array;  (* candidate index -> distinct row id *)
+  rows : Value.t array array;  (* candidate index -> stored row *)
 }
+
+(* One counting pass and one filling pass over the stored rows: stored
+   row i has distinct id [ord.(i)] in a compressed image, i otherwise. *)
+let gather table stored sel =
+  let id_of =
+    match Table.order table with Some ord -> Array.get ord | None -> Fun.id
+  in
+  let hit i = Bytes.get sel (id_of i) = '\001' in
+  let total = Array.length stored in
+  let n = ref 0 in
+  for i = 0 to total - 1 do
+    if hit i then incr n
+  done;
+  let positions = Array.make !n 0 and rows = Array.make !n [||] in
+  let k = ref 0 in
+  for i = 0 to total - 1 do
+    if hit i then begin
+      positions.(!k) <- id_of i;
+      rows.(!k) <- stored.(i);
+      incr k
+    end
+  done;
+  (positions, rows)
 
 let candidates_batch db (q : Ast.t) =
   if not (Pb_store.Mode.columnar ()) then None
@@ -22,35 +49,21 @@ let candidates_batch db (q : Ast.t) =
     | Some rel -> (
         let table = Pb_sql.Database.columnar db q.input_relation rel in
         let schema = Schema.qualify q.input_alias (Relation.schema rel) in
-        let keep =
+        let sel =
           match q.where with
-          | None -> Some None
-          | Some pred -> (
-              match Pb_sql.Columnar.bool_kernel schema table pred with
-              | Some k -> Some (Some (Pb_sql.Columnar.selection table k))
-              | None -> None)
+          | None -> Some (Bytes.make (Table.distinct table) '\001')
+          | Some pred ->
+              Option.map
+                (Pb_sql.Columnar.selection table)
+                (Pb_sql.Columnar.bool_kernel schema table pred)
         in
-        match keep with
-        | None -> None
-        | Some sel ->
-            let hit id =
-              match sel with
-              | None -> true
-              | Some s -> Bytes.get s id = '\001'
-            in
-            let out = ref [] in
-            (match Table.order table with
-            | Some ord ->
-                Array.iter (fun id -> if hit id then out := id :: !out) ord
-            | None ->
-                for id = 0 to Table.distinct table - 1 do
-                  if hit id then out := id :: !out
-                done);
-            Some { table; schema; positions = Array.of_list (List.rev !out) })
+        Option.map
+          (fun sel ->
+            let positions, rows = gather table (Relation.rows rel) sel in
+            { table; schema; positions; rows })
+          sel)
 
-let batch_candidates b =
-  let mat = Table.row_materializer b.table in
-  Relation.create b.schema (Array.to_list (Array.map mat b.positions))
+let batch_candidates b = Relation.of_rows_unchecked b.schema b.rows
 
 let batch_values b ~schema expr =
   match Pb_sql.Batch.compile schema b.table expr with
@@ -84,7 +97,12 @@ let batch_values b ~schema expr =
             lo := !lo + len
           done;
           Table.tick_chunks !chunks;
-          Some (Array.map (fun id -> vals.(id)) b.positions))
+          (* Uncompressed with every row selected, positions is the
+             identity and the distinct-row image is the vector itself. *)
+          if (not (Table.compressed b.table))
+             && Array.length b.positions = n
+          then Some vals
+          else Some (Array.map (fun id -> vals.(id)) b.positions))
 
 let candidates db (q : Ast.t) =
   match candidates_batch db q with

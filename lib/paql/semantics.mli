@@ -10,26 +10,38 @@
 val candidates : Pb_sql.Database.t -> Ast.t -> Pb_relation.Relation.t
 (** Input relation restricted to rows satisfying the base constraints,
     with the schema qualified by the input alias. Row order (hence
-    candidate indices) follows the stored relation. Raises [Failure] if
-    the input table does not exist. Under columnar storage the base
-    predicate runs as a batch kernel when it compiles; the result is
-    identical either way. *)
+    candidate indices) follows the stored relation, and the candidate
+    rows are the stored relation's own row arrays (shared, never copied,
+    in both storage modes), so they must not be mutated. Raises
+    [Failure] if the input table does not exist. Under columnar storage
+    the base predicate runs as a batch kernel when it compiles; the
+    result is identical either way. *)
 
 type batch = {
   table : Pb_store.Table.t;
   schema : Pb_relation.Schema.t;  (** input-alias-qualified *)
   positions : int array;  (** candidate index -> distinct row id *)
+  rows : Pb_relation.Value.t array array;
+      (** candidate index -> the stored relation's row (shared) *)
 }
 (** Columnar view of the candidate set: candidate [i] is distinct row
-    [positions.(i)] of [table] (duplicates repeat the id). *)
+    [positions.(i)] of [table] (duplicates repeat the id), and its row is
+    [rows.(i)]. When [table] is multiplicity-compressed, stored row [j]
+    has distinct id [ord.(j)] for [Table.order table = Some ord] (the
+    identity otherwise), and [rows.(i)] is the stored row at the
+    original index [j] that selected it, not a row rebuilt from id
+    [positions.(i)]. *)
 
 val candidates_batch : Pb_sql.Database.t -> Ast.t -> batch option
-(** Columnar candidate generation; [None] when the storage mode is [Row],
-    the input table is missing, or the base predicate doesn't compile to
-    a batch kernel. *)
+(** Columnar candidate generation: the base predicate runs as a batch
+    kernel over the image's distinct rows, then a counting pass and a
+    filling pass over the stored rows gather the hits in row order. [None] when the storage mode is
+    [Row], the input table is missing, or the base predicate doesn't
+    compile to a batch kernel. *)
 
 val batch_candidates : batch -> Pb_relation.Relation.t
-(** Materialize the batch into exactly what {!candidates} returns. *)
+(** The candidate relation over the batch's gathered rows, without
+    copying them — exactly what {!candidates} returns. *)
 
 val batch_values :
   batch -> schema:Pb_relation.Schema.t -> Pb_sql.Ast.expr -> float array option

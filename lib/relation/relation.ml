@@ -10,6 +10,7 @@ let create schema rows =
   List.iter (validate schema) rows;
   { schema; store = Array.of_list rows }
 
+let of_rows_unchecked schema store = { schema; store }
 let empty schema = { schema; store = [||] }
 let schema t = t.schema
 let cardinality t = Array.length t.store
@@ -27,8 +28,27 @@ let column_values t col =
   let idx = Schema.index_of_exn t.schema col in
   Array.to_list (Array.map (fun r -> r.(idx)) t.store)
 
+(* Two passes over the row array: test each row once, in order, then copy
+   the survivors into an exactly-sized array. The kept rows are the
+   input's own arrays. *)
 let filter pred t =
-  { t with store = Array.of_list (List.filter pred (to_list t)) }
+  let src = t.store in
+  let n = Array.length src in
+  let keep = Bytes.make n '\000' and kept = ref 0 in
+  for i = 0 to n - 1 do
+    if pred src.(i) then begin
+      Bytes.set keep i '\001';
+      incr kept
+    end
+  done;
+  let store = Array.make !kept [||] and j = ref 0 in
+  for i = 0 to n - 1 do
+    if Bytes.get keep i = '\001' then begin
+      store.(!j) <- src.(i);
+      incr j
+    end
+  done;
+  { t with store }
 
 let map_rows schema f t =
   let store = Array.map f t.store in

@@ -9,6 +9,12 @@ type t
 val create : Schema.t -> Value.t array list -> t
 (** Raises [Invalid_argument] if any row's arity mismatches the schema. *)
 
+val of_rows_unchecked : Schema.t -> Value.t array array -> t
+(** Wrap a row array as is: no copy and no arity check. Only for rows
+    already validated against [schema], e.g. rows gathered from another
+    relation with the same columns. The array and its rows must not be
+    mutated afterwards. *)
+
 val empty : Schema.t -> t
 val schema : t -> Schema.t
 val cardinality : t -> int
@@ -26,6 +32,9 @@ val get : t -> int -> string -> Value.t
 val column_values : t -> string -> Value.t list
 
 val filter : (Value.t array -> bool) -> t -> t
+(** The rows satisfying the predicate, in order. The predicate runs once
+    per row, in row order; the result shares the input's row arrays. *)
+
 val map_rows : Schema.t -> (Value.t array -> Value.t array) -> t -> t
 val project : t -> string list -> t
 (** Keep the named columns, in the given order. *)

@@ -303,6 +303,249 @@ let test_coeffs_parity () =
   Alcotest.(check bool) "objective identical" true
     (row.Coeffs.objective = col.Coeffs.objective)
 
+(* ------------------------------------------------------------------ *)
+(* PaQL candidates: the columnar path gathers the stored relation's own
+   rows (through the image's original-position -> distinct-id map when
+   the image is compressed) instead of rebuilding them from the image.
+   Over random tables and random write sessions, it must return what the
+   row path returns, share the stored row arrays, and extract bitwise
+   equal coefficient vectors.                                            *)
+
+(* Base predicates: the first group compiles to batch kernels, the
+   second (CASE, subqueries) makes the columnar path fall back. *)
+let kernel_wheres =
+  [
+    "R.v > 2";
+    "R.f < 1.0 OR R.v IS NULL";
+    "R.s LIKE '%a%'";
+    "R.s = 'aa' AND R.b = TRUE";
+    "R.v BETWEEN 0 AND 4";
+    "NOT (R.v <= 3)";
+    "R.v = R.f";
+    "R.f = 0.0";
+    "R.v IN (1, 2, 5) OR R.s IN ('ba', 'NULL')";
+  ]
+
+let fallback_wheres =
+  [
+    "CASE WHEN R.v > 1 THEN TRUE ELSE FALSE END";
+    "R.v IN (SELECT v FROM t WHERE b = TRUE)";
+  ]
+
+(* Global parts: SUM, AVG and MIN/MAX atoms, a BETWEEN over an argument
+   the objective repeats, and an argument only the row path evaluates. *)
+let such_thats =
+  [
+    "COUNT(*) BETWEEN 1 AND 3 AND SUM(P.f) BETWEEN -5 AND 5 MAXIMIZE \
+     SUM(P.v)";
+    "SUM(P.v * 2 + P.f) <= 9 AND AVG(P.f) >= -1 MINIMIZE SUM(P.f)";
+    "COUNT(*) = 2 AND MAX(P.v) >= 1 AND MIN(P.f) <= 3.75 MAXIMIZE \
+     SUM(P.v * 2 + P.f)";
+    "SUM(CASE WHEN P.b THEN P.v ELSE 0 END) >= 1 MAXIMIZE SUM(P.v) - \
+     COUNT(*)";
+    "SUM(P.v) >= 1 OR SUM(P.f) <= 0";
+  ]
+
+let writes =
+  [
+    "INSERT INTO t VALUES (2, 1.5, 'aa', TRUE)";
+    "INSERT INTO t VALUES (NULL, -0.0, 'ab', NULL), (2, 1.5, 'aa', TRUE)";
+    "UPDATE t SET v = v + 1 WHERE v > 1";
+    "UPDATE t SET f = -f WHERE b = TRUE";
+    "UPDATE t SET s = 'zz' WHERE f IS NULL";
+    "DELETE FROM t WHERE v IN (3, 4)";
+    "DELETE FROM t WHERE s = 'aa'";
+  ]
+
+type step = Query of string option * string | Write of string
+
+let step_repr = function
+  | Query (w, st) ->
+      Printf.sprintf "PaQL WHERE %s SUCH THAT %s"
+        (Option.value w ~default:"-") st
+  | Write sql -> sql
+
+let paql_of (where, such_that) =
+  "SELECT PACKAGE(R) AS P FROM t R"
+  ^ (match where with Some w -> " WHERE " ^ w | None -> "")
+  ^ " SUCH THAT " ^ such_that
+
+type session = { stored : Value.t array list; steps : step list }
+
+(* Rows are copies of pool tuples, so duplicates are equal but not
+   physically shared: only a gather from the right stored index passes
+   the [==] check below. Half the tables keep the pool small (the image
+   is then compressed), the rest make every row distinct. *)
+let session_gen =
+  let open Gen in
+  let* pool_n = int_range 1 5 in
+  let* pool = list_repeat pool_n tuple_gen in
+  let* n = int_range 0 40 in
+  let* picks = list_repeat n (oneofl pool) in
+  let* distinct = bool in
+  let stored =
+    List.mapi
+      (fun i r ->
+        let r = Array.copy r in
+        if distinct then r.(0) <- Value.Int i;
+        r)
+      picks
+  in
+  let where =
+    frequency
+      [
+        (1, return None);
+        (5, map Option.some (oneofl kernel_wheres));
+        (2, map Option.some (oneofl fallback_wheres));
+      ]
+  in
+  let step =
+    frequency
+      [
+        (3, map2 (fun w st -> Query (w, st)) where (oneofl such_thats));
+        (2, map (fun w -> Write w) (oneofl writes));
+      ]
+  in
+  let* k = int_range 1 8 in
+  let* steps = list_repeat k step in
+  return { stored; steps }
+
+let print_session s =
+  String.concat "\n"
+    (("rows: " ^ String.concat " ; " (List.map row_repr s.stored))
+    :: List.map step_repr s.steps)
+
+let bits a = Array.map Int64.bits_of_float a
+
+(* Compiled formula with every float replaced by its bit pattern, so
+   that [=] compares NaNs and signed zeros exactly. *)
+type formula_bits =
+  | B_true
+  | B_false
+  | B_linear of int64 array * Pb_paql.Analyze.cmp * int64 * bool
+  | B_avg of int64 array * Pb_paql.Analyze.cmp * int64
+  | B_ext of bool * int64 array * Pb_paql.Analyze.cmp * int64
+  | B_and of formula_bits list
+  | B_or of formula_bits list
+
+let rec formula_bits = function
+  | Coeffs.C_true -> B_true
+  | Coeffs.C_false -> B_false
+  | Coeffs.C_atom (Coeffs.C_linear { coef; cmp; rhs; has_sum }) ->
+      B_linear (bits coef, cmp, Int64.bits_of_float rhs, has_sum)
+  | Coeffs.C_atom (Coeffs.C_avg { arg; cmp; rhs }) ->
+      B_avg (bits arg, cmp, Int64.bits_of_float rhs)
+  | Coeffs.C_atom (Coeffs.C_ext { maximum; arg; cmp; rhs }) ->
+      B_ext (maximum, bits arg, cmp, Int64.bits_of_float rhs)
+  | Coeffs.C_and fs -> B_and (List.map formula_bits fs)
+  | Coeffs.C_or fs -> B_or (List.map formula_bits fs)
+
+let coeffs_bits (c : Coeffs.t) =
+  ( c.Coeffs.n,
+    c.Coeffs.max_mult,
+    Result.map formula_bits c.Coeffs.formula,
+    Option.map
+      (Option.map (fun (dir, coef) -> (dir, bits coef)))
+      c.Coeffs.objective )
+
+(* Every candidate row is physically one of the stored rows, found at
+   strictly increasing stored indices. *)
+let check_shared ~what stored cand =
+  let stored = Relation.rows stored in
+  let next = ref 0 in
+  Array.iteri
+    (fun i row ->
+      while !next < Array.length stored && stored.(!next) != row do
+        incr next
+      done;
+      if !next >= Array.length stored then
+        QCheck.Test.fail_reportf
+          "%s: candidate %d is not a stored row after the previous one" what i;
+      incr next)
+    (Relation.rows cand)
+
+(* One session in one storage mode: per PaQL step, the candidate
+   relation's repr and the coefficient bits; writes report their count. *)
+let run_paql_session mode s =
+  with_mode mode (fun () ->
+      let db = Database.create () in
+      Database.put db "t" (Relation.create schema s.stored);
+      List.map
+        (fun step ->
+          match step with
+          | Write sql -> (
+              match Executor.execute_sql db sql with
+              | r -> `Write (result_repr r)
+              | exception Executor.Eval_error msg -> `Write ("error " ^ msg))
+          | Query (where, such_that) ->
+              let q = Pb_paql.Parser.parse (paql_of (where, such_that)) in
+              let stored = Database.find_exn db "t" in
+              let cands = Pb_paql.Semantics.candidates db q in
+              let c = Coeffs.make db q in
+              let what = step_repr step in
+              check_shared ~what stored cands;
+              check_shared ~what stored c.Coeffs.candidates;
+              `Query
+                (rel_repr cands, rel_repr c.Coeffs.candidates, coeffs_bits c))
+        s.steps)
+
+(* The property above cannot insist that a kernel predicate batches (a
+   column with no non-NULL value, say, bails to the row path), so pin the
+   gather itself on a compressed image: the batch exists, its rows are
+   the stored rows at the original indices, and its ids are theirs. *)
+let test_gather_compressed () =
+  with_mode Mode.Columnar (fun () ->
+      let db = Database.create () in
+      let stored = Relation.create schema (List.map Array.copy dup_rows) in
+      Database.put db "t" stored;
+      let q =
+        Pb_paql.Parser.parse (paql_of (Some "R.v = 1", List.hd such_thats))
+      in
+      match Pb_paql.Semantics.candidates_batch db q with
+      | None -> Alcotest.fail "kernel predicate did not batch"
+      | Some b ->
+          let tbl = b.Pb_paql.Semantics.table in
+          Alcotest.(check bool) "image compressed" true (Table.compressed tbl);
+          let ord = Option.get (Table.order tbl) in
+          let src = Relation.rows stored in
+          (* rows 0, 1, 2 and 5 of [dup_rows] have v = 1 *)
+          Alcotest.(check (list int)) "ids of the selected stored rows"
+            (List.map (fun i -> ord.(i)) [ 0; 1; 2; 5 ])
+            (Array.to_list b.Pb_paql.Semantics.positions);
+          Alcotest.(check bool) "rows are the stored arrays" true
+            (List.for_all2 ( == )
+               (List.map (fun i -> src.(i)) [ 0; 1; 2; 5 ])
+               (Array.to_list b.Pb_paql.Semantics.rows)))
+
+let prop_candidates_gather =
+  QCheck.Test.make ~count:200 ~long_factor:10
+    ~name:"PaQL candidates: columnar gather == row path"
+    (QCheck.make ~print:print_session session_gen)
+    (fun s ->
+      let row_out = run_paql_session Mode.Row s in
+      let col_out = run_paql_session Mode.Columnar s in
+      List.iter2
+        (fun step (r, c) ->
+          match (r, c) with
+          | `Write a, `Write b when a = b -> ()
+          | `Query (ra, rb, rc), `Query (ca, cb, cc) ->
+              if ra <> ca || rb <> cb then
+                QCheck.Test.fail_reportf
+                  "%s: candidates differ\nrow:\n%s\ncolumnar:\n%s"
+                  (step_repr step) ra ca;
+              if ra <> rb then
+                QCheck.Test.fail_reportf
+                  "%s: Coeffs.candidates <> Semantics.candidates"
+                  (step_repr step);
+              if rc <> cc then
+                QCheck.Test.fail_reportf "%s: coefficient vectors differ"
+                  (step_repr step)
+          | _ ->
+              QCheck.Test.fail_reportf "%s: outcomes differ" (step_repr step))
+        s.steps
+        (List.combine row_out col_out);
+      true)
+
 let suite =
   [
     Alcotest.test_case "multiplicity compression" `Quick test_compression;
@@ -312,6 +555,8 @@ let suite =
       test_persist_mode_independent;
     Alcotest.test_case "coeffs parity row vs columnar" `Quick
       test_coeffs_parity;
+    Alcotest.test_case "PaQL gather on a compressed image" `Quick
+      test_gather_compressed;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_roundtrip; prop_differential ]
+      [ prop_roundtrip; prop_differential; prop_candidates_gather ]

@@ -330,6 +330,14 @@ let test_explain_analyze () =
           "objective:";
           "strategy: ";
         ];
+      (* candidate generation is a child of engine.run, with its count *)
+      Alcotest.(check bool) "paql.coeffs span with candidates counter" true
+        (List.exists
+           (fun l ->
+             String.length l > 13
+             && String.sub l 0 13 = "  paql.coeffs"
+             && contains "candidates=" l)
+           lines);
       (* tracing was only on for the analyzed run *)
       Alcotest.(check bool) "tracing restored off" false (Trace.is_enabled ());
       (* the run is remembered like a plain query, so \save works *)
