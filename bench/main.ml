@@ -1677,8 +1677,6 @@ type oconn = {
   mutable oc_dead : bool;
 }
 
-let frame payload = Printf.sprintf "%d\n%s" (String.length payload) payload
-
 let resolve_addr host port =
   let inet =
     match Unix.inet_addr_of_string host with
@@ -1703,7 +1701,7 @@ let connect_nonblocking addr =
     Unix.connect fd addr;
     let asm = Pb_net.Assembler.create () in
     Pb_net.Client.write_all fd
-      (frame (Pb_net.Protocol.encode_hello Pb_net.Protocol.version));
+      Pb_net.Protocol.(encode_frame (encode_hello version));
     let buf = Bytes.create 4096 in
     let reply = handshake_read fd asm buf in
     (match Pb_net.Protocol.decode_hello reply with
@@ -1815,7 +1813,7 @@ let loadgen_open () =
     in
     c.oc_busy <- true;
     c.oc_t0 <- Unix.gettimeofday ();
-    c.oc_wbuf <- c.oc_wbuf ^ frame payload;
+    c.oc_wbuf <- c.oc_wbuf ^ Pb_net.Protocol.encode_frame payload;
     flush_writes c
   in
   let closed_loop = rate <= 0.0 in

@@ -20,6 +20,10 @@ dune runtest
 # dune noise), normalise timings away, and fail on any difference.
 echo "== determinism: test output identical at PB_DOMAINS=1 vs 2 and 8 =="
 mkdir -p _build/ci
+# The server stages below poll their logs for a ready banner while the
+# background server is still being started; a log left by an earlier
+# run would hand them its stale port.
+rm -f _build/ci/*.log
 normalize() {
   sed -e 's/[0-9][0-9]*\.[0-9][0-9]*s/<time>/g' \
       -e "s/run has ID \`[A-Z0-9]*'/run has ID <id>/" "$1"
@@ -87,6 +91,19 @@ if ! QCHECK_SEED=20260806 QCHECK_LONG=1 ./_build/default/test/test_main.exe \
   test columnar >_build/ci/columnar_long.txt 2>&1; then
   echo "CI FAIL: columnar differential suite failed at QCHECK_SEED=20260806"
   tail -n 40 _build/ci/columnar_long.txt
+  exit 1
+fi
+
+# The serving path under GC pressure: the net suite (event loop, poller,
+# wire codec, admission, drain) with a 4k-word minor heap and an
+# aggressive major-GC pace, so minor and major collections keep landing
+# around the epoll stub's ready buffer and the worker/event-loop
+# handoffs. Any test failure (or a crash from a corrupted heap) fails CI.
+echo "== net suite under GC pressure (OCAMLRUNPARAM=s=4k,o=20) =="
+if ! OCAMLRUNPARAM='s=4k,o=20' ./_build/default/test/test_main.exe \
+  test net >_build/ci/net_gc.txt 2>&1; then
+  echo "CI FAIL: net suite failed under OCAMLRUNPARAM=s=4k,o=20"
+  tail -n 40 _build/ci/net_gc.txt
   exit 1
 fi
 

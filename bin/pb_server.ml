@@ -104,18 +104,6 @@ let metrics_port_arg =
            tree as JSON) over plain HTTP/1.1 on this port; 0 picks an \
            ephemeral one (printed on startup). Disabled when absent.")
 
-let serve_mode_arg =
-  Arg.(
-    value
-    & opt (enum [ ("event", Pb_net.Server.Event); ("threads", Pb_net.Server.Threads) ])
-        Pb_net.Server.Event
-    & info [ "serve-mode" ] ~docv:"MODE"
-        ~doc:
-          "Connection handling: $(b,event) (default) multiplexes all \
-           connections on one readiness loop with a bounded worker pool — \
-           an idle connection costs a buffer, not a thread; $(b,threads) \
-           is the legacy thread-per-connection loop.")
-
 let shard_arg =
   Arg.(
     value & opt (some string) None
@@ -183,7 +171,7 @@ let apply_shard db (shard, shards) =
     (Pb_sql.Database.table_names db)
 
 let serve host port max_conns max_inflight max_queue deadline tables size
-    seed db_dir slowlog plan_cache metrics_port serve_mode shard_spec
+    seed db_dir slowlog plan_cache metrics_port shard_spec
     trace_capacity =
   let db = load_db tables size seed db_dir in
   let shard = Option.map parse_shard_spec shard_spec in
@@ -200,7 +188,6 @@ let serve host port max_conns max_inflight max_queue deadline tables size
       default_deadline = (if deadline > 0.0 then Some deadline else None);
       plan_cache_capacity = max 0 plan_cache;
       trace_capacity = max 0 trace_capacity;
-      serve_mode;
     }
   in
   let server = Pb_net.Server.start ~config db in
@@ -244,7 +231,7 @@ let cmd =
       const serve $ host_arg $ port_arg $ max_conns_arg $ max_inflight_arg
       $ max_queue_arg $ deadline_arg $ tables_arg $ size_arg $ seed_arg
       $ db_dir_arg $ slowlog_arg $ plan_cache_arg $ metrics_port_arg
-      $ serve_mode_arg $ shard_arg $ trace_capacity_arg)
+      $ shard_arg $ trace_capacity_arg)
   in
   Cmd.v
     (Cmd.info "pb_server" ~version:"1.0.0"

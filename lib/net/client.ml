@@ -51,8 +51,7 @@ let write_all fd s =
   go 0 0
 
 let send_frame t payload =
-  let header = string_of_int (String.length payload) ^ "\n" in
-  try write_all t.fd (header ^ payload)
+  try write_all t.fd (Protocol.encode_frame payload)
   with Unix.Unix_error (e, _, _) ->
     raise (Net_error ("send failed: " ^ Unix.error_message e))
 

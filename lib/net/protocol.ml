@@ -67,11 +67,8 @@ let is_error = function Ok -> false | _ -> true
 
 type frame = Frame of string | Eof | Bad of string
 
-let write_frame oc payload =
-  output_string oc (string_of_int (String.length payload));
-  output_char oc '\n';
-  output_string oc payload;
-  flush oc
+let encode_frame payload =
+  string_of_int (String.length payload) ^ "\n" ^ payload
 
 (* The length header is at most 8 digits (max_frame < 10^8); anything
    longer is oversized or garbage, so we can bound the header read. *)

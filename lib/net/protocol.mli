@@ -119,8 +119,10 @@ type frame =
   | Bad of string  (** truncated, oversized, or malformed — close the
                        connection, the stream is out of sync *)
 
-val write_frame : out_channel -> string -> unit
-(** Write one frame and flush. *)
+val encode_frame : string -> string
+(** The payload with its length header: the one frame encoder, used by
+    the server, the client and the load generator alike. Its readers are
+    {!read_frame_gen} (pull) and {!Assembler} (push). *)
 
 val read_frame : in_channel -> frame
 
@@ -128,10 +130,8 @@ val read_frame_gen :
   read_byte:(unit -> char option) ->
   read_exact:(int -> string option) ->
   frame
-(** Framing over caller-supplied byte sources ([None] = end of stream) —
-    the server reads straight from the socket fd with no input
-    buffering, so a pipelined second request is never stranded in a
-    channel buffer the poll loop cannot see. *)
+(** Framing over caller-supplied byte sources ([None] = end of stream);
+    {!read_frame} is this over an input channel. *)
 
 (** {1 Payload codecs} *)
 

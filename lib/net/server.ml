@@ -7,8 +7,6 @@ module Progress = Pb_obs.Progress
 module Http = Pb_obs.Http
 module Gov = Pb_util.Gov
 
-type serve_mode = Threads | Event
-
 type config = {
   host : string;
   port : int;
@@ -19,7 +17,6 @@ type config = {
   poll_interval : float;
   plan_cache_capacity : int;
   trace_capacity : int;
-  serve_mode : serve_mode;
 }
 
 let default_config =
@@ -33,42 +30,56 @@ let default_config =
     poll_interval = 0.05;
     plan_cache_capacity = 128;
     trace_capacity = 256;
-    serve_mode = Event;
   }
 
 type session_handler = gov:Gov.t -> string -> Repl.reaction
 
-(* ---- request admission (threads mode) --------------------------------- *)
+(* ---- serving state ---------------------------------------------------- *)
 
-(* Bounded two-stage admission: at most [max_inflight] requests evaluate
-   concurrently; up to [max_queue] more wait on a condition variable;
-   past that, the request is rejected with [busy] immediately
-   (backpressure, not unbounded buffering). Connection threads block
-   here, so the queue costs one parked thread per waiter — bounded by
-   [max_connections]. Event mode enforces the same two limits without
-   parking: its bounded job queue is the admission queue. *)
-type admission = {
-  adm_mu : Mutex.t;
-  adm_nonfull : Condition.t;
-  adm_max_inflight : int;
-  adm_max_queue : int;
-  mutable adm_inflight : int;
-  mutable adm_queued : int;
+(* One event-loop thread multiplexes every connection over a Poller:
+   per-connection read bytes feed an incremental Assembler, complete
+   requests go to a bounded job queue executed by [max_inflight] worker
+   threads, and responses come back through a completion queue drained
+   when a worker tickles the self-pipe. An idle connection costs its
+   buffers — no thread, no stack.
+
+   Admission is two-stage and bounded: at most [max_inflight] requests
+   evaluate at once and up to [max_queue] more wait in the job queue;
+   past that a request is answered [busy] at once (backpressure, not
+   unbounded buffering). [executing] and the queue's length, both
+   guarded by [jobs_mu], are the only admission counters: the gauges
+   and health_json read them.
+
+   Invariants:
+   - only the event-loop thread touches fds, the poller, the conn table
+     and conn mutable state (workers see a conn only as an opaque handle
+     carried through the queues; they read nothing from it);
+   - at most one request per connection is queued or executing
+     ([c_busy]); while busy the connection's read interest is dropped,
+     so pipelined frames wait in the assembler or the kernel socket
+     buffer;
+   - write interest is registered exactly while the write buffer is
+     nonempty; a connection closes only with an empty buffer (or on
+     error), so responses are never truncated by a local close. *)
+type conn = {
+  c_fd : Unix.file_descr;
+  c_asm : Assembler.t;
+  c_wbuf : Buffer.t;
+  mutable c_woff : int;  (* bytes of c_wbuf already written *)
+  mutable c_busy : bool;
+  mutable c_close_after_flush : bool;
+  mutable c_closed : bool;
+  c_counted : bool;  (* admitted (vs a reject still flushing) *)
+  c_session : session_handler Lazy.t;
+  (* interest bits currently registered with the poller *)
+  mutable c_reg_read : bool;
+  mutable c_reg_write : bool;
+  (* interest bits wanted now *)
+  mutable c_want_read : bool;
 }
 
-let admission_create ~max_inflight ~max_queue =
-  {
-    adm_mu = Mutex.create ();
-    adm_nonfull = Condition.create ();
-    adm_max_inflight = max max_inflight 1;
-    adm_max_queue = max max_queue 0;
-    adm_inflight = 0;
-    adm_queued = 0;
-  }
-
 type t = {
-  config : config;
-  admission : admission;
+  config : config;  (* limits clamped: max_inflight >= 1, max_queue >= 0 *)
   db : Pb_sql.Database.t;
   (* One prepared-plan cache for the whole server: sessions are per
      connection, but the cache (and the memos inside it) is thread-safe,
@@ -78,8 +89,22 @@ type t = {
   listen : Unix.file_descr;
   bound_port : int;
   stop : bool Atomic.t;
-  active : int Atomic.t;
-  mutable accept_thread : Thread.t option;
+  active : int Atomic.t;  (* admitted connections *)
+  (* event-loop thread only *)
+  poller : Poller.t;
+  conns : (Unix.file_descr, conn) Hashtbl.t;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  scratch : Bytes.t;
+  (* the admission queue, shared with the workers under jobs_mu *)
+  jobs : (conn * Protocol.request) Queue.t;
+  mutable executing : int;
+  jobs_mu : Mutex.t;
+  jobs_nonempty : Condition.t;
+  mutable workers_stop : bool;
+  completions : (conn * Protocol.response * bool) Queue.t;
+  comp_mu : Mutex.t;
+  mutable serve_thread : Thread.t option;
   finish_mu : Mutex.t;
   mutable finished : bool;
 }
@@ -166,45 +191,17 @@ let latency_histogram text =
 
 let set_active_gauge t = Metrics.set m_active (float_of_int (Atomic.get t.active))
 
-(* call with adm_mu held *)
-let admission_gauges a =
-  Metrics.set m_inflight (float_of_int a.adm_inflight);
-  Metrics.set m_queue_depth (float_of_int a.adm_queued)
+let set_open_gauge t = Metrics.set m_open (float_of_int (Hashtbl.length t.conns))
 
-let admit a =
-  Mutex.lock a.adm_mu;
-  let verdict =
-    if a.adm_inflight < a.adm_max_inflight then begin
-      a.adm_inflight <- a.adm_inflight + 1;
-      `Admitted
-    end
-    else if a.adm_queued >= a.adm_max_queue then `Busy
-    else begin
-      a.adm_queued <- a.adm_queued + 1;
-      admission_gauges a;
-      while a.adm_inflight >= a.adm_max_inflight do
-        Condition.wait a.adm_nonfull a.adm_mu
-      done;
-      a.adm_queued <- a.adm_queued - 1;
-      a.adm_inflight <- a.adm_inflight + 1;
-      `Admitted
-    end
-  in
-  admission_gauges a;
-  Mutex.unlock a.adm_mu;
-  verdict
-
-let release a =
-  Mutex.lock a.adm_mu;
-  a.adm_inflight <- a.adm_inflight - 1;
-  admission_gauges a;
-  Condition.signal a.adm_nonfull;
-  Mutex.unlock a.adm_mu
+(* call with jobs_mu held, at every queue/executing transition *)
+let job_gauges t =
+  Metrics.set m_inflight (float_of_int t.executing);
+  Metrics.set m_queue_depth (float_of_int (Queue.length t.jobs))
 
 let busy_text t =
   Printf.sprintf
     "server busy: %d requests in flight and %d queued; retry later"
-    t.admission.adm_max_inflight t.admission.adm_max_queue
+    t.config.max_inflight t.config.max_queue
 
 (* ---- request handling ------------------------------------------------- *)
 
@@ -332,32 +329,26 @@ let handle_request t (session : session_handler) (req : Protocol.request) =
 
 (* ---- health ----------------------------------------------------------- *)
 
-(* Both serve modes keep the admission counters current: threads mode
-   maintains them in admit/release, the event loop mirrors its
-   executing/queued counts into them (see [job_gauges]), so this reads
-   real load either way. The saturation test is mode-agnostic: threads
-   mode only queues while inflight is full, and the event loop bounds
-   the two jointly, so "no room left" is inflight + queued at the
-   combined limit in both. *)
+(* The job queue bounds executing + queued jointly, so "no room left" is
+   their sum at the combined limit. *)
 let health_json t =
-  let a = t.admission in
-  Mutex.lock a.adm_mu;
-  let inflight = a.adm_inflight and queued = a.adm_queued in
-  Mutex.unlock a.adm_mu;
+  Mutex.lock t.jobs_mu;
+  let inflight = t.executing and queued = Queue.length t.jobs in
+  Mutex.unlock t.jobs_mu;
   let active = Atomic.get t.active in
+  let { max_inflight; max_queue; max_connections; _ } = t.config in
   let status =
     if Atomic.get t.stop then "draining"
     else if
-      inflight + queued >= a.adm_max_inflight + a.adm_max_queue
-      || active >= t.config.max_connections
+      inflight + queued >= max_inflight + max_queue
+      || active >= max_connections
     then "saturated"
     else "ok"
   in
   Printf.sprintf
     "{\"status\":%S,\"inflight\":%d,\"max_inflight\":%d,\"queued\":%d,\
      \"max_queue\":%d,\"active_connections\":%d,\"max_connections\":%d}"
-    status inflight a.adm_max_inflight queued a.adm_max_queue active
-    t.config.max_connections
+    status inflight max_inflight queued max_queue active max_connections
 
 (* The server-level health command: answered before admission (a
    saturated server must still report itself saturated) and invisible to
@@ -365,620 +356,357 @@ let health_json t =
    query wire without an HTTP hop. *)
 let is_health_command text = String.trim text = "\\healthz"
 
-(* ---- connection lifecycle (threads mode) ------------------------------ *)
+(* ---- workers ---------------------------------------------------------- *)
 
-(* Read one request frame straight off the fd. The stop flag is polled
-   only while waiting for a frame to BEGIN: once the first byte is in,
-   the frame is read to completion and the request it carries is served
-   (drain semantics). No input buffering — a pipelined second request
-   stays in the kernel socket buffer where select can see it. *)
-let read_request_frame t fd =
-  let one = Bytes.create 1 in
-  let block_read_byte () =
-    match Unix.read fd one 0 1 with
-    | 0 -> None
-    | _ -> Some (Bytes.get one 0)
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> None
-  in
-  let rec first_byte () =
-    if Atomic.get t.stop then `Stop
-    else
-      match Unix.select [ fd ] [] [] t.config.poll_interval with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> first_byte ()
-      | [], _, _ -> first_byte ()
-      | _ -> ( match block_read_byte () with
-               | None -> `Eof
-               | Some c -> `First c)
-  in
-  match first_byte () with
-  | (`Stop | `Eof) as r -> r
-  | `First first ->
-      let pending = ref (Some first) in
-      let read_byte () =
-        match !pending with
-        | Some c ->
-            pending := None;
-            Some c
-        | None -> block_read_byte ()
-      in
-      let read_exact n =
-        let buf = Bytes.create n in
-        let rec fill off =
-          if off = n then Some (Bytes.unsafe_to_string buf)
-          else
-            match Unix.read fd buf off (n - off) with
-            | 0 -> None
-            | k -> fill (off + k)
-            | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)
-              ->
-                None
-        in
-        fill 0
-      in
-      (match Protocol.read_frame_gen ~read_byte ~read_exact with
-      | Protocol.Frame payload -> `Frame payload
-      | Protocol.Eof -> `Eof
-      | Protocol.Bad msg -> `Bad msg)
+let wake t =
+  try ignore (Unix.write_substring t.wake_w "x" 0 1)
+  with
+  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _) ->
+    ()
 
-let conn_main t fd =
-  let oc = Unix.out_channel_of_descr fd in
-  let session = lazy (t.session_factory t) in
-  let respond resp =
-    match Protocol.write_frame oc (Protocol.encode_response resp) with
-    | () -> true
-    | exception Sys_error _ -> false
-  in
-  let send_hello () =
-    match Protocol.write_frame oc (Protocol.encode_hello Protocol.version) with
-    | () -> true
-    | exception Sys_error _ -> false
-  in
-  let finally () =
-    close_out_noerr oc;
-    (* close_out closes the underlying fd *)
-    Atomic.decr t.active;
-    set_active_gauge t
-  in
-  Fun.protect ~finally (fun () ->
-      let rec loop () =
-        match read_request_frame t fd with
-        | `Stop | `Eof -> ()
-        | `Bad msg ->
-            (* The stream is out of sync; report once and hang up. *)
-            Metrics.incr m_errors;
-            ignore
-              (respond
-                 {
-                   Protocol.status = Protocol.Bad_request;
-                   body = "framing error: " ^ msg;
-                 })
-        | `Frame payload -> (
-            match Protocol.decode_client_frame payload with
-            | Error msg ->
-                Metrics.incr m_errors;
-                if
-                  respond
-                    { Protocol.status = Protocol.Bad_request; body = msg }
-                then loop ()
-            | Ok (Protocol.Hello v) ->
-                (* Answer with our version either way; on mismatch the
-                   client refuses to proceed, so hang up after telling
-                   it who we are. *)
-                if send_hello () && v = Protocol.version then loop ()
-            | Ok (Protocol.Req req) when is_health_command req.Protocol.text ->
-                if respond { Protocol.status = Protocol.Ok; body = health_json t }
-                then loop ()
-            | Ok (Protocol.Req req) -> (
-                match admit t.admission with
-                | `Busy ->
-                    Metrics.incr m_busy;
-                    if
-                      respond
-                        { Protocol.status = Protocol.Busy; body = busy_text t }
-                    then loop ()
-                | `Admitted ->
-                    let resp, close_after =
-                      Fun.protect
-                        ~finally:(fun () -> release t.admission)
-                        (fun () ->
-                          handle_request t (Lazy.force session) req)
-                    in
-                    if respond resp && not close_after then loop ()))
-      in
-      loop ())
-
-let reject fd status msg =
-  let oc = Unix.out_channel_of_descr fd in
-  (try
-     Protocol.write_frame oc
-       (Protocol.encode_response { Protocol.status; body = msg })
-   with Sys_error _ -> ());
-  close_out_noerr oc
-
-(* ---- accept loop (threads mode) --------------------------------------- *)
-
-let accept_loop t =
+let worker t () =
   let rec loop () =
-    if Atomic.get t.stop then ()
-    else
-      match Unix.select [ t.listen ] [] [] t.config.poll_interval with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | [], _, _ -> loop ()
-      | _ ->
-          (match Unix.accept ~cloexec:true t.listen with
-          | exception Unix.Unix_error _ -> ()
-          | fd, _ ->
-              if Atomic.get t.stop then
-                reject fd Protocol.Shutting_down "server is shutting down"
-              else if Atomic.get t.active >= t.config.max_connections then begin
-                Metrics.incr m_busy;
-                reject fd Protocol.Busy
-                  (Printf.sprintf "server busy: %d connections are live"
-                     t.config.max_connections)
-              end
-              else begin
-                Atomic.incr t.active;
-                set_active_gauge t;
-                Metrics.incr m_connections;
-                ignore (Thread.create (fun () -> conn_main t fd) ())
-              end);
-          loop ()
+    Mutex.lock t.jobs_mu;
+    while Queue.is_empty t.jobs && not t.workers_stop do
+      Condition.wait t.jobs_nonempty t.jobs_mu
+    done;
+    if Queue.is_empty t.jobs then Mutex.unlock t.jobs_mu
+    else begin
+      let conn, req = Queue.pop t.jobs in
+      t.executing <- t.executing + 1;
+      job_gauges t;
+      Mutex.unlock t.jobs_mu;
+      let resp, close_after =
+        try handle_request t (Lazy.force conn.c_session) req
+        with e ->
+          Metrics.incr m_errors;
+          ( { Protocol.status = Protocol.Internal; body = Printexc.to_string e },
+            false )
+      in
+      Mutex.lock t.jobs_mu;
+      t.executing <- t.executing - 1;
+      job_gauges t;
+      Mutex.unlock t.jobs_mu;
+      Mutex.lock t.comp_mu;
+      Queue.add (conn, resp, close_after) t.completions;
+      Mutex.unlock t.comp_mu;
+      wake t;
+      loop ()
+    end
   in
   loop ()
 
-(* ---- event-driven serving core ---------------------------------------- *)
+(* Enqueue a request unless executing + queued is at the combined limit. *)
+let admit t conn req =
+  Mutex.lock t.jobs_mu;
+  let room =
+    t.executing + Queue.length t.jobs
+    < t.config.max_inflight + t.config.max_queue
+  in
+  if room then begin
+    Queue.add (conn, req) t.jobs;
+    job_gauges t;
+    Condition.signal t.jobs_nonempty
+  end;
+  Mutex.unlock t.jobs_mu;
+  room
 
-(* One event-loop thread multiplexes every connection over a Poller:
-   per-connection read bytes feed an incremental Assembler, complete
-   requests go to a bounded job queue executed by [max_inflight] worker
-   threads, and responses come back through a completion queue drained
-   when a worker tickles the self-pipe. An idle connection costs its
-   buffers — no thread, no stack.
+(* ---- connections (event-loop thread) ---------------------------------- *)
 
-   Invariants:
-   - only the event-loop thread touches fds, the poller, the conn table
-     and conn mutable state (workers see a conn only as an opaque handle
-     carried through the queues; they read nothing from it);
-   - at most one request per connection is queued or executing
-     ([c_busy]); while busy the connection's read interest is dropped,
-     so pipelined frames wait in the assembler/kernel exactly like the
-     blocking reader left them in the socket buffer;
-   - write interest is registered exactly while the write buffer is
-     nonempty; a connection closes only with an empty buffer (or on
-     error), so responses are never truncated by a local close. *)
-module Event_loop = struct
-  type conn = {
-    c_fd : Unix.file_descr;
-    c_asm : Assembler.t;
-    c_wbuf : Buffer.t;
-    mutable c_woff : int;  (* bytes of c_wbuf already written *)
-    mutable c_busy : bool;
-    mutable c_close_after_flush : bool;
-    mutable c_closed : bool;
-    c_counted : bool;  (* admitted (vs a reject still flushing) *)
-    c_session : session_handler Lazy.t;
-    (* interest bits currently registered with the poller *)
-    mutable c_reg_read : bool;
-    mutable c_reg_write : bool;
-    (* interest bits wanted now *)
-    mutable c_want_read : bool;
-  }
+let update_interest t conn =
+  if not conn.c_closed then begin
+    let want_read = conn.c_want_read && not conn.c_close_after_flush in
+    let want_write = Buffer.length conn.c_wbuf > conn.c_woff in
+    if want_read <> conn.c_reg_read || want_write <> conn.c_reg_write then begin
+      (try Poller.modify t.poller conn.c_fd ~read:want_read ~write:want_write
+       with Unix.Unix_error _ -> ());
+      conn.c_reg_read <- want_read;
+      conn.c_reg_write <- want_write
+    end
+  end
 
-  type es = {
-    t : t;
-    poller : Poller.t;
-    conns : (Unix.file_descr, conn) Hashtbl.t;
-    wake_r : Unix.file_descr;
-    wake_w : Unix.file_descr;
-    jobs : (conn * Protocol.request) Queue.t;
-    mutable jobs_len : int;
-    mutable executing : int;
-    jobs_mu : Mutex.t;
-    jobs_nonempty : Condition.t;
-    mutable workers_stop : bool;
-    completions : (conn * Protocol.response * bool) Queue.t;
-    comp_mu : Mutex.t;
-    scratch : Bytes.t;
-  }
+let close_conn t conn =
+  if not conn.c_closed then begin
+    conn.c_closed <- true;
+    Hashtbl.remove t.conns conn.c_fd;
+    (try Poller.remove t.poller conn.c_fd with Unix.Unix_error _ -> ());
+    (try Unix.close conn.c_fd with Unix.Unix_error _ -> ());
+    if conn.c_counted then begin
+      Atomic.decr t.active;
+      set_active_gauge t
+    end;
+    set_open_gauge t
+  end
 
-  (* Called with jobs_mu held at every queue/executing transition.
-     Besides the gauges, mirror the counts into the admission struct
-     (its mutex nests inside jobs_mu; nothing takes them in the other
-     order) so health_json reports event-mode load — otherwise \healthz
-     would claim inflight=0 forever and saturation could never show. *)
-  let job_gauges es =
-    Metrics.set m_inflight (float_of_int es.executing);
-    Metrics.set m_queue_depth (float_of_int es.jobs_len);
-    let a = es.t.admission in
-    Mutex.lock a.adm_mu;
-    a.adm_inflight <- es.executing;
-    a.adm_queued <- es.jobs_len;
-    Mutex.unlock a.adm_mu
+(* Queue a frame; actual writing happens on writability (plus one
+   immediate attempt to save a round trip through the poller). *)
+let send conn payload =
+  if not conn.c_closed then
+    Buffer.add_string conn.c_wbuf (Protocol.encode_frame payload)
 
-  let wake es =
-    try ignore (Unix.write_substring es.wake_w "x" 0 1)
-    with
-    | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _) ->
-      ()
+let respond conn resp = send conn (Protocol.encode_response resp)
 
-  let worker es () =
-    let rec loop () =
-      Mutex.lock es.jobs_mu;
-      while Queue.is_empty es.jobs && not es.workers_stop do
-        Condition.wait es.jobs_nonempty es.jobs_mu
-      done;
-      if Queue.is_empty es.jobs then Mutex.unlock es.jobs_mu
-      else begin
-        let conn, req = Queue.pop es.jobs in
-        es.jobs_len <- es.jobs_len - 1;
-        es.executing <- es.executing + 1;
-        job_gauges es;
-        Mutex.unlock es.jobs_mu;
-        let resp, close_after =
-          try handle_request es.t (Lazy.force conn.c_session) req
-          with e ->
-            Metrics.incr m_errors;
-            ( { Protocol.status = Protocol.Internal; body = Printexc.to_string e },
-              false )
-        in
-        Mutex.lock es.jobs_mu;
-        es.executing <- es.executing - 1;
-        job_gauges es;
-        Mutex.unlock es.jobs_mu;
-        Mutex.lock es.comp_mu;
-        Queue.add (conn, resp, close_after) es.completions;
-        Mutex.unlock es.comp_mu;
-        wake es;
-        loop ()
-      end
+let flush_writes t conn =
+  if (not conn.c_closed) && Buffer.length conn.c_wbuf > conn.c_woff then begin
+    let s = Buffer.contents conn.c_wbuf in
+    let n = String.length s in
+    let rec go off =
+      if off >= n then off
+      else
+        match Unix.write_substring conn.c_fd s off (n - off) with
+        | k -> go (off + k)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+        | exception
+            Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            off
+        | exception Unix.Unix_error _ ->
+            (* peer is gone; drop the rest *)
+            conn.c_close_after_flush <- true;
+            n
     in
-    loop ()
-
-  let set_open_gauge es =
-    Metrics.set m_open (float_of_int (Hashtbl.length es.conns))
-
-  let update_interest es conn =
-    if not conn.c_closed then begin
-      let want_read = conn.c_want_read && not conn.c_close_after_flush in
-      let want_write = Buffer.length conn.c_wbuf > conn.c_woff in
-      if want_read <> conn.c_reg_read || want_write <> conn.c_reg_write then begin
-        (try Poller.modify es.poller conn.c_fd ~read:want_read ~write:want_write
-         with Unix.Unix_error _ -> ());
-        conn.c_reg_read <- want_read;
-        conn.c_reg_write <- want_write
-      end
+    let off = go conn.c_woff in
+    if off >= n then begin
+      Buffer.clear conn.c_wbuf;
+      conn.c_woff <- 0
     end
+    else conn.c_woff <- off
+  end;
+  if
+    (not conn.c_closed)
+    && conn.c_close_after_flush
+    && Buffer.length conn.c_wbuf <= conn.c_woff
+  then close_conn t conn
 
-  let close_conn es conn =
-    if not conn.c_closed then begin
-      conn.c_closed <- true;
-      Hashtbl.remove es.conns conn.c_fd;
-      (try Poller.remove es.poller conn.c_fd with Unix.Unix_error _ -> ());
-      (try Unix.close conn.c_fd with Unix.Unix_error _ -> ());
-      if conn.c_counted then begin
-        Atomic.decr es.t.active;
-        set_active_gauge es.t
-      end;
-      set_open_gauge es
-    end
+(* Decode and dispatch every complete frame the assembler holds,
+   stopping as soon as a request goes in flight (strictly one at a
+   time per connection). *)
+let rec drain_frames t conn =
+  if (not conn.c_closed) && (not conn.c_busy) && not conn.c_close_after_flush
+  then
+    match Assembler.next conn.c_asm with
+    | `Awaiting -> ()
+    | `Bad msg ->
+        Metrics.incr m_errors;
+        respond conn
+          { Protocol.status = Protocol.Bad_request;
+            body = "framing error: " ^ msg;
+          };
+        conn.c_close_after_flush <- true
+    | `Frame payload ->
+        (match Protocol.decode_client_frame payload with
+        | Error msg ->
+            Metrics.incr m_errors;
+            respond conn { Protocol.status = Protocol.Bad_request; body = msg }
+        | Ok (Protocol.Hello v) ->
+            (* Answer with our version either way; on mismatch the client
+               refuses to proceed, so hang up after telling it who we
+               are. *)
+            send conn (Protocol.encode_hello Protocol.version);
+            if v <> Protocol.version then conn.c_close_after_flush <- true
+        | Ok (Protocol.Req req) when is_health_command req.Protocol.text ->
+            respond conn { Protocol.status = Protocol.Ok; body = health_json t }
+        | Ok (Protocol.Req req) ->
+            if admit t conn req then begin
+              conn.c_busy <- true;
+              (* Drop read interest while the request is in flight so a
+                 pipelining client's bytes stay in the kernel socket
+                 buffer (backpressure) instead of accumulating
+                 unboundedly in the assembler. Restored on completion in
+                 drain_completions. *)
+              conn.c_want_read <- false
+            end
+            else begin
+              Metrics.incr m_busy;
+              respond conn { Protocol.status = Protocol.Busy; body = busy_text t }
+            end);
+        drain_frames t conn
 
-  (* Queue bytes; actual writing happens on writability (plus one
-     immediate attempt to save a round trip through the poller). *)
-  let send es conn payload =
-    if not conn.c_closed then begin
-      Buffer.add_string conn.c_wbuf (string_of_int (String.length payload));
-      Buffer.add_char conn.c_wbuf '\n';
-      Buffer.add_string conn.c_wbuf payload
-    end;
-    ignore es
+let on_readable t conn =
+  match Unix.read conn.c_fd t.scratch 0 (Bytes.length t.scratch) with
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+    ->
+      ()
+  | exception Unix.Unix_error _ -> close_conn t conn
+  | 0 ->
+      (* EOF. A busy connection finishes its request first (drain
+         semantics); its completion path will notice the flag. *)
+      if conn.c_busy then conn.c_close_after_flush <- true
+      else close_conn t conn
+  | n ->
+      Assembler.feed conn.c_asm ~len:n (Bytes.unsafe_to_string t.scratch);
+      drain_frames t conn
 
-  let respond es conn resp = send es conn (Protocol.encode_response resp)
+let drain_completions t =
+  let batch =
+    Mutex.lock t.comp_mu;
+    let b = List.of_seq (Queue.to_seq t.completions) in
+    Queue.clear t.completions;
+    Mutex.unlock t.comp_mu;
+    b
+  in
+  List.iter
+    (fun (conn, resp, close_after) ->
+      if not conn.c_closed then begin
+        respond conn resp;
+        conn.c_busy <- false;
+        (* re-arm reads dropped at admission; drain_frames below may
+           drop them again if a buffered frame goes straight in flight *)
+        conn.c_want_read <- true;
+        if close_after then conn.c_close_after_flush <- true;
+        if Atomic.get t.stop then
+          (* drain: one response per in-flight request, then close *)
+          conn.c_close_after_flush <- true;
+        if not conn.c_close_after_flush then drain_frames t conn;
+        flush_writes t conn;
+        update_interest t conn
+      end)
+    batch
 
-  let flush_writes es conn =
-    if (not conn.c_closed) && Buffer.length conn.c_wbuf > conn.c_woff then begin
-      let s = Buffer.contents conn.c_wbuf in
-      let n = String.length s in
-      let rec go off =
-        if off >= n then off
-        else
-          match Unix.write_substring conn.c_fd s off (n - off) with
-          | k -> go (off + k)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-          | exception
-              Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-              off
-          | exception Unix.Unix_error _ ->
-              (* peer is gone; drop the rest *)
-              conn.c_close_after_flush <- true;
-              n
-      in
-      let off = go conn.c_woff in
-      if off >= n then begin
-        Buffer.clear conn.c_wbuf;
-        conn.c_woff <- 0
-      end
-      else conn.c_woff <- off
-    end;
-    if
-      (not conn.c_closed)
-      && conn.c_close_after_flush
-      && Buffer.length conn.c_wbuf <= conn.c_woff
-    then close_conn es conn
-
-  (* Decode and dispatch every complete frame the assembler holds,
-     stopping as soon as a request goes in flight (strictly one at a
-     time per connection, same as the blocking server). *)
-  let rec drain_frames es conn =
-    if (not conn.c_closed) && (not conn.c_busy) && not conn.c_close_after_flush
-    then
-      match Assembler.next conn.c_asm with
-      | `Awaiting -> ()
-      | `Bad msg ->
-          Metrics.incr m_errors;
-          respond es conn
-            { Protocol.status = Protocol.Bad_request;
-              body = "framing error: " ^ msg;
-            };
-          conn.c_close_after_flush <- true
-      | `Frame payload ->
-          (match Protocol.decode_client_frame payload with
-          | Error msg ->
-              Metrics.incr m_errors;
-              respond es conn { Protocol.status = Protocol.Bad_request; body = msg }
-          | Ok (Protocol.Hello v) ->
-              send es conn (Protocol.encode_hello Protocol.version);
-              if v <> Protocol.version then conn.c_close_after_flush <- true
-          | Ok (Protocol.Req req) when is_health_command req.Protocol.text ->
-              respond es conn
-                { Protocol.status = Protocol.Ok; body = health_json es.t }
-          | Ok (Protocol.Req req) ->
-              let admitted =
-                Mutex.lock es.jobs_mu;
-                let room =
-                  es.executing + es.jobs_len
-                  < es.t.admission.adm_max_inflight
-                    + es.t.admission.adm_max_queue
-                in
-                if room then begin
-                  Queue.add (conn, req) es.jobs;
-                  es.jobs_len <- es.jobs_len + 1;
-                  job_gauges es;
-                  Condition.signal es.jobs_nonempty
-                end;
-                Mutex.unlock es.jobs_mu;
-                room
-              in
-              if admitted then begin
-                conn.c_busy <- true;
-                (* Drop read interest while the request is in flight so
-                   a pipelining client's bytes stay in the kernel socket
-                   buffer (backpressure) instead of accumulating
-                   unboundedly in the assembler. Restored on
-                   completion in drain_completions. *)
-                conn.c_want_read <- false
-              end
-              else begin
-                Metrics.incr m_busy;
-                respond es conn
-                  { Protocol.status = Protocol.Busy; body = busy_text es.t }
-              end);
-          drain_frames es conn
-
-  let on_readable es conn =
-    match Unix.read conn.c_fd es.scratch 0 (Bytes.length es.scratch) with
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+let on_acceptable t =
+  let rec loop () =
+    match Unix.accept ~cloexec:true t.listen with
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       ->
         ()
-    | exception Unix.Unix_error _ -> close_conn es conn
-    | 0 ->
-        (* EOF. A busy connection finishes its request first (drain
-           semantics); its completion path will notice the flag. *)
-        if conn.c_busy then conn.c_close_after_flush <- true
-        else close_conn es conn
-    | n ->
-        Assembler.feed conn.c_asm ~len:n (Bytes.unsafe_to_string es.scratch);
-        drain_frames es conn
-
-  let drain_completions es =
-    let batch =
-      Mutex.lock es.comp_mu;
-      let b = List.of_seq (Queue.to_seq es.completions) in
-      Queue.clear es.completions;
-      Mutex.unlock es.comp_mu;
-      b
-    in
-    List.iter
-      (fun (conn, resp, close_after) ->
-        if not conn.c_closed then begin
-          respond es conn resp;
-          conn.c_busy <- false;
-          (* re-arm reads dropped at admission; drain_frames below may
-             drop them again if a buffered frame goes straight in flight *)
-          conn.c_want_read <- true;
-          if close_after then conn.c_close_after_flush <- true;
-          if Atomic.get es.t.stop then
-            (* drain: one response per in-flight request, then close *)
-            conn.c_close_after_flush <- true;
-          if not conn.c_close_after_flush then drain_frames es conn;
-          flush_writes es conn;
-          update_interest es conn
-        end)
-      batch
-
-  let on_acceptable es =
-    let rec loop () =
-      match Unix.accept ~cloexec:true es.t.listen with
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-          ()
-      | exception Unix.Unix_error _ -> ()
-      | fd, _ ->
-          Unix.set_nonblock fd;
-          let counted, rejection =
-            if Atomic.get es.t.stop then
-              (false, Some (Protocol.Shutting_down, "server is shutting down"))
-            else if Atomic.get es.t.active >= es.t.config.max_connections then begin
-              Metrics.incr m_busy;
-              ( false,
-                Some
-                  ( Protocol.Busy,
-                    Printf.sprintf "server busy: %d connections are live"
-                      es.t.config.max_connections ) )
-            end
-            else (true, None)
-          in
-          let conn =
-            {
-              c_fd = fd;
-              c_asm = Assembler.create ();
-              c_wbuf = Buffer.create 256;
-              c_woff = 0;
-              c_busy = false;
-              c_close_after_flush = rejection <> None;
-              c_closed = false;
-              c_counted = counted;
-              c_session = lazy (es.t.session_factory es.t);
-              c_reg_read = counted;
-              c_reg_write = false;
-              c_want_read = counted;
-            }
-          in
-          Hashtbl.replace es.conns fd conn;
-          (try Poller.add es.poller fd ~read:counted ~write:false
-           with Unix.Unix_error _ -> ());
-          if counted then begin
-            Atomic.incr es.t.active;
-            set_active_gauge es.t;
-            Metrics.incr m_connections
+    | exception Unix.Unix_error _ -> ()
+    | fd, _ ->
+        Unix.set_nonblock fd;
+        let counted, rejection =
+          if Atomic.get t.stop then
+            (false, Some (Protocol.Shutting_down, "server is shutting down"))
+          else if Atomic.get t.active >= t.config.max_connections then begin
+            Metrics.incr m_busy;
+            ( false,
+              Some
+                ( Protocol.Busy,
+                  Printf.sprintf "server busy: %d connections are live"
+                    t.config.max_connections ) )
           end
-          else begin
-            (match rejection with
-            | Some (status, msg) ->
-                respond es conn { Protocol.status; body = msg }
-            | None -> ());
-            flush_writes es conn;
-            if not conn.c_closed then update_interest es conn
-          end;
-          set_open_gauge es;
-          loop ()
-    in
-    loop ()
-
-  let run t =
-    let poller = Poller.create () in
-    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-    Unix.set_nonblock wake_r;
-    Unix.set_nonblock wake_w;
-    Unix.set_nonblock t.listen;
-    let es =
-      {
-        t;
-        poller;
-        conns = Hashtbl.create 1024;
-        wake_r;
-        wake_w;
-        jobs = Queue.create ();
-        jobs_len = 0;
-        executing = 0;
-        jobs_mu = Mutex.create ();
-        jobs_nonempty = Condition.create ();
-        workers_stop = false;
-        completions = Queue.create ();
-        comp_mu = Mutex.create ();
-        scratch = Bytes.create 65536;
-      }
-    in
-    Poller.add poller t.listen ~read:true ~write:false;
-    Poller.add poller wake_r ~read:true ~write:false;
-    let workers =
-      List.init t.admission.adm_max_inflight (fun _ ->
-          Thread.create (worker es) ())
-    in
-    let stopping = ref false in
-    let drain_wake_pipe () =
-      let b = Bytes.create 256 in
-      let rec go () =
-        match Unix.read wake_r b 0 256 with
-        | exception Unix.Unix_error _ -> ()
-        | 0 -> ()
-        | 256 -> go ()
-        | _ -> ()
-      in
-      go ()
-    in
-    let begin_stop () =
-      stopping := true;
-      (try Poller.remove poller t.listen with Unix.Unix_error _ -> ());
-      (* close idle connections now; busy ones drain their request *)
-      let idle =
-        Hashtbl.fold
-          (fun _ c acc ->
-            if (not c.c_busy) && Buffer.length c.c_wbuf <= c.c_woff then
-              c :: acc
-            else acc)
-          es.conns []
-      in
-      List.iter (close_conn es) idle;
-      Hashtbl.iter (fun _ c -> c.c_close_after_flush <- true) es.conns
-    in
-    let rec loop () =
-      if Atomic.get t.stop && not !stopping then begin_stop ();
-      let done_ =
-        !stopping
-        && Hashtbl.length es.conns = 0
-        &&
-        (Mutex.lock es.jobs_mu;
-         let d = es.jobs_len = 0 && es.executing = 0 in
-         Mutex.unlock es.jobs_mu;
-         d)
-      in
-      if not done_ then begin
-        let events = Poller.wait poller ~timeout:t.config.poll_interval in
-        Metrics.incr m_wakeups;
-        List.iter
-          (fun { Poller.fd; readable; writable; error } ->
-            if fd = t.listen then (if readable then on_acceptable es)
-            else if fd = wake_r then begin
-              drain_wake_pipe ();
-              drain_completions es
-            end
-            else
-              match Hashtbl.find_opt es.conns fd with
-              | None -> ()
-              | Some conn ->
-                  if error then
-                    if conn.c_busy then conn.c_close_after_flush <- true
-                    else close_conn es conn
-                  else begin
-                    if readable then on_readable es conn;
-                    if writable && not conn.c_closed then flush_writes es conn;
-                    if not conn.c_closed then begin
-                      flush_writes es conn;
-                      update_interest es conn
-                    end
-                  end)
-          events;
-        (* completions may land while we were handling events *)
-        drain_completions es;
+          else (true, None)
+        in
+        let conn =
+          {
+            c_fd = fd;
+            c_asm = Assembler.create ();
+            c_wbuf = Buffer.create 256;
+            c_woff = 0;
+            c_busy = false;
+            c_close_after_flush = rejection <> None;
+            c_closed = false;
+            c_counted = counted;
+            c_session = lazy (t.session_factory t);
+            c_reg_read = counted;
+            c_reg_write = false;
+            c_want_read = counted;
+          }
+        in
+        Hashtbl.replace t.conns fd conn;
+        (try Poller.add t.poller fd ~read:counted ~write:false
+         with Unix.Unix_error _ -> ());
+        if counted then begin
+          Atomic.incr t.active;
+          set_active_gauge t;
+          Metrics.incr m_connections
+        end
+        else begin
+          (match rejection with
+          | Some (status, msg) -> respond conn { Protocol.status; body = msg }
+          | None -> ());
+          flush_writes t conn;
+          if not conn.c_closed then update_interest t conn
+        end;
+        set_open_gauge t;
         loop ()
-      end
+  in
+  loop ()
+
+(* ---- event loop ------------------------------------------------------- *)
+
+let run t =
+  let workers =
+    List.init t.config.max_inflight (fun _ -> Thread.create (worker t) ())
+  in
+  let stopping = ref false in
+  let drain_wake_pipe () =
+    let b = Bytes.create 256 in
+    let rec go () =
+      match Unix.read t.wake_r b 0 256 with
+      | exception Unix.Unix_error _ -> ()
+      | 0 -> ()
+      | 256 -> go ()
+      | _ -> ()
     in
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.lock es.jobs_mu;
-        es.workers_stop <- true;
-        Condition.broadcast es.jobs_nonempty;
-        Mutex.unlock es.jobs_mu;
-        List.iter Thread.join workers;
-        Hashtbl.iter (fun _ c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) es.conns;
-        Hashtbl.reset es.conns;
-        (try Unix.close wake_r with Unix.Unix_error _ -> ());
-        (try Unix.close wake_w with Unix.Unix_error _ -> ());
-        Poller.close poller;
-        Metrics.set m_open 0.0)
-      loop
-end
+    go ()
+  in
+  let all_conns () = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
+  let begin_stop () =
+    stopping := true;
+    (try Poller.remove t.poller t.listen with Unix.Unix_error _ -> ());
+    (* close idle connections now; busy ones drain their request *)
+    List.iter
+      (fun c ->
+        if (not c.c_busy) && Buffer.length c.c_wbuf <= c.c_woff then
+          close_conn t c
+        else c.c_close_after_flush <- true)
+      (all_conns ())
+  in
+  let rec loop () =
+    if Atomic.get t.stop && not !stopping then begin_stop ();
+    let done_ =
+      !stopping
+      && Hashtbl.length t.conns = 0
+      &&
+      (Mutex.lock t.jobs_mu;
+       let d = Queue.is_empty t.jobs && t.executing = 0 in
+       Mutex.unlock t.jobs_mu;
+       d)
+    in
+    if not done_ then begin
+      let events = Poller.wait t.poller ~timeout:t.config.poll_interval in
+      Metrics.incr m_wakeups;
+      List.iter
+        (fun { Poller.fd; readable; writable; error } ->
+          if fd = t.listen then (if readable then on_acceptable t)
+          else if fd = t.wake_r then begin
+            drain_wake_pipe ();
+            drain_completions t
+          end
+          else
+            match Hashtbl.find_opt t.conns fd with
+            | None -> ()
+            | Some conn ->
+                if error then
+                  if conn.c_busy then conn.c_close_after_flush <- true
+                  else close_conn t conn
+                else begin
+                  if readable then on_readable t conn;
+                  if writable && not conn.c_closed then flush_writes t conn;
+                  if not conn.c_closed then begin
+                    flush_writes t conn;
+                    update_interest t conn
+                  end
+                end)
+        events;
+      (* completions may land while we were handling events *)
+      drain_completions t;
+      loop ()
+    end
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.lock t.jobs_mu;
+      t.workers_stop <- true;
+      Condition.broadcast t.jobs_nonempty;
+      Mutex.unlock t.jobs_mu;
+      List.iter Thread.join workers;
+      (* empty after a drain; after an exception this keeps [active] and
+         the connection gauges honest *)
+      List.iter (close_conn t) (all_conns ());
+      (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
+      (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
+      Poller.close t.poller)
+    loop
 
 (* ---- lifecycle -------------------------------------------------------- *)
 
@@ -998,11 +726,19 @@ let default_session_factory t =
 
 let start ?(config = default_config) ?session_factory db =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let config =
+    {
+      config with
+      max_inflight = max config.max_inflight 1;
+      max_queue = max config.max_queue 0;
+    }
+  in
   let listen = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt listen Unix.SO_REUSEADDR true;
      Unix.bind listen (Unix.ADDR_INET (resolve_host config.host, config.port));
-     Unix.listen listen 1024
+     Unix.listen listen 1024;
+     Unix.set_nonblock listen
    with e ->
      (try Unix.close listen with Unix.Unix_error _ -> ());
      raise e);
@@ -1011,36 +747,42 @@ let start ?(config = default_config) ?session_factory db =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> config.port
   in
-  let factory =
-    match session_factory with
-    | Some f -> f
-    | None -> fun t -> default_session_factory t
-  in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  let poller = Poller.create () in
+  Poller.add poller listen ~read:true ~write:false;
+  Poller.add poller wake_r ~read:true ~write:false;
   let t =
     {
       config;
-      admission =
-        admission_create ~max_inflight:config.max_inflight
-          ~max_queue:config.max_queue;
       db;
       plan_cache = Pb_sql.Plan_cache.create ~capacity:config.plan_cache_capacity ();
-      session_factory = factory;
+      session_factory =
+        Option.value session_factory ~default:default_session_factory;
       listen;
       bound_port;
       stop = Atomic.make false;
       active = Atomic.make 0;
-      accept_thread = None;
+      poller;
+      conns = Hashtbl.create 1024;
+      wake_r;
+      wake_w;
+      scratch = Bytes.create 65536;
+      jobs = Queue.create ();
+      executing = 0;
+      jobs_mu = Mutex.create ();
+      jobs_nonempty = Condition.create ();
+      workers_stop = false;
+      completions = Queue.create ();
+      comp_mu = Mutex.create ();
+      serve_thread = None;
       finish_mu = Mutex.create ();
       finished = false;
     }
   in
   Trace_store.set_capacity Trace_store.default config.trace_capacity;
-  let main =
-    match config.serve_mode with
-    | Threads -> accept_loop
-    | Event -> Event_loop.run
-  in
-  t.accept_thread <- Some (Thread.create main t);
+  t.serve_thread <- Some (Thread.create run t);
   t
 
 let port t = t.bound_port
@@ -1092,22 +834,15 @@ let http_handler t path =
 
 let request_stop t = Atomic.set t.stop true
 
+(* The event loop returns only once every connection has drained, so
+   joining its thread is the whole wait. *)
 let join t =
   Mutex.lock t.finish_mu;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.finish_mu)
     (fun () ->
       if not t.finished then begin
-        (match t.accept_thread with
-        | Some th -> Thread.join th
-        | None -> ());
-        (* Drain: every connection closes right after the request it is
-           serving; idle ones notice the flag within poll_interval. The
-           event loop drains before its thread exits, so this only spins
-           in threads mode. *)
-        while Atomic.get t.active > 0 do
-          Thread.delay 0.01
-        done;
+        Option.iter Thread.join t.serve_thread;
         (try Unix.close t.listen with Unix.Unix_error _ -> ());
         t.finished <- true
       end)

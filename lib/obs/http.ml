@@ -93,7 +93,7 @@ let serve_connection handler fd =
    with Sys_error _ -> ());
   close_out_noerr oc
 
-let accept_loop t handler =
+let listen_loop t handler =
   let rec loop () =
     if Atomic.get t.stop then ()
     else
@@ -141,7 +141,7 @@ let start ?(host = "127.0.0.1") ?(poll_interval = 0.05) ~port handler =
       poll_interval;
     }
   in
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t handler) ());
+  t.accept_thread <- Some (Thread.create (fun () -> listen_loop t handler) ());
   t
 
 let port t = t.bound_port

@@ -72,6 +72,22 @@ let iter_selected tbl sel f =
   iter_positions tbl (fun pos id ->
       if Bytes.get sel id = '\001' then f pos id)
 
+(* The stored rows of [rel] (the relation [tbl] was built from) whose
+   distinct id satisfies [keep], in stored order: one counting pass and
+   one filling pass, sharing the row arrays instead of rebuilding them
+   from the image. *)
+let gather tbl rel keep =
+  let stored = Relation.rows rel in
+  let n = ref 0 in
+  iter_positions tbl (fun _pos id -> if keep id then incr n);
+  let out = Array.make !n [||] and k = ref 0 in
+  iter_positions tbl (fun pos id ->
+      if keep id then begin
+        out.(!k) <- stored.(pos);
+        incr k
+      end);
+  out
+
 (* ---- vectorized projection ------------------------------------------- *)
 
 (* Exact per-row values of a kernel for the selected ids (chunks with no
@@ -515,10 +531,9 @@ let scan ?gov db ~name rel conjs =
       let sel = Bytes.make (Table.distinct tbl) '\001' in
       List.iter (fun k -> restrict ?gov tbl sel (Option.get k)) kernels;
       Metrics.incr m_scans;
-      let mat = Table.row_materializer tbl in
-      let out = ref [] in
-      iter_selected tbl sel (fun _pos id -> out := mat id :: !out);
-      Some (Relation.create schema (List.rev !out))
+      Some
+        (Relation.of_rows_unchecked schema
+           (gather tbl rel (fun id -> Bytes.get sel id = '\001')))
     end
 
 let delete_keep ?gov db ~name rel pred =
@@ -531,16 +546,10 @@ let delete_keep ?gov db ~name rel pred =
     | Some k ->
         let hit = selection ?gov tbl k in
         Metrics.incr m_scans;
-        let mat = Table.row_materializer tbl in
-        let out = ref [] and kept = ref 0 in
-        iter_positions tbl (fun _pos id ->
-            if Bytes.get hit id <> '\001' then begin
-              incr kept;
-              out := mat id :: !out
-            end);
+        let kept = gather tbl rel (fun id -> Bytes.get hit id <> '\001') in
         Some
-          ( Relation.create schema (List.rev !out),
-            Table.total tbl - !kept )
+          ( Relation.of_rows_unchecked schema kept,
+            Table.total tbl - Array.length kept )
 
 let update_mask ?gov db ~name rel pred =
   if not (Mode.columnar ()) then None

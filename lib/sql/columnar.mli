@@ -35,8 +35,9 @@ val scan :
   Ast.expr list ->
   Pb_relation.Relation.t option
 (** Base-table scan for the planner: apply the pushed-down conjuncts as
-    one fused selection vector over the columnar image and materialize
-    the surviving rows in original order. [rel] is the (possibly renamed)
+    one fused selection vector over the columnar image and gather the
+    surviving rows of [rel] in original order (the stored row arrays
+    themselves, not copies). [rel] is the (possibly renamed)
     snapshot being scanned; [None] when any conjunct fails to compile,
     the conjunct list is empty, or the table has declared indexes. *)
 
@@ -47,8 +48,8 @@ val delete_keep :
   Pb_relation.Relation.t ->
   Ast.expr ->
   (Pb_relation.Relation.t * int) option
-(** DELETE predicate evaluation: the kept relation (original row order)
-    and the number of deleted rows. *)
+(** DELETE predicate evaluation: the kept relation (the stored row
+    arrays of [rel], in original order) and the number of deleted rows. *)
 
 val update_mask :
   ?gov:Pb_util.Gov.t ->

@@ -123,23 +123,11 @@ let of_relation rel =
 
 let get_row t id = Array.init (arity t) (fun j -> Column.get t.cols.(j) id)
 
-(* Shared lazy materialization of distinct rows: duplicates reuse one
+(* Each distinct row is materialized once and duplicates share its
    array (relations never mutate rows in place, so sharing is safe). *)
-let row_materializer t =
-  let cache = Array.make t.nrows None in
-  fun id ->
-    match cache.(id) with
-    | Some row -> row
-    | None ->
-        let row = get_row t id in
-        cache.(id) <- Some row;
-        row
-
 let to_relation t =
-  let row = row_materializer t in
-  let store =
-    match t.order with
-    | None -> List.init t.nrows row
-    | Some order -> Array.to_list (Array.map row order)
-  in
-  Relation.create t.schema store
+  let rows = Array.init t.nrows (get_row t) in
+  Relation.of_rows_unchecked t.schema
+    (match t.order with
+    | None -> rows
+    | Some order -> Array.map (Array.get rows) order)

@@ -33,9 +33,6 @@ val arity : t -> int
 val get_row : t -> int -> Pb_relation.Value.t array
 (** Materialize distinct row [id]. *)
 
-val row_materializer : t -> int -> Pb_relation.Value.t array
-(** Like {!get_row} but memoized: duplicates share one array. *)
-
 val bytes : t -> int
 (** Resident-size estimate, fixed at build time. *)
 

@@ -517,6 +517,56 @@ let test_gather_compressed () =
                (List.map (fun i -> src.(i)) [ 0; 1; 2; 5 ])
                (Array.to_list b.Pb_paql.Semantics.rows)))
 
+let columnar_scans () =
+  match List.assoc_opt "pb_store_scans_total" (Pb_obs.Metrics.snapshot ()) with
+  | Some v -> v
+  | None -> 0.0
+
+(* The SQL side of the same gather: the planner's columnar base scan and
+   a columnar DELETE hand back the stored row arrays themselves, in
+   stored order, rather than rows rebuilt from the compressed image. *)
+let test_sql_gather_compressed () =
+  with_mode Mode.Columnar (fun () ->
+      let db = Database.create () in
+      let stored = Relation.create schema (List.map Array.copy dup_rows) in
+      Database.put db "t" stored;
+      let src = Relation.rows stored in
+      let stored_at idxs = List.map (fun i -> src.(i)) idxs in
+      Alcotest.(check bool) "image compressed" true
+        (Table.compressed (Database.columnar db "t" stored));
+      (* a join is beyond the end-to-end columnar SELECT, so its base
+         tables go through the planner's columnar scan *)
+      let before = columnar_scans () in
+      (match
+         Executor.execute_sql db
+           "SELECT x.s, y.s FROM t x, t y WHERE x.v = 1 AND y.v = 4"
+       with
+      | Executor.Rows r ->
+          Alcotest.(check int) "join rows" 4 (Relation.cardinality r)
+      | _ -> Alcotest.fail "join returned no rows");
+      Alcotest.(check bool) "join scanned columnar" true
+        (columnar_scans () > before);
+      (match
+         Pb_sql.Columnar.scan db ~name:"t" stored
+           [ Pb_sql.Parser.parse_expr "v = 1" ]
+       with
+      | None -> Alcotest.fail "kernel conjunct did not scan columnar"
+      | Some r ->
+          (* rows 0, 1, 2 and 5 of [dup_rows] have v = 1 *)
+          Alcotest.(check bool) "scan rows are the stored arrays" true
+            (List.equal ( == ) (stored_at [ 0; 1; 2; 5 ])
+               (Relation.to_list r)));
+      let before = columnar_scans () in
+      (match Executor.execute_sql db "DELETE FROM t WHERE v = 4" with
+      | Executor.Affected n -> Alcotest.(check int) "deleted" 1 n
+      | _ -> Alcotest.fail "DELETE did not report affected rows");
+      Alcotest.(check bool) "DELETE took the columnar path" true
+        (columnar_scans () > before);
+      (* row 4 is the only v = 4; row 3's NULL v is kept *)
+      Alcotest.(check bool) "DELETE keeps the stored arrays" true
+        (List.equal ( == ) (stored_at [ 0; 1; 2; 3; 5 ])
+           (Relation.to_list (Database.find_exn db "t"))))
+
 let prop_candidates_gather =
   QCheck.Test.make ~count:200 ~long_factor:10
     ~name:"PaQL candidates: columnar gather == row path"
@@ -557,6 +607,8 @@ let suite =
       test_coeffs_parity;
     Alcotest.test_case "PaQL gather on a compressed image" `Quick
       test_gather_compressed;
+    Alcotest.test_case "SQL scan and DELETE gather on a compressed image"
+      `Quick test_sql_gather_compressed;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_roundtrip; prop_differential; prop_candidates_gather ]

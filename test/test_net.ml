@@ -37,24 +37,14 @@ let read_frames_of_string s =
 
 let frame_of_string s = read_frames_of_string s ()
 
-let write_frame_to_string payload =
-  let buf = Filename.temp_file "pb_net_frame" "" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove buf with Sys_error _ -> ())
-    (fun () ->
-      let oc = open_out_bin buf in
-      Protocol.write_frame oc payload;
-      close_out oc;
-      let ic = open_in_bin buf in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      s)
+let write_frame oc payload =
+  output_string oc (Protocol.encode_frame payload);
+  flush oc
 
 let test_frame_roundtrip () =
   List.iter
     (fun payload ->
-      let wire = write_frame_to_string payload in
+      let wire = Protocol.encode_frame payload in
       match frame_of_string wire with
       | Protocol.Frame p ->
           Alcotest.(check string) "payload survives" payload p
@@ -65,8 +55,8 @@ let test_frame_roundtrip () =
 let test_frame_streaming () =
   (* several frames back to back parse in order *)
   let wire =
-    write_frame_to_string "first" ^ write_frame_to_string ""
-    ^ write_frame_to_string "third"
+    Protocol.encode_frame "first" ^ Protocol.encode_frame ""
+    ^ Protocol.encode_frame "third"
   in
   let next = read_frames_of_string wire in
   (match next () with
@@ -331,32 +321,7 @@ let qcheck_assembler_malformed_stream =
       let a = assembler_decode (slices_of_cuts stream cuts) in
       (match snd b with `Bad _ -> true | `End -> false) && a = b)
 
-(* ---- serve modes ------------------------------------------------------ *)
-
-(* The default config exercises the event loop everywhere else in this
-   file; this is the regression net for the legacy thread-per-connection
-   path, which stays selectable via --serve-mode threads. *)
-let test_threads_mode_loopback () =
-  let config = { test_config with Server.serve_mode = Server.Threads } in
-  Server.with_server ~config (make_db 40) (fun server ->
-      let port = Server.port server in
-      Client.with_connection ~port (fun c ->
-          let count = ok_or_fail (Client.request c "SELECT COUNT(*) FROM recipes") in
-          Alcotest.(check bool) "sql counts" true (contains count "40");
-          let health = ok_or_fail (Client.request c "\\healthz") in
-          Alcotest.(check bool) "healthz answers" true
-            (contains health "\"status\":\"ok\""));
-      (* concurrent sessions still isolated *)
-      let results = Array.make 4 "" in
-      let worker i () =
-        Client.with_connection ~port (fun c ->
-            results.(i) <- ok_or_fail (Client.request c "SELECT COUNT(*) FROM recipes"))
-      in
-      let threads = List.init 4 (fun i -> Thread.create (worker i) ()) in
-      List.iter Thread.join threads;
-      Array.iter
-        (fun r -> Alcotest.(check bool) "each client served" true (contains r "40"))
-        results)
+(* ---- event loop ------------------------------------------------------- *)
 
 (* Pipelining backpressure regression: a client that writes many request
    frames in one burst must get every response, in order. The event loop
@@ -649,6 +614,56 @@ let test_admission_queue_busy () =
               Alcotest.(check bool) "connection survives busy" true
                 (contains (retry 40) "recipes"))))
 
+(* Health under load, with one evaluation slot and no queue: while a slow
+   request runs on A, \healthz on B (answered before admission) sees the
+   slot taken and the server saturated; once A's answer is back the
+   counters are zero again; and after a stop request, while a second
+   slow request drains, /healthz says draining. *)
+let test_health_under_load () =
+  let config = { test_config with max_inflight = 1; max_queue = 0 } in
+  Server.with_server ~config (make_db 120) (fun server ->
+      let port = Server.port server in
+      Client.with_connection ~port (fun a ->
+          Client.with_connection ~port (fun b ->
+              let health () = ok_or_fail (Client.request b "\\healthz") in
+              let slow () =
+                Thread.create
+                  (fun () -> ignore (Client.request ~deadline:0.6 a slow_sql))
+                  ()
+              in
+              (* wait for the slow request to take the slot *)
+              let rec running n =
+                let h = health () in
+                if contains h "\"inflight\":1" || n = 0 then h
+                else begin
+                  Thread.delay 0.01;
+                  running (n - 1)
+                end
+              in
+              let th = slow () in
+              let h = running 200 in
+              Alcotest.(check bool) ("inflight 1: " ^ h) true
+                (contains h "\"inflight\":1");
+              Alcotest.(check bool) ("queued 0: " ^ h) true
+                (contains h "\"queued\":0");
+              Alcotest.(check bool) ("saturated: " ^ h) true
+                (contains h "\"status\":\"saturated\"");
+              Thread.join th;
+              let h = health () in
+              Alcotest.(check bool) ("inflight 0 after: " ^ h) true
+                (contains h "\"inflight\":0");
+              Alcotest.(check bool) ("ok after: " ^ h) true
+                (contains h "\"status\":\"ok\"");
+              let th = slow () in
+              ignore (running 200);
+              Server.request_stop server;
+              (match Server.http_handler server "/healthz" with
+              | Some { Pb_obs.Http.body; _ } ->
+                  Alcotest.(check bool) ("draining: " ^ body) true
+                    (contains body "\"status\":\"draining\"")
+              | None -> Alcotest.fail "/healthz unmounted");
+              Thread.join th)))
+
 (* A v1 peer (unversioned REQ header, no hello) is answered with a
    [proto] error naming the mismatch, not line noise. *)
 let test_server_names_v1_peer () =
@@ -661,7 +676,7 @@ let test_server_names_v1_peer () =
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
         (fun () ->
-          Protocol.write_frame oc "REQ\n\\tables";
+          write_frame oc "REQ\n\\tables";
           match Protocol.read_frame ic with
           | Protocol.Frame payload -> (
               match Protocol.decode_response payload with
@@ -692,7 +707,7 @@ let test_client_refuses_mismatch () =
         let ic = Unix.in_channel_of_descr fd in
         let oc = Unix.out_channel_of_descr fd in
         ignore (Protocol.read_frame ic);
-        (try Protocol.write_frame oc (Protocol.encode_hello 99)
+        (try write_frame oc (Protocol.encode_hello 99)
          with Sys_error _ -> ());
         ignore (Protocol.read_frame ic);
         close_out_noerr oc)
@@ -893,11 +908,11 @@ let test_gauges_zero_after_disconnect () =
         (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
       let oc = Unix.out_channel_of_descr fd in
       let ic = Unix.in_channel_of_descr fd in
-      Protocol.write_frame oc (Protocol.encode_hello Protocol.version);
+      write_frame oc (Protocol.encode_hello Protocol.version);
       (match Protocol.read_frame ic with
       | Protocol.Frame _ -> ()
       | _ -> Alcotest.fail "no hello reply");
-      Protocol.write_frame oc
+      write_frame oc
         (Protocol.encode_request
            {
              Protocol.text = slow_sql;
@@ -989,8 +1004,8 @@ let suite =
       `Quick test_gauges_zero_after_disconnect;
     Alcotest.test_case "http handler endpoints" `Quick
       test_http_handler_endpoints;
-    Alcotest.test_case "threads serve-mode loopback" `Quick
-      test_threads_mode_loopback;
+    Alcotest.test_case "healthz under load: saturated, ok, draining" `Quick
+      test_health_under_load;
     Alcotest.test_case "event loop serves a pipelined burst" `Quick
       test_event_pipelined_burst;
     Alcotest.test_case "connect timeout is bounded" `Quick test_connect_timeout;
