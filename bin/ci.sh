@@ -41,9 +41,10 @@ for d in 2 8; do
 done
 
 # LP warm-start differential: the lp suite's properties (warm re-solve =
-# cold solve after branch-and-bound bound changes, MILP = enumeration,
-# solve_all = ranked enumeration) at a fixed seed with QCHECK_LONG's
-# larger counts.
+# cold solve after branch-and-bound bound changes and after right-hand-
+# side changes, some infeasible, with the warm dual bound still bounding
+# the optimum; MILP = enumeration; solve_all = ranked enumeration) at a
+# fixed seed with QCHECK_LONG's larger counts.
 echo "== LP differential (warm vs cold simplex, long qcheck counts) =="
 if ! QCHECK_SEED=20260806 QCHECK_LONG=1 ./_build/default/test/test_main.exe \
   test lp >_build/ci/lp_long.txt 2>&1; then
@@ -222,6 +223,28 @@ PLAN_HITS=$(sed -n 's/^pb_sql_plan_cache_hits_total \([0-9][0-9]*\).*/\1/p' \
 if [ -z "$PLAN_HITS" ] || [ "$PLAN_HITS" -lt 1 ]; then
   echo "CI FAIL: expected pb_sql_plan_cache_hits_total > 0 after a repeated"
   echo "         statement; \\metrics reported: ${PLAN_HITS:-no counter}"
+  kill "$SMOKE_PID" 2>/dev/null || true
+  exit 1
+fi
+
+# Warm LP front smoke: two SketchRefine queries in one session that
+# differ only in a right-hand side share the front's LP, so the second
+# must re-solve it from the first one's basis. Probed through \metrics
+# like the plan cache above (out of the diffed transcript).
+echo "== warm LP front smoke (pb_engine_lp_front_warm_total > 0) =="
+printf '%s\n' '\strategy sketch-refine' \
+  'SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) BETWEEN 3 AND 5 AND SUM(P.calories) <= 3000 MAXIMIZE SUM(P.protein)' \
+  'SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) BETWEEN 3 AND 5 AND SUM(P.calories) <= 3200 MAXIMIZE SUM(P.protein)' \
+  '\metrics' '\quit' | \
+  ./_build/default/bin/pb_client.exe --port "$SMOKE_PORT" \
+  >_build/ci/smoke_warm_front.txt 2>&1
+WARM_FRONTS=$(sed -n 's/^pb_engine_lp_front_warm_total \([0-9][0-9]*\).*/\1/p' \
+  _build/ci/smoke_warm_front.txt | head -n 1)
+if [ -z "$WARM_FRONTS" ] || [ "$WARM_FRONTS" -lt 1 ]; then
+  echo "CI FAIL: expected pb_engine_lp_front_warm_total > 0 after two"
+  echo "         sketch-refine queries differing in a right-hand side;"
+  echo "         \\metrics reported: ${WARM_FRONTS:-no counter}"
+  tail -n 20 _build/ci/smoke_warm_front.txt
   kill "$SMOKE_PID" 2>/dev/null || true
   exit 1
 fi

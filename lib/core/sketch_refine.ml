@@ -71,6 +71,7 @@ type outcome = {
   front : string;
   lp_bound : float option;
   lp_pivots : int;
+  lp_warm : bool;
   kept_columns : int;
   front_seconds : float;
 }
@@ -95,6 +96,7 @@ let empty_outcome =
     front = "-";
     lp_bound = None;
     lp_pivots = 0;
+    lp_warm = false;
     kept_columns = 0;
     front_seconds = 0.0;
   }
@@ -681,6 +683,7 @@ let pipeline ~params ~pool ~gov (c : Coeffs.t) : outcome =
           front = "-";
           lp_bound = None;
           lp_pivots = 0;
+          lp_warm = false;
           kept_columns = 0;
           front_seconds = 0.0;
         }
@@ -707,13 +710,100 @@ let m_front_certified =
     ~help:"LP fronts whose reduced ILP was proven optimal (or infeasible) for the whole relation"
     "pb_engine_lp_front_certified_total"
 
+let m_front_warm =
+  Pb_obs.Metrics.counter
+    ~help:"LP fronts re-solved from a cached basis of the same LP instead of cold"
+    "pb_engine_lp_front_warm_total"
+
 type front_end =
   | Certified of int array * float option  (** multiplicities, objective *)
   | Proved_infeasible
   | Gave_way of (int array * float option) option * float option
       (** incumbent, and a bound in the objective's own sense *)
 
-type front = { fate : front_end; lp_bound : float option; pivots : int; kept : int }
+type front = {
+  fate : front_end;
+  lp_bound : float option;
+  pivots : int;
+  kept : int;
+  warm : bool;  (** the LP re-solved from a cached basis *)
+}
+
+(* ---- Warm LP front ------------------------------------------------- *)
+
+(* The front's LP minus its right-hand sides. Queries that differ only in
+   right-hand sides (an exploration tweak moving a window) share a key,
+   and the basis one ends on is a start for the other: the dual simplex
+   repairs what the new right-hand sides break. The key is the LP's own
+   data, compared by content, so a table write that moves a coefficient,
+   or another query over the same table, can never be served a basis of
+   a different LP. *)
+type lp_key = {
+  rows : float array array;  (* owned copies; the state reads them in place *)
+  senses : Model.sense array;
+  objective : float array;   (* owned copy *)
+  maximize : bool;
+  upper : float;             (* every column lies in [0, upper] *)
+}
+
+type warm_entry = {
+  key : lp_key;
+  state : Simplex.state;
+  bytes : int;  (* heap bytes the entry holds *)
+}
+
+(* Heap bytes of an entry for [n] columns and [m] rows: the owned rows
+   and the tableau ([m·n] words each), and a dozen per-column arrays (the
+   owned objective and the state's bounds, values, costs, flags and
+   solution); ~1.8 MB at 10k candidates and 5 rows. *)
+let entry_bytes ~n ~m = Sys.word_size / 8 * n * ((2 * m) + 12)
+
+(* Retention: the most recently checked-in entries, at most this many
+   and this many bytes in all; an entry alone above the byte cap is not
+   kept. *)
+let front_cache_entries = 4
+let front_cache_bytes = 256 lsl 20
+
+let front_cache : warm_entry list ref = ref []
+let front_cache_lock = Mutex.create ()
+
+let same_floats (a : float array) (b : float array) =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let rec go i = i >= n || (Float.equal a.(i) b.(i) && go (i + 1)) in
+  go 0
+
+let same_lp a b =
+  a.maximize = b.maximize
+  && Float.equal a.upper b.upper
+  && a.senses = b.senses
+  && Array.length a.rows = Array.length b.rows
+  && same_floats a.objective b.objective
+  && Array.for_all2 same_floats a.rows b.rows
+
+(* A hit leaves the cache until it is checked in again, so two queries
+   never share a tableau: a concurrent query of the same LP misses and
+   solves cold. *)
+let check_out key =
+  Mutex.protect front_cache_lock (fun () ->
+      match List.find_opt (fun e -> same_lp e.key key) !front_cache with
+      | None -> None
+      | Some e ->
+          front_cache := List.filter (fun x -> x != e) !front_cache;
+          Some e)
+
+let forget_warm_fronts () = Mutex.protect front_cache_lock (fun () -> front_cache := [])
+
+let check_in entry =
+  Mutex.protect front_cache_lock (fun () ->
+      let others = List.filter (fun x -> not (same_lp x.key entry.key)) !front_cache in
+      let rec keep count bytes = function
+        | e :: rest when count < front_cache_entries && bytes + e.bytes <= front_cache_bytes ->
+            e :: keep (count + 1) (bytes + e.bytes) rest
+        | _ -> []
+      in
+      front_cache := keep 0 0 (entry :: others))
 
 (* The [q] at-lower columns with the largest reduced costs (ties to the
    lowest index), ascending, by a bounded min-heap over the whole
@@ -778,19 +868,48 @@ let lp_front ~gov (c : Coeffs.t) rows_a needs_nonempty obj =
     | Linear (Ast.Minimize, coef) -> (false, coef)
     | No_obj -> (true, Array.make n 0.0)
   in
-  let st, lp =
-    Simplex.start_dense
-      ~rows:(Array.map (fun r -> r.coef) lp_rows)
-      ~senses:(Array.map (fun r -> r.sense) lp_rows)
-      ~rhs:(Array.map (fun r -> r.rhs) lp_rows)
-      ~maximize ~objective:coef ~lower:0.0 ~upper:mm ()
+  let rhs = Array.map (fun r -> r.rhs) lp_rows in
+  let key =
+    { rows = Array.map (fun r -> r.coef) lp_rows; senses = Array.map (fun r -> r.sense) lp_rows;
+      objective = coef; maximize; upper = mm }
   in
-  let finish ?lp_bound ~kept fate = { fate; lp_bound; pivots = lp.Simplex.iterations; kept } in
-  match lp.Simplex.status with
-  | Simplex.Infeasible -> finish ~kept:0 Proved_infeasible
-  | Simplex.Unbounded | Simplex.Iteration_limit -> finish ~kept:0 (Gave_way (None, None))
-  | Simplex.Optimal ->
-      let cert = Simplex.dual_bound st in
+  let entry, lp, warm =
+    match check_out key with
+    | Some e ->
+        Pb_obs.Metrics.incr m_front_warm;
+        (e, Simplex.resolve_rhs e.state rhs, true)
+    | None ->
+        let key = { key with rows = Array.map Array.copy key.rows; objective = Array.copy coef } in
+        let state, lp =
+          Simplex.start_dense ~rows:key.rows ~senses:key.senses ~rhs ~maximize ~objective:coef
+            ~lower:0.0 ~upper:mm ()
+        in
+        ({ key; state; bytes = entry_bytes ~n ~m:(Array.length key.rows) }, lp, false)
+  in
+  let st = entry.state in
+  (* What the rest of the front reads off the basis, taken before the
+     state goes back to the cache for the next query. *)
+  let cert =
+    match lp.Simplex.status with Simplex.Optimal -> Some (Simplex.dual_bound st) | _ -> None
+  in
+  let at_lower_bits = Bytes.make n '\000' in
+  let always = ref [] and n_at_lower = ref 0 in
+  if cert <> None then
+    for j = n - 1 downto 0 do
+      match Simplex.column st j with
+      | Simplex.At_lower ->
+          incr n_at_lower;
+          Bytes.set at_lower_bits j '\001'
+      | Simplex.Basic | Simplex.At_upper -> always := j :: !always
+    done;
+  check_in entry;
+  let finish ?lp_bound ~kept fate =
+    { fate; lp_bound; pivots = lp.Simplex.iterations; kept; warm }
+  in
+  match (lp.Simplex.status, cert) with
+  | Simplex.Infeasible, _ -> finish ~kept:0 Proved_infeasible
+  | _, None -> finish ~kept:0 (Gave_way (None, None))
+  | _, Some cert ->
       let d = cert.Simplex.reduced_costs in
       (* Bounds live in the maximization form; an integral objective over
          integral multiplicities takes integral values, so its bounds
@@ -799,14 +918,8 @@ let lp_front ~gov (c : Coeffs.t) rows_a needs_nonempty obj =
       let snap v = if integral then Float.floor (v +. 1e-6) else v in
       let own v = if maximize then v else 0.0 -. v in
       let lp_bound = snap cert.Simplex.value in
-      let always = ref [] and n_at_lower = ref 0 in
-      for j = n - 1 downto 0 do
-        match Simplex.column st j with
-        | Simplex.At_lower -> incr n_at_lower
-        | Simplex.Basic | Simplex.At_upper -> always := j :: !always
-      done;
       let always = Array.of_list !always in
-      let at_lower j = Simplex.column st j = Simplex.At_lower in
+      let at_lower j = Bytes.get at_lower_bits j = '\001' in
       let front_gov =
         match Gov.budget_left gov Gov.Milp_nodes with
         | Some left -> Gov.capped gov Gov.Milp_nodes (max 1 (left / 2))
@@ -908,6 +1021,7 @@ let search ~params ~pool ~gov (c : Coeffs.t) : outcome =
       let f, front_seconds =
         Trace.timed ~name:"sketch-refine.lp" (fun () ->
             let f = lp_front ~gov c rows_a needs_nonempty obj in
+            Trace.add_count (if f.warm then "warm" else "cold") 1;
             Trace.add_count "pivots" f.pivots;
             Trace.add_count "kept_columns" f.kept;
             Trace.add_count
@@ -920,7 +1034,8 @@ let search ~params ~pool ~gov (c : Coeffs.t) : outcome =
       in
       let with_front (o : outcome) front =
         let lp_bound = match obj with No_obj -> None | Linear _ -> f.lp_bound in
-        { o with front; lp_bound; lp_pivots = f.pivots; kept_columns = f.kept; front_seconds }
+        { o with front; lp_bound; lp_pivots = f.pivots; lp_warm = f.warm; kept_columns = f.kept;
+                 front_seconds }
       in
       let package_of (m, objective) = (Some (Coeffs.package_of_mult c m), objective) in
       match f.fate with

@@ -50,7 +50,9 @@
     Determinism caveat: refine legs run under child tokens that share
     the family's budget meters, so when a budget or deadline fires {e
     mid-run} the stopping point depends on leg interleaving. Runs that
-    finish within budget are bit-identical at any [PB_DOMAINS]. *)
+    finish within budget are bit-identical at any [PB_DOMAINS] for the
+    same sequence of queries (the LP front's warm start, see {!search},
+    carries state from one query to the next). *)
 
 type params = {
   partitions : int option;
@@ -115,6 +117,9 @@ type outcome = {
           not solve to optimality, the query has no objective, or the
           front did not run *)
   lp_pivots : int;  (** simplex pivots of the whole-relation LP *)
+  lp_warm : bool;
+      (** the whole-relation LP re-solved from the basis an earlier
+          query of the same LP left, rather than cold *)
   kept_columns : int;  (** columns of the front's last reduced ILP *)
   front_seconds : float;
 }
@@ -161,9 +166,29 @@ val search :
     front runs on the calling domain, so it is deterministic at any
     pool size.
 
+    The LP starts warm when it can. A small process-wide cache keeps
+    the solved simplex state of recent fronts, keyed by the LP minus its
+    right-hand sides: the coefficient rows (compared by content against
+    the cache's own copy), the senses, the objective and its direction,
+    and the [[0, max_mult]] box. A query whose LP matches re-solves from
+    that basis ({!Pb_lp.Simplex.resolve_rhs}); a tweak that only moves
+    right-hand sides typically takes a few dual pivots. A state is
+    checked out for one query at a time, and the cache holds at most 4
+    states and 256 MiB. A warm front proves what a cold one proves (the
+    same LP status, and a certified reduced optimum is the relation's
+    optimum either way), but the package may come from another optimal
+    LP vertex, and where the LP's optimal duals are not unique the
+    certificate's reach, and so whether the front certifies, can
+    differ. Hits count in [pb_engine_lp_front_warm_total] and as the
+    [warm]/[cold] counts of the [sketch-refine.lp] span.
+
     The front spends at most half of [gov]'s remaining [Milp_nodes]
     (a {!Pb_util.Gov.capped} child). Without a proof, and unless [gov]
     was cancelled or its deadline passed, {!pipeline} runs on what is
     left; the better of the two packages is returned (ties to the
     front's), and its gap is taken against the tighter of the front's
     bound and the bound sketch's. *)
+
+val forget_warm_fronts : unit -> unit
+(** Empty the warm LP front's cache: the next front of every LP solves
+    cold. *)

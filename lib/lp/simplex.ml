@@ -37,7 +37,8 @@ type state = {
   n : int;
   a0 : float array array;     (* m x n original structural coefficients;
                                  never written *)
-  rhs : float array;
+  rhs : float array;          (* owned by the state: {!resolve_rhs}
+                                 overwrites it *)
   slack_lo : float array;     (* slack bounds encode the row sense *)
   slack_hi : float array;
   obj : float array;          (* n, maximization sense *)
@@ -308,11 +309,16 @@ let run_phase t =
   let iterations = ref 0 in
   let bland_threshold = (max_iterations / 2) + 100 in
   let reduced = t.reduced in
+  (* A bound flip moves no column in or out of the basis and leaves the
+     tableau and costs alone, so the reduced costs it leaves are still
+     exact; only a pivot makes them stale. *)
+  let stale = ref true in
   let finished = ref None in
   while !finished = None do
     if !iterations >= max_iterations then finished := Some `Limit
     else begin
-      compute_reduced t;
+      if !stale then compute_reduced t;
+      stale := false;
       (* Entering variable. A fixed column (lo = hi) cannot move, so it
          never enters: its only possible step is a zero-length flip. *)
       let use_bland = !iterations > bland_threshold in
@@ -408,7 +414,8 @@ let run_phase t =
             t.is_basic.(j) <- true;
             t.basis.(r) <- j;
             (* The ratio test only admits |a.(r).(j)| > eps_pivot. *)
-            pivot t r j
+            pivot t r j;
+            stale := true
           end;
           incr iterations
         end
@@ -729,7 +736,7 @@ let start_dense ?max_iterations ~rows ~senses ~rhs ~maximize ~objective ~lower
      || Array.exists (fun r -> Array.length r <> n) rows
   then invalid_arg "Simplex.start_dense: row, sense and rhs shapes differ";
   let t =
-    make ?max_iterations ~src:(Box (lower, upper)) ~a0:rows ~rhs ~senses
+    make ?max_iterations ~src:(Box (lower, upper)) ~a0:rows ~rhs:(Array.copy rhs) ~senses
       ~obj:(if maximize then Array.copy objective else Array.map Float.neg objective)
       ~obj_sign:(if maximize then 1.0 else -1.0)
       n
@@ -839,6 +846,44 @@ let resolve ?from t =
               | `Limit, k2 -> fallback (k0 + k1 + k2)))
   in
   record sol
+
+(* x_B = B^-1·(b - N·x_N) is linear in b and nonbasic values do not
+   move with it, so new right-hand sides shift the basic values by
+   B^-1·Δb, with B^-1 read off the slack block. The artificials a cold
+   start appended are pinned at zero first: a phase 1 that stopped short
+   leaves them basic at positive values, and the dual simplex must drive
+   them out rather than take them for a feasible point. *)
+let resolve_rhs t rhs =
+  if Array.length rhs <> t.m then
+    invalid_arg "Simplex.resolve_rhs: rhs length differs from the row count";
+  if t.loaded then begin
+    let n = t.n and m = t.m in
+    for j = n + m to t.ncols - 1 do
+      t.lo.(j) <- 0.0;
+      t.hi.(j) <- 0.0;
+      if not t.is_basic.(j) then begin
+        t.at_upper.(j) <- false;
+        t.xval.(j) <- 0.0
+      end
+    done;
+    for i = 0 to m - 1 do
+      t.resid.(i) <- rhs.(i) -. t.rhs.(i)
+    done;
+    for k = 0 to m - 1 do
+      let row = t.a.(k) in
+      let s = ref 0.0 in
+      for i = 0 to m - 1 do
+        let d = t.resid.(i) in
+        if d <> 0.0 then s := !s +. (row.(n + i) *. d)
+      done;
+      if !s <> 0.0 then begin
+        let b = t.basis.(k) in
+        t.xval.(b) <- t.xval.(b) +. !s
+      end
+    done
+  end;
+  Array.blit rhs 0 t.rhs 0 t.m;
+  resolve t
 
 let stats t =
   {

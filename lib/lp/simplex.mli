@@ -70,8 +70,9 @@ val start_dense :
     are used in place as the state's original coefficients: they are
     never copied or written, so a caller holding dense coefficient
     vectors (one per constraint, as PaQL's compiled atoms do) builds no
-    per-term lists and no model. The state has no model behind it, so
-    its bounds never move and {!resolve} only re-optimises in place.
+    per-term lists and no model. [rhs] is copied. The state has no model
+    behind it, so its bounds never move: {!resolve} only re-optimises in
+    place, and {!resolve_rhs} re-solves it for new right-hand sides.
     Raises [Invalid_argument] when the shapes disagree. *)
 
 (** {2 Dual certificates} *)
@@ -118,6 +119,18 @@ val resolve : ?from:basis -> state -> solution
 
     The returned [x] is a buffer owned by the state: the next [resolve]
     overwrites it. *)
+
+val resolve_rhs : state -> float array -> solution
+(** [resolve_rhs st rhs] replaces the state's right-hand sides by [rhs]
+    (one per row, model order) and re-solves like {!resolve} without
+    [from]. The basic values move by [B^-1·Δb] ([O(m^2)], read off the
+    tableau), the basis stays, and the dual simplex repairs what the move
+    left outside its bounds: a right-hand-side change keeps an optimal
+    basis dual feasible, so this is usually a few pivots where a cold
+    solve takes dozens. Whatever basis the state held, the answer has
+    {!resolve}'s guarantees, and a later cold fallback uses the new
+    right-hand sides. Raises [Invalid_argument] when [rhs] has the wrong
+    length. *)
 
 val basis : state -> basis
 (** Snapshot the basis the tableau holds now. *)

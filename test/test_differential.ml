@@ -511,6 +511,144 @@ let prop_front_refuses_decoys =
            (match sr.objective with Some v -> string_of_float v | None -> "-")
            (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) sr.stats)))
 
+(* ---- warm LP front vs a cold one ------------------------------------- *)
+
+(* An exploration session over one table: a base query, then tweaks that
+   move only right-hand sides (the COUNT window and the SUM(P.a) cap),
+   so every query after the first finds the previous one's basis in the
+   front's cache. *)
+type session = { table : (int * int) array; steps : (int * int * int) list; smax : bool }
+
+let session_gen =
+  let open Gen in
+  let* n = int_range 40 480 in
+  let* table = array_repeat n (pair (int_range 1 50) (int_range 0 200)) in
+  let* steps = list_repeat 5 (triple (int_range 1 6) (int_range 1 6) (int_range 3 160)) in
+  let* smax = bool in
+  return { table; steps = List.map (fun (lo, span, cap) -> (lo, lo + span, cap)) steps; smax }
+
+let session_query s (lo, hi, cap) =
+  Printf.sprintf
+    "SELECT PACKAGE(R) AS P FROM t R SUCH THAT COUNT(*) BETWEEN %d AND %d AND \
+     SUM(P.a) <= %d %s SUM(P.b)"
+    lo hi cap (if s.smax then "MAXIMIZE" else "MINIMIZE")
+
+let print_session s =
+  Printf.sprintf "%d rows: %s" (Array.length s.table)
+    (String.concat " | " (List.map (session_query s) s.steps))
+
+let session_coeffs s =
+  let db = db_of { rows = Array.to_list s.table; k = 1; bound = None; dir = NoObj } in
+  (db, List.map (fun step -> Pb_core.Coeffs.make db (Parser.parse (session_query s step))) s.steps)
+
+let front_warm_total () =
+  Pb_obs.Metrics.counter_value (Pb_obs.Metrics.counter "pb_engine_lp_front_warm_total")
+
+let sr_default db c =
+  Engine.run_coeffs ~gov:(Pb_util.Gov.unlimited ())
+    ~strategy:(Engine.Sketch_refine Pb_core.Sketch_refine.default_params)
+    db c
+
+(* A cold answer: the front's cache emptied first. *)
+let sr_cold db c =
+  Pb_core.Sketch_refine.forget_warm_fronts ();
+  sr_default db c
+
+let show_result (r : Engine.result) =
+  Printf.sprintf "%s %s" (Engine.proof_to_string r.proof)
+    (match r.objective with Some v -> string_of_float v | None -> "-")
+
+(* The session runs once in order through the warm front, then query by
+   query through a fresh cold front: objective and proof must agree, and
+   every package must be valid (the package itself may be another
+   optimal vertex's). *)
+let prop_warm_front_matches_cold =
+  QCheck.Test.make ~count:10 ~long_factor:5
+    ~name:"sketch-refine warm LP front = a cold front per query"
+    (QCheck.make ~print:print_session session_gen)
+    (fun s ->
+      let db, coeffs = session_coeffs s in
+      Pb_core.Sketch_refine.forget_warm_fronts ();
+      let hits0 = front_warm_total () in
+      let warm = List.map (sr_default db) coeffs in
+      let hits = front_warm_total () - hits0 in
+      let cold = List.map (sr_cold db) coeffs in
+      if hits <> List.length coeffs - 1 then
+        QCheck.Test.fail_reportf "%d warm fronts in a session of %d queries" hits
+          (List.length coeffs);
+      List.iteri
+        (fun i ((c : Pb_core.Coeffs.t), ((w : Engine.result), (k : Engine.result))) ->
+          (match w.package with
+          | Some pkg when not (Pb_core.Coeffs.check c pkg) ->
+              QCheck.Test.fail_reportf "query %d: warm package violates a constraint" i
+          | _ -> ());
+          if w.proof <> k.proof || not (objectives_agree w k) then
+            QCheck.Test.fail_reportf "query %d: warm %s, cold %s" i (show_result w)
+              (show_result k);
+          (* Both LPs end on an optimal basis, whose bound is the LP
+             optimum. *)
+          let lp_bound (r : Engine.result) = List.assoc_opt "lp_bound" r.stats in
+          if lp_bound w <> lp_bound k then
+            QCheck.Test.fail_reportf "query %d: warm LP bound %s, cold %s" i
+              (Option.value ~default:"-" (lp_bound w))
+              (Option.value ~default:"-" (lp_bound k)))
+        (List.combine coeffs (List.combine warm cold));
+      true)
+
+(* Two domains run queries of one LP at once, so they contend for the
+   same cached state: a state is checked out to one query at a time,
+   and every answer must equal its cold one. *)
+let test_warm_front_concurrent () =
+  let rng = Random.State.make [| 19 |] in
+  let s =
+    {
+      table = Array.init 3000 (fun _ -> (1 + Random.State.int rng 50, Random.State.int rng 200));
+      steps = List.init 12 (fun i -> (1 + (i mod 4), 3 + (i mod 4), 20 + (11 * i)));
+      smax = true;
+    }
+  in
+  let db, coeffs = session_coeffs s in
+  let coeffs = Array.of_list coeffs in
+  let cold = Array.map (sr_cold db) coeffs in
+  let run_all order () =
+    List.map
+      (fun i ->
+        let out =
+          Pb_par.Pool.with_pool 1 (fun pool ->
+              Pb_core.Sketch_refine.search ~params:Pb_core.Sketch_refine.default_params ~pool
+                ~gov:(Pb_util.Gov.unlimited ()) coeffs.(i))
+        in
+        (i, out))
+      order
+  in
+  let order = List.init (Array.length coeffs) Fun.id in
+  let answers =
+    List.concat_map Domain.join
+      [
+        Domain.spawn (run_all (order @ order));
+        Domain.spawn (run_all (List.rev order @ List.rev order));
+      ]
+  in
+  List.iter
+    (fun (i, (out : Pb_core.Sketch_refine.outcome)) ->
+      let k = cold.(i) in
+      let label = Printf.sprintf "query %d" i in
+      (match out.best with
+      | Some pkg ->
+          Alcotest.(check bool) (label ^ ": package valid") true (Pb_core.Coeffs.check coeffs.(i) pkg)
+      | None -> ());
+      Alcotest.(check bool) (label ^ ": proven like the cold run") (k.proof <> Engine.Feasible)
+        out.proven_optimal;
+      Alcotest.(check bool) (label ^ ": package iff the cold run has one") (k.package <> None)
+        (out.best <> None);
+      Alcotest.(check (option string))
+        (label ^ ": LP bound") (List.assoc_opt "lp_bound" k.stats)
+        (Option.map (Printf.sprintf "%.9g") out.lp_bound);
+      match (out.best_objective, k.objective) with
+      | Some w, Some c -> Alcotest.(check (float 1e-6)) (label ^ ": objective") c w
+      | _ -> ())
+    answers
+
 (* ---- compiled expression evaluation vs the interpreter ---------------- *)
 
 (* Random expressions over a schema with qualified columns (so suffix and
@@ -695,6 +833,10 @@ let suite =
       prop_gov_never_better;
       prop_sketch_refine_valid; prop_sketch_refine_gap;
       prop_pipeline_valid; prop_pipeline_gap; prop_search_finds_a_package;
-      prop_front_matches_ilp; prop_front_refuses_decoys;
+      prop_front_matches_ilp; prop_front_refuses_decoys; prop_warm_front_matches_cold;
       prop_compiled_eq_interpreted; prop_like_compiled;
+    ]
+  @ [
+      Alcotest.test_case "warm LP front under two domains = cold answers" `Quick
+        test_warm_front_concurrent;
     ]

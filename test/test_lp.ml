@@ -569,6 +569,52 @@ let test_warm_start_counters () =
   Alcotest.(check bool) "fallbacks are rare" true
     (100 * (value "pb_lp_cold_fallbacks_total" - fallbacks0) <= warm)
 
+(* REPEAT-style [0, k] columns under a few knapsack rows, where the
+   primal simplex's ratio test can end in a bound flip. *)
+let repeat_model seed =
+  let rng = Prng.create seed in
+  let n = 12 + Prng.int rng 12 and k = Prng.int_in rng 1 4 in
+  let m = Model.create () in
+  let vars =
+    Array.init n (fun i ->
+        Model.add_var m ~integer:true ~upper:(float_of_int k) (Printf.sprintf "v%d" i))
+  in
+  for _ = 1 to Prng.int_in rng 2 4 do
+    let coefs = Array.init n (fun _ -> float_of_int (Prng.int_in rng 1 30)) in
+    let rhs = float_of_int (Prng.int_in rng (n * k) (6 * n * k)) +. 0.5 in
+    Model.add_constr m
+      (Array.to_list (Array.mapi (fun i c -> (c, vars.(i))) coefs))
+      Model.Le rhs
+  done;
+  let values = Array.init n (fun _ -> float_of_int (Prng.int_in rng 1 40)) in
+  Model.set_objective m
+    (Model.Maximize (Array.to_list (Array.mapi (fun i c -> (c, vars.(i))) values)));
+  m
+
+(* Branch-and-bound node and pivot counts on a fixed set of models,
+   recorded from a solver that recomputed the reduced costs after every
+   bound flip. A flip leaves them bit-identical, so skipping that
+   recompute must not move a single pivot; any change to the pivot
+   sequence or the search shows up here. *)
+let test_milp_counts_pinned () =
+  let models =
+    [ hard_knapsack 12; hard_knapsack 16 ]
+    @ List.init 8 (fun s -> repeat_model (s + 1))
+    @ List.init 6 (fun s -> random_lp (Prng.create (100 + s)))
+  in
+  let pinned =
+    [ (2027, 2868); (1885, 2870); (215, 418); (111, 339); (41, 107); (55, 153);
+      (25, 79); (23, 59); (67, 159); (85, 218); (3000, 6609); (3000, 6650);
+      (661, 1366); (3000, 6917); (3000, 11220); (1917, 7430) ]
+  in
+  List.iteri
+    (fun i (m, (nodes, pivots)) ->
+      let s = Milp.solve ~gov:(Pb_util.Gov.create ~milp_nodes:3000 ()) m in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "model %d: nodes, pivots" i)
+        (nodes, pivots) (s.Milp.nodes, s.Milp.lp_iterations))
+    (List.combine models pinned)
+
 (* The dual certificate behind SketchRefine's LP front, on small
    bounded models with columns in [0, k] and mixed row senses: from the
    final basis, L(y) bounds every feasible integer point, equals the LP
@@ -661,6 +707,66 @@ let prop_dual_certificate =
         !ok
       end)
 
+(* SketchRefine's warm LP front: a dense LP re-solved from its previous
+   basis under a sequence of right-hand-side changes, some of them
+   infeasible, must answer like a cold solve of the same LP each time:
+   the same status and the same optimum. The warm basis's dual bound is
+   still a bound on that optimum. *)
+let prop_rhs_warm_matches_cold =
+  QCheck.Test.make ~count:150 ~long_factor:20
+    ~name:"simplex: right-hand-side re-solve = cold solve, sound dual bound"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Prng.create seed in
+      let n = Prng.int_in rng 2 30 and m = Prng.int_in rng 1 5 in
+      let k = float_of_int (Prng.int_in rng 1 3) in
+      let rows =
+        Array.init m (fun _ ->
+            Array.init n (fun _ ->
+                if Prng.int rng 4 = 0 then 0.0 else float_of_int (Prng.int_in rng (-5) 20)))
+      in
+      let senses =
+        Array.init m (fun _ ->
+            match Prng.int rng 4 with 0 -> Model.Ge | 1 -> Model.Eq | _ -> Model.Le)
+      in
+      (* Right-hand sides around the row's value at a random point of the
+         box, pushed past the row's reach now and then. *)
+      let draw_rhs () =
+        let point = Array.init n (fun _ -> Prng.float_in rng 0.0 k) in
+        Array.map
+          (fun row ->
+            let v = ref 0.0 in
+            Array.iteri (fun j c -> v := !v +. (c *. point.(j))) row;
+            let far = if Prng.int rng 5 = 0 then Prng.int_in rng (-2000) 2000 else 0 in
+            Float.round !v +. float_of_int (Prng.int_in rng (-6) 6 + far))
+          rows
+      in
+      let objective = Array.init n (fun _ -> float_of_int (Prng.int_in rng (-9) 9)) in
+      let maximize = Prng.bool rng in
+      let own v = if maximize then v else -.v in
+      let solve_cold rhs =
+        Simplex.start_dense ~rows ~senses ~rhs ~maximize ~objective ~lower:0.0 ~upper:k ()
+      in
+      let st, _ = solve_cold (draw_rhs ()) in
+      for step = 1 to 6 do
+        let rhs = draw_rhs () in
+        let warm = Simplex.resolve_rhs st rhs in
+        let _, cold = solve_cold rhs in
+        let tol = 1e-6 *. (1.0 +. Float.abs cold.Simplex.objective) in
+        if warm.Simplex.status <> cold.Simplex.status then
+          QCheck.Test.fail_reportf "step %d: warm and cold statuses differ" step;
+        if cold.Simplex.status = Simplex.Optimal then begin
+          if Float.abs (warm.Simplex.objective -. cold.Simplex.objective) > tol then
+            QCheck.Test.fail_reportf "step %d: warm optimum %.17g, cold %.17g" step
+              warm.Simplex.objective cold.Simplex.objective;
+          let bound = (Simplex.dual_bound st).Simplex.value in
+          if bound < own cold.Simplex.objective -. tol then
+            QCheck.Test.fail_reportf "step %d: warm dual bound %.17g below the optimum %.17g"
+              step bound (own cold.Simplex.objective)
+        end
+      done;
+      true)
+
 let suite =
   [
     Alcotest.test_case "lp basic" `Quick test_lp_basic;
@@ -693,6 +799,8 @@ let suite =
       test_fixed_columns_never_enter;
     Alcotest.test_case "milp warm-start counters" `Quick
       test_warm_start_counters;
+    Alcotest.test_case "milp node and pivot counts pinned" `Quick
+      test_milp_counts_pinned;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
@@ -700,4 +808,5 @@ let suite =
         prop_milp_matches_enumeration;
         prop_solve_all_ranks_enumeration;
         prop_dual_certificate;
+        prop_rhs_warm_matches_cold;
       ]

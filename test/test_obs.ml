@@ -366,6 +366,30 @@ let test_explain_analyze_front () =
       "lp_bound=";
     ]
 
+(* A query that moves one right-hand side of the previous one re-solves
+   the front's LP warm: the span counts it, and so does the counter. *)
+let test_explain_analyze_warm_front () =
+  let st = Pb_shell.Repl.create (demo_db ()) in
+  ignore (Pb_shell.Repl.handle st "\\strategy sketch-refine");
+  ignore (Pb_shell.Repl.handle st meal_query);
+  let tweaked =
+    "SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free' SUCH THAT \
+     COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2600 MAXIMIZE \
+     SUM(P.protein)"
+  in
+  let out =
+    (Pb_shell.Repl.handle st ("\\explain analyze " ^ tweaked)).Pb_shell.Repl.output
+  in
+  let span =
+    List.find_opt
+      (fun l -> contains "sketch-refine.lp" l)
+      (String.split_on_char '\n' out)
+  in
+  Alcotest.(check bool) "sketch-refine.lp span counts a warm LP" true
+    (match span with Some l -> contains "warm=1" l | None -> false);
+  Alcotest.(check bool) "warm front counter moved" true
+    (contains "pb_engine_lp_front_warm_total +1" out)
+
 let test_explain_analyze_bad_query () =
   let st = Pb_shell.Repl.create (demo_db ()) in
   let reaction = Pb_shell.Repl.handle st "\\explain analyze SELECT PACKAGE(" in
@@ -779,4 +803,5 @@ let suite =
      test_progress_capacity_and_nesting);
     ("progress gap and rendering format.", `Quick, test_progress_rendering);
     ("http server GET/404/405/500.", `Quick, test_http_server);
+    ("EXPLAIN ANALYZE shows a warm LP front.", `Quick, test_explain_analyze_warm_front);
   ]
