@@ -7,8 +7,9 @@
      dune exec bench/main.exe -- --exp T3     -- one experiment
      dune exec bench/main.exe -- --quick      -- reduced sweeps
      dune exec bench/main.exe -- --bechamel   -- micro-benchmarks
-     dune exec bench/main.exe -- --sql        -- SQL compile-vs-interpret
-                                                 suite; writes --sql-json
+     dune exec bench/main.exe -- --sql        -- SQL row engine, storage
+                                                 and plan cache suite;
+                                                 writes --sql-json
                                                  (default BENCH_sql.json)
      dune exec bench/main.exe -- --paql-scale -- SketchRefine vs whole-
                                                  relation ILP over 10k..1M
@@ -668,15 +669,15 @@ let exp_a1 () =
            f.destination = h.destination AND f.is_flight = 1 AND h.is_hotel \
            = 1 AND f.price + h.price <= 2500"
       in
-      let eval schema row e = Pb_sql.Executor.eval_expr ~db schema row e in
+      let compile = Pb_sql.Executor.compile db in
       let (planned, stats), planned_t =
         Stats.timeit (fun () ->
-            Pb_sql.Planner.execute db ~eval ~from:q.Pb_sql.Ast.from
+            Pb_sql.Planner.execute db ~compile ~from:q.Pb_sql.Ast.from
               ~where:q.Pb_sql.Ast.where)
       in
       let naive, naive_t =
         Stats.timeit (fun () ->
-            Pb_sql.Planner.naive db ~eval ~from:q.Pb_sql.Ast.from
+            Pb_sql.Planner.naive db ~compile ~from:q.Pb_sql.Ast.from
               ~where:q.Pb_sql.Ast.where)
       in
       assert (
@@ -988,14 +989,14 @@ let micro_benchmarks () =
 
 let sql_json_out = ref "BENCH_sql.json"
 
-(* Four hot paths of the SQL layer, each timed with expression compilation
-   off (tree-walking interpreter) and on (pre-resolved closures), plus the
-   prepared-plan cache cold vs warm. Medians of repeated runs after one
-   warm-up; results land in a table and in --sql-json (BENCH_sql.json). *)
+(* Three hot paths of the row engine's compiled closures, the row vs
+   columnar storage engines, tracing overhead, and the prepared-plan
+   cache cold vs warm. Medians of repeated runs after one warm-up; results
+   land in a table and in --sql-json (BENCH_sql.json). *)
 let sql_bench () =
-  header "SQL" "expression compilation: interpreted vs compiled hot paths"
+  header "SQL" "row engine hot paths, storage engines, plan cache"
     "perf substrate (DESIGN.md): one-pass expr->closure compilation, \
-     memoized schema resolution, and the server-side prepared-plan cache";
+     columnar batch kernels, and the server-side prepared-plan cache";
   let median_time ?(repeat = 5) f =
     ignore (f ());
     let ts =
@@ -1003,29 +1004,23 @@ let sql_bench () =
     in
     List.nth ts (repeat / 2)
   in
-  (* (case, [metric name, seconds], speedup) *)
-  let results : (string * (string * float) list * float) list ref = ref [] in
-  let was_enabled = Pb_sql.Compile.is_enabled () in
-  let was_mode = Pb_store.Mode.current () in
-  (* The interpreted-vs-compiled duels measure the row engine; pin row
-     storage so the columnar fast path doesn't short-circuit both sides. *)
-  Pb_store.Mode.set Pb_store.Mode.Row;
-  let duel name ?repeat f =
-    Pb_sql.Compile.set_enabled false;
-    let interp = median_time ?repeat f in
-    Pb_sql.Compile.set_enabled true;
-    let compiled = median_time ?repeat f in
-    let speedup = interp /. Float.max 1e-9 compiled in
-    results :=
-      (name, [ ("interpreted_s", interp); ("compiled_s", compiled) ], speedup)
-      :: !results
+  (* (case, [metric name, seconds], speedup of the first metric over the
+     second, when there are two) *)
+  let results : (string * (string * float) list * float option) list ref =
+    ref []
   in
-  (* Row-vs-columnar duels: the row side keeps expression compilation on
-     (the row engine at its best), the columnar side runs the batch
-     kernels. The warm-up call inside [median_time] builds the columnar
-     image, so timings exclude the one-off conversion. *)
+  let was_mode = Pb_store.Mode.current () in
+  (* The row-engine cases measure the compiled closures; pin row storage
+     so the columnar fast path doesn't answer them. *)
+  Pb_store.Mode.set Pb_store.Mode.Row;
+  let row_case name ?repeat f =
+    results := (name, [ ("compiled_s", median_time ?repeat f) ], None) :: !results
+  in
+  (* Row-vs-columnar duels: the row side runs the compiled closures, the
+     columnar side the batch kernels. The warm-up call inside
+     [median_time] builds the columnar image, so timings exclude the
+     one-off conversion. *)
   let store_duel name ?repeat f =
-    Pb_sql.Compile.set_enabled true;
     Pb_store.Mode.set Pb_store.Mode.Row;
     let row = median_time ?repeat f in
     Pb_store.Mode.set Pb_store.Mode.Columnar;
@@ -1033,12 +1028,13 @@ let sql_bench () =
     Pb_store.Mode.set Pb_store.Mode.Row;
     let speedup = row /. Float.max 1e-9 columnar in
     results :=
-      (name, [ ("row_s", row); ("columnar_s", columnar) ], speedup) :: !results
+      (name, [ ("row_s", row); ("columnar_s", columnar) ], Some speedup)
+      :: !results
   in
   let scan_n = if !quick then 4000 else 20_000 in
   let db = recipes_db scan_n in
   (* expression-heavy single-table predicate: arithmetic, OR, LIKE *)
-  duel "filter_scan" (fun () ->
+  row_case "filter_scan" (fun () ->
       ignore
         (Pb_sql.Executor.execute_sql db
            "SELECT id FROM recipes WHERE calories * 2 + protein - fat > 420 \
@@ -1073,7 +1069,7 @@ let sql_bench () =
     in
     Pb_sql.Database.put jdb "meals" (R.create narrow_schema rows)
   in
-  duel "three_way_ineq_join" ~repeat:3 (fun () ->
+  row_case "three_way_ineq_join" ~repeat:3 (fun () ->
       ignore
         (Pb_sql.Executor.execute_sql jdb
            "SELECT a.id, b.id, c.id FROM meals a, meals b, meals c WHERE \
@@ -1081,7 +1077,7 @@ let sql_bench () =
             - b.fat) * 3 - abs(b.fat - c.fat) > -90000 AND b.protein < \
             c.protein AND a.cost + b.cost + c.cost < 18.0 AND a.calories < \
             b.calories"));
-  duel "grouped_aggregate" (fun () ->
+  row_case "grouped_aggregate" (fun () ->
       ignore
         (Pb_sql.Executor.execute_sql db
            "SELECT cuisine, COUNT(*), SUM(calories), AVG(cost) FROM recipes \
@@ -1150,9 +1146,8 @@ let sql_bench () =
   results :=
     ( "filter_scan_trace_store",
       [ ("traced_s", traced); ("untraced_s", untraced) ],
-      traced /. Float.max 1e-9 untraced )
+      Some (traced /. Float.max 1e-9 untraced) )
     :: !results;
-  Pb_sql.Compile.set_enabled was_enabled;
   (* prepared-statement repetition on a small table, so lex/parse/compile
      dominates execution: cold clears the plan cache before every request,
      warm reuses the cached (AST, closure memo) entry *)
@@ -1187,7 +1182,7 @@ let sql_bench () =
   results :=
     ( Printf.sprintf "prepared_repeat_x%d" reps,
       [ ("cold_s", cold); ("warm_s", warm) ],
-      cold /. Float.max 1e-9 warm )
+      Some (cold /. Float.max 1e-9 warm) )
     :: !results;
   Pb_store.Mode.set was_mode;
   let results = List.rev !results in
@@ -1196,12 +1191,13 @@ let sql_bench () =
     ~header:[ "case"; "baseline"; "time"; "optimized"; "time"; "speedup" ]
     (List.map
        (fun (name, metrics, speedup) ->
-         match metrics with
-         | [ (bl, bv); (ol, ov) ] ->
+         match (metrics, speedup) with
+         | [ (bl, bv); (ol, ov) ], Some speedup ->
              [
                name; bl; fmt_seconds bv; ol; fmt_seconds ov;
                Printf.sprintf "%.1fx" speedup;
              ]
+         | [ (ol, ov) ], _ -> [ name; ""; ""; ol; fmt_seconds ov; "" ]
          | _ -> [ name; "?"; "?"; "?"; "?"; "?" ])
        results);
   let oc = open_out !sql_json_out in
@@ -1213,20 +1209,22 @@ let sql_bench () =
     (String.concat ",\n"
        (List.map
           (fun (name, metrics, speedup) ->
-            Printf.sprintf "{\"name\":\"%s\",%s,\"speedup\":%s}"
-              (json_escape name)
+            Printf.sprintf "{\"name\":\"%s\",%s%s}" (json_escape name)
               (String.concat ","
                  (List.map
                     (fun (k, v) -> Printf.sprintf "\"%s\":%s" k (json_num v))
                     metrics))
-              (json_num speedup))
+              (match speedup with
+              | Some x -> ",\"speedup\":" ^ json_num x
+              | None -> ""))
           results));
   close_out oc;
   Printf.printf "sql bench results written to %s\n" !sql_json_out;
   print_endline
-    "shape check: compiled closures beat the interpreter most where the\n\
-     same expression runs over many rows (scan, inequality join); the plan\n\
-     cache removes lex/parse/compile entirely from repeated statements."
+    "shape check: the columnar kernels beat the row engine's compiled\n\
+     closures on scans and grouped aggregates, most on duplicate-heavy\n\
+     tables; the plan cache removes lex/parse/compile entirely from\n\
+     repeated statements."
 
 (* ---- S1: SketchRefine scaling over synthetic candidate relations -------- *)
 

@@ -66,14 +66,31 @@ if ! QCHECK_SEED=20260806 QCHECK_LONG=1 ./_build/default/test/test_main.exe \
   exit 1
 fi
 
+# SQL print/parse fixpoint: the sql suite's property at a fixed seed
+# with QCHECK_LONG's larger counts — every generated statement printed
+# and parsed back is the same tree, and printing it again gives the same
+# text (the router forwards statements to shards as printed text, so
+# float digits and quotes must survive).
+echo "== SQL print/parse fixpoint (long qcheck counts) =="
+if ! QCHECK_SEED=20260806 QCHECK_LONG=1 ./_build/default/test/test_main.exe \
+  test sql >_build/ci/sql_long.txt 2>&1; then
+  echo "CI FAIL: sql suite failed at QCHECK_SEED=20260806"
+  tail -n 40 _build/ci/sql_long.txt
+  exit 1
+fi
+
 # Strategy differential: the differential suite's properties at a fixed
 # seed with QCHECK_LONG's larger counts — exact strategies = brute force,
 # SketchRefine (the strategy with its LP front, and the partition/
 # sketch/refine pipeline alone) returns valid packages with sound proofs,
 # bounds and gaps, never ends empty-handed on a feasible query, and its
 # front's proofs match whole-relation ILP on tables past the front's
-# kept-column count.
-echo "== strategy differential (SketchRefine front and pipeline, long qcheck counts) =="
+# kept-column count; and the compiled row and group closures equal the
+# test oracle's tree-walking interpreter ("compiled expression ==
+# interpreter", "compiled group expression == interpreter": empty groups,
+# NULLs, type errors with equal error text, aggregates in CASE branches
+# not taken).
+echo "== strategy differential (SketchRefine, compiled vs interpreter, long qcheck counts) =="
 if ! QCHECK_SEED=20260806 QCHECK_LONG=1 ./_build/default/test/test_main.exe \
   test differential >_build/ci/differential_long.txt 2>&1; then
   echo "CI FAIL: strategy differential suite failed at QCHECK_SEED=20260806"

@@ -49,13 +49,9 @@ type t = {
 let tuple_values_of ?batch ~pkg_schema ~rows expr =
   let by_rows () =
     (* One compile per aggregate argument, one closure call per tuple. No
-       db in the fallback: validation arguments are row-local (a subquery
-       here errors identically to the old interpreter call). *)
-    let eval_row =
-      Pb_sql.Compile.expr
-        ~fallback:(fun row e -> Pb_sql.Executor.eval_expr pkg_schema row e)
-        pkg_schema expr
-    in
+       database: validation arguments are row-local, and a subquery here
+       raises its "requires a database context" error. *)
+    let eval_row = Pb_sql.Compile.expr pkg_schema expr in
     Array.map
       (fun row ->
         match Value.to_float (eval_row row) with
@@ -71,7 +67,7 @@ let tuple_values_of ?batch ~pkg_schema ~rows expr =
      extraction is the hot loop of [make] on large inputs). Kernel floats
      are the same float image the row path computes, so the vectors are
      bit-identical; the kernel bails (e.g. string-valued arguments,
-     subqueries) back to the per-row interpreter. *)
+     subqueries) back to the per-row closure. *)
   match batch with
   | Some b -> (
       match Semantics.batch_values b ~schema:pkg_schema expr with

@@ -64,19 +64,23 @@ let pick_axes (q : Ast.t) =
   in
   (x, y)
 
-let project db axes pkg =
-  let eval expr =
-    let materialized = Package.materialize pkg in
-    let schema = Pb_relation.Relation.schema materialized in
-    let group = Pb_relation.Relation.to_list materialized in
-    match
-      Value.to_float (Pb_sql.Executor.eval_agg_expr ~db schema group expr)
-    with
-    | Some v -> v
-    | None -> 0.0
+(* Both axes are compiled once, against the package schema, and applied
+   to each package's rows as one group. *)
+let projector db (q : Ast.t) candidates (x, y) =
+  let schema =
+    Pb_relation.Schema.qualify q.package_alias
+      (Pb_relation.Relation.schema candidates)
   in
-  let x, y = axes in
-  (eval x.expr, eval y.expr)
+  let axis a =
+    let f =
+      Pb_sql.Compile.group ~select:(Pb_sql.Executor.select db) schema a.expr
+    in
+    fun rows -> Option.value (Value.to_float (f rows)) ~default:0.0
+  in
+  let fx = axis x and fy = axis y in
+  fun pkg ->
+    let rows = Pb_relation.Relation.rows (Package.materialize pkg) in
+    (fx rows, fy rows)
 
 let build ?(max_packages = 2000) ?current db (q : Ast.t) =
   let axes = pick_axes q in
@@ -85,10 +89,11 @@ let build ?(max_packages = 2000) ?current db (q : Ast.t) =
     Pb_core.Brute_force.enumerate_valid ~limit:max_packages coeffs
   in
   let complete = List.length packages < max_packages in
+  let project = projector db q coeffs.Pb_core.Coeffs.candidates axes in
   {
     axes;
-    points = List.map (project db axes) packages;
-    current = Option.map (project db axes) current;
+    points = List.map project packages;
+    current = Option.map project current;
     complete;
   }
 

@@ -42,20 +42,21 @@ let gather table stored sel =
   (positions, rows)
 
 let candidates_batch db (q : Ast.t) =
+  let module C = Pb_sql.Columnar in
   if not (Pb_store.Mode.columnar ()) then None
   else
     match Pb_sql.Database.find db q.input_relation with
-    | None -> None (* let [candidates] raise its usual error *)
+    | None -> C.bail C.Missing_table (* let [candidates] raise its usual error *)
     | Some rel -> (
         let table = Pb_sql.Database.columnar db q.input_relation rel in
         let schema = Schema.qualify q.input_alias (Relation.schema rel) in
         let sel =
           match q.where with
           | None -> Some (Bytes.make (Table.distinct table) '\001')
-          | Some pred ->
-              Option.map
-                (Pb_sql.Columnar.selection table)
-                (Pb_sql.Columnar.bool_kernel schema table pred)
+          | Some pred -> (
+              match C.bool_kernel schema table pred with
+              | Some k -> Some (C.selection table k)
+              | None -> C.bail C.Predicate)
         in
         Option.map
           (fun sel ->
@@ -115,12 +116,9 @@ let candidates db (q : Ast.t) =
       | Some pred ->
           let schema = Relation.schema qualified in
           (* The base predicate runs once per input tuple: compile it,
-             keeping the interpreter (with db, for subqueries) as
-             fallback. *)
+             with subqueries answered over [db]. *)
           let pred_fn =
-            Pb_sql.Compile.predicate
-              ~fallback:(fun row e -> Executor.eval_expr ~db schema row e)
-              schema pred
+            Pb_sql.Compile.predicate ~select:(Executor.select db) schema pred
           in
           Relation.filter pred_fn qualified)
 
@@ -131,12 +129,14 @@ let respects_multiplicity (q : Ast.t) pkg =
   let cap = Ast.max_multiplicity q in
   List.for_all (fun i -> Package.multiplicity pkg i <= cap) (Package.support pkg)
 
+(* The package is one group: the expression is compiled once per
+   validation and applied to the package's rows. *)
 let eval_over_package ?db (q : Ast.t) pkg expr =
   ignore q;
   let materialized = Package.materialize pkg in
-  let schema = Relation.schema materialized in
-  let group = Relation.to_list materialized in
-  Executor.eval_agg_expr ?db schema group expr
+  Pb_sql.Compile.group
+    ?select:(Option.map (fun db -> Executor.select db) db)
+    (Relation.schema materialized) expr (Relation.rows materialized)
 
 let satisfies_global ?db (q : Ast.t) pkg =
   match q.such_that with

@@ -43,6 +43,39 @@ let compare_values a b =
 
 let equal a b = compare_values a b = 0
 
+(* Keys are hashed as value lists directly, with no rendering and no
+   allocation beyond an Int's float image. The hash must be consistent
+   with [equal], which normalizes numerics (Int 3 = Float 3.), so numbers
+   hash as floats; [Hashtbl.hash] already maps -0. to 0. and every NaN to
+   one NaN, as [equal] does. *)
+module Key = struct
+  type nonrec t = t list
+
+  let equal = List.equal equal
+
+  let hash_value = function
+    | Int i -> Hashtbl.hash (float_of_int i)
+    | Float f -> Hashtbl.hash f
+    | v -> Hashtbl.hash v
+
+  let hash values =
+    List.fold_left (fun h v -> (h * 31) + hash_value v) 0 values land max_int
+end
+
+module Key_tbl = Hashtbl.Make (Key)
+
+let float_repr f =
+  let round_trips s =
+    match float_of_string_opt s with
+    | Some g -> Int64.equal (Int64.bits_of_float g) (Int64.bits_of_float f)
+    | None -> false
+  in
+  let s15 = Printf.sprintf "%.15g" f in
+  if round_trips s15 then s15
+  else
+    let s16 = Printf.sprintf "%.16g" f in
+    if round_trips s16 then s16 else Printf.sprintf "%.17g" f
+
 let to_string = function
   | Null -> "NULL"
   | Bool b -> if b then "true" else "false"

@@ -29,6 +29,20 @@ val compare_values : t -> t -> int
 val equal : t -> t -> bool
 (** [compare_values a b = 0]. *)
 
+module Key : Hashtbl.HashedType with type t = t list
+(** Value lists compared by {!equal} (element-wise) and hashed
+    consistently with it: [Int 3] and [Float 3.] are one key, as are
+    [0.] and [-0.], and every NaN; [Int 1] and [Str "1"] are two. The
+    key of hash joins, GROUP BY, DISTINCT and set operations. *)
+
+module Key_tbl : Hashtbl.S with type key = t list
+
+val float_repr : float -> string
+(** The shortest of [%.15g], [%.16g] and [%.17g] that parses back to
+    the same bits (["inf"], ["-inf"] and ["nan"] for non-finite
+    values). Used where a float is written to be read back: persisted
+    tables and SQL text. *)
+
 val to_string : t -> string
 (** Display form: NULL prints as the empty-marker ["NULL"], floats drop a
     trailing [.] when integral. *)

@@ -351,10 +351,10 @@ let command ?gov st name raw_arg =
       match Pb_sql.Parser.parse_select sql with
       | exception Pb_sql.Parser.Parse_error msg -> ok ("sql error: " ^ msg)
       | q -> (
-          let eval schema row e = Pb_sql.Executor.eval_expr ~db:st.db schema row e in
           match
-            Pb_sql.Planner.execute st.db ~eval ~from:q.Pb_sql.Ast.from
-              ~where:q.Pb_sql.Ast.where
+            Pb_sql.Planner.execute st.db
+              ~compile:(Pb_sql.Executor.compile st.db)
+              ~from:q.Pb_sql.Ast.from ~where:q.Pb_sql.Ast.where
           with
           | exception Failure msg -> ok ("plan error: " ^ msg)
           | rel, stats ->

@@ -97,18 +97,39 @@ let binop_precedence = function
   | Add | Sub -> 4
   | Mul | Div -> 5
 
+(* A string literal with embedded quotes doubled, as the lexer reads them. *)
+let quote s = "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
+
+(* A float literal that lexes as a float (never as an INT) and reads back
+   to the same bits; infinities use an exponent that overflows. *)
+let float_literal f =
+  if f = Float.infinity then "1e999"
+  else if f = Float.neg_infinity then "-1e999"
+  else
+    let s = Pb_relation.Value.float_repr f in
+    if String.exists (fun c -> c = '.' || c = 'e' || c = 'n') s then s
+    else s ^ ".0"
+
 let rec expr_to_string_prec prec e =
   let wrap p s = if p < prec then "(" ^ s ^ ")" else s in
   match e with
-  | Lit (Pb_relation.Value.Str s) -> "'" ^ s ^ "'"
+  | Lit (Pb_relation.Value.Str s) -> quote s
+  | Lit (Pb_relation.Value.Float f) -> float_literal f
   | Lit v -> Pb_relation.Value.to_string v
   | Col c -> c
-  | Unary_minus e -> "-" ^ expr_to_string_prec 6 e
-  | Not e -> wrap 2 ("NOT " ^ expr_to_string_prec 3 e)
+  | Unary_minus e ->
+      (* "--" would open a line comment *)
+      let s = expr_to_string_prec 6 e in
+      if String.starts_with ~prefix:"-" s then "-(" ^ s ^ ")" else "-" ^ s
+  | Not e ->
+      (* NOT binds to a primary, so anything looser is parenthesized *)
+      "NOT " ^ expr_to_string_prec 6 e
   | Binop (op, a, b) ->
       let p = binop_precedence op in
+      (* comparisons do not chain: both operands sit one level tighter *)
+      let pa = if p = 3 then p + 1 else p in
       wrap p
-        (expr_to_string_prec p a ^ " " ^ binop_to_string op ^ " "
+        (expr_to_string_prec pa a ^ " " ^ binop_to_string op ^ " "
         ^ expr_to_string_prec (p + 1) b)
   | Between (e, lo, hi) ->
       wrap 3
@@ -132,8 +153,8 @@ let rec expr_to_string_prec prec e =
   | Like (e, pat, neg) ->
       wrap 3
         (expr_to_string_prec 4 e
-        ^ (if neg then " NOT LIKE '" else " LIKE '")
-        ^ pat ^ "'")
+        ^ (if neg then " NOT LIKE " else " LIKE ")
+        ^ quote pat)
   | Agg (Count_star, _) -> "COUNT(*)"
   | Agg (f, Some e) -> agg_to_string f ^ "(" ^ expr_to_string_prec 0 e ^ ")"
   | Agg (f, None) -> agg_to_string f ^ "()"

@@ -11,14 +11,14 @@ module Table = Pb_store.Table
    nothing: any node the vectorized forms cannot reproduce bit-identically
    (subqueries, CASE, mixed-kind comparisons, boxed columns, ...) makes
    [compile] return [None] and the caller falls back to the row
-   interpreter — so a kernel that *does* compile never raises at runtime,
+   engine — so a kernel that *does* compile never raises at runtime,
    which also makes conjunct evaluation order immaterial.
 
    Numerics are computed in 64-bit floats. Int arithmetic and comparisons
    are exact below 2^53 (the row engine's own cross-type comparisons
    already go through the float image); a static [int_valued] flag tracks
    whether the row engine would have produced [Value.Int]s, so aggregate
-   result types match the interpreter's dynamic all-int test.
+   result types match the row engine's dynamic all-int test.
 
    Each kernel node owns its output buffer (get-or-grow, sized to the
    largest chunk seen) and overwrites it on every run, so the hot loops

@@ -5,7 +5,7 @@
     view of the table's schema — column positions must align with the
     table's columns). Compilation is all-or-nothing: it returns [None] for
     any expression whose vectorized evaluation could diverge from the row
-    interpreter (subqueries, CASE, boxed columns, mixed-kind comparisons,
+    engine (subqueries, CASE, boxed columns, mixed-kind comparisons,
     non-literal IN lists, unknown columns or functions), and a kernel that
     does compile never raises — the caller falls back to the row engine on
     [None].

@@ -11,7 +11,7 @@ module Gov = Pb_util.Gov
 (* Columnar fast paths over {!Pb_store.Table} images, driven by the batch
    kernels in {!Batch}. Every entry point is all-or-nothing: it answers
    the statement bit-identically to the row engine or returns [None] and
-   the caller falls back. Bailing is always safe — the row interpreter is
+   the caller falls back. Bailing is always safe — the row engine is
    the oracle — so the bail conditions only have to be conservative, not
    mode-independent. *)
 
@@ -23,6 +23,34 @@ let m_scans =
   Metrics.counter
     ~help:"Columnar scan fast paths taken (planner scans and DML predicates)"
     "pb_store_scans_total"
+
+type bail =
+  | Join
+  | Distinct
+  | Having
+  | Index
+  | Order
+  | Predicate
+  | Group_key
+  | Item
+  | Missing_table
+
+let m_bails =
+  List.map
+    (fun (r, name) ->
+      ( r,
+        Metrics.counter
+          ~help:("Columnar fall-backs to the row evaluator, reason: " ^ name)
+          ("pb_store_bail_" ^ name ^ "_total") ))
+    [
+      (Join, "join"); (Distinct, "distinct"); (Having, "having");
+      (Index, "index"); (Order, "order"); (Predicate, "predicate");
+      (Group_key, "group_key"); (Item, "item"); (Missing_table, "missing_table");
+    ]
+
+let bail r =
+  Metrics.incr (List.assq r m_bails);
+  None
 
 let poll gov i =
   if i land 255 = 0 then Gov.tick_opt ~resource:Gov.Sql_rows gov
@@ -327,7 +355,7 @@ let project_grouped ?gov tbl sel key_idxs plans ~single_group =
   let n = Table.distinct tbl in
   let gids = Array.make n (-1) in
   let key_cols = List.map (Table.col tbl) key_idxs in
-  let seen = Hashtbl.create 64 in
+  let seen = Value.Key_tbl.create 64 in
   let ngroups = ref 0 in
   let reps = ref [] in
   (* Ascending distinct-id order IS first-appearance order over the
@@ -348,15 +376,13 @@ let project_grouped ?gov tbl sel key_idxs plans ~single_group =
           end
           else 0
         else
-          let key =
-            List.map (fun c -> Value.to_string (Column.get c id)) key_cols
-          in
-          match Hashtbl.find_opt seen key with
+          let key = List.map (fun c -> Column.get c id) key_cols in
+          match Value.Key_tbl.find_opt seen key with
           | Some g -> g
           | None ->
               let g = !ngroups in
               incr ngroups;
-              Hashtbl.add seen key g;
+              Value.Key_tbl.add seen key g;
               reps := id :: !reps;
               g
       in
@@ -398,8 +424,8 @@ let project_grouped ?gov tbl sel key_idxs plans ~single_group =
 
 (* ---- ORDER BY / OFFSET / LIMIT ---------------------------------------- *)
 
-(* Only output-column keys vectorize (the row path's [`Src] keys re-enter
-   the interpreter against row provenance, which we don't carry). *)
+(* Only output-column keys vectorize (the row path's [`Src] keys evaluate
+   source expressions against row provenance, which we don't carry). *)
 let order_plan out_schema order_by =
   let rec walk acc = function
     | [] -> Some (List.rev acc)
@@ -443,21 +469,24 @@ let try_select ?gov db (q : select) =
   if not (Mode.columnar ()) then None
   else
     match q.from with
-    | [ { rel_name; alias } ] when (not q.distinct) && q.having = None -> (
+    | _ :: _ :: _ | [] -> bail Join
+    | _ when q.distinct -> bail Distinct
+    | _ when q.having <> None -> bail Having
+    | [ { rel_name; alias } ] -> (
         match Database.find db rel_name with
-        | None -> None (* let the row path raise its usual error *)
+        | None -> bail Missing_table (* the row path raises its usual error *)
         | Some rel ->
             (* A declared index changes the row path's access method (and
                builds the index as a side effect); keep that behavior. *)
             if q.where <> None && Database.indexed_columns db rel_name <> []
-            then None
+            then bail Index
             else
               let qualifier = Option.value alias ~default:rel_name in
               let schema = Schema.qualify qualifier (Relation.schema rel) in
               let items = Shape.expand_items schema q.items in
               let out_schema = Shape.output_schema schema items in
               match order_plan out_schema q.order_by with
-              | None -> None
+              | None -> bail Order
               | Some keys -> (
                   let tbl = Database.columnar db rel_name rel in
                   let wherek =
@@ -469,7 +498,7 @@ let try_select ?gov db (q : select) =
                         | None -> None)
                   in
                   match wherek with
-                  | None -> None
+                  | None -> bail Predicate
                   | Some wherek -> (
                       let grouped = Shape.grouped q items in
                       let run_plans =
@@ -487,16 +516,18 @@ let try_select ?gov db (q : select) =
                           in
                           match (key_idxs, plan_agg_items schema tbl items) with
                           | Some idxs, Some plans ->
-                              Some (`Grouped (List.rev idxs, plans))
-                          | _ -> None
+                              Ok (`Grouped (List.rev idxs, plans))
+                          | None, _ -> Error Group_key
+                          | _, None -> Error Item
                         else
-                          Option.map
-                            (fun plans -> `Ungrouped plans)
-                            (plan_items schema tbl items)
+                          Option.to_result ~none:Item
+                            (Option.map
+                               (fun plans -> `Ungrouped plans)
+                               (plan_items schema tbl items))
                       in
                       match run_plans with
-                      | None -> None
-                      | Some run_plans ->
+                      | Error r -> bail r
+                      | Ok run_plans ->
                           let sel =
                             match wherek with
                             | None -> Bytes.make (Table.distinct tbl) '\001'
@@ -514,19 +545,18 @@ let try_select ?gov db (q : select) =
                           Some
                             (Relation.create out_schema
                                (order_limit q keys rows)))))
-    | _ -> None
 
 (* Planner base-table scan: all pushed conjuncts must compile; the
    conjunction of their selection vectors equals the row path's
    sequential filters because compiled kernels never raise. *)
 let scan ?gov db ~name rel conjs =
   if (not (Mode.columnar ())) || conjs = [] then None
-  else if Database.indexed_columns db name <> [] then None
+  else if Database.indexed_columns db name <> [] then bail Index
   else
     let schema = Relation.schema rel in
     let tbl = Database.columnar db name rel in
     let kernels = List.map (bool_kernel schema tbl) conjs in
-    if List.exists Option.is_none kernels then None
+    if List.exists Option.is_none kernels then bail Predicate
     else begin
       let sel = Bytes.make (Table.distinct tbl) '\001' in
       List.iter (fun k -> restrict ?gov tbl sel (Option.get k)) kernels;
@@ -542,7 +572,7 @@ let delete_keep ?gov db ~name rel pred =
     let schema = Relation.schema rel in
     let tbl = Database.columnar db name rel in
     match bool_kernel schema tbl pred with
-    | None -> None
+    | None -> bail Predicate
     | Some k ->
         let hit = selection ?gov tbl k in
         Metrics.incr m_scans;
@@ -557,7 +587,7 @@ let update_mask ?gov db ~name rel pred =
     let schema = Relation.schema rel in
     let tbl = Database.columnar db name rel in
     match bool_kernel schema tbl pred with
-    | None -> None
+    | None -> bail Predicate
     | Some k ->
         let hit = selection ?gov tbl k in
         Metrics.incr m_scans;

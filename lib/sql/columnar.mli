@@ -5,6 +5,23 @@
     row path. All entry points return [None] immediately when the storage
     mode ({!Pb_store.Mode}) is [Row]. *)
 
+type bail =
+  | Join  (** FROM names more than one table *)
+  | Distinct
+  | Having
+  | Index  (** a declared index chooses the row path's access method *)
+  | Order  (** an ORDER BY key is not an output column *)
+  | Predicate  (** a WHERE/DML/base predicate is not a boolean kernel *)
+  | Group_key  (** a GROUP BY key is not a plain column *)
+  | Item  (** a select item or aggregate has no exact kernel *)
+  | Missing_table
+
+val bail : bail -> 'a option
+(** Count one fall-back to the row evaluator under its reason's counter
+    [pb_store_bail_<reason>_total] (e.g. [pb_store_bail_predicate_total])
+    and return [None]. Row storage mode is not counted: no image exists
+    to fall back from. *)
+
 val bool_kernel :
   Pb_relation.Schema.t -> Pb_store.Table.t -> Ast.expr -> Batch.t option
 (** [Batch.compile] restricted to boolean results (predicates). *)

@@ -1,34 +1,15 @@
 open Ast
 module Value = Pb_relation.Value
 module Schema = Pb_relation.Schema
+module Relation = Pb_relation.Relation
 module Trace = Pb_obs.Trace
 
 exception Eval_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Eval_error s)) fmt
 
-(* LIKE pattern matching with % (any sequence) and _ (any char), by
-   two-pointer backtracking on the last %. This is the reference matcher;
-   the compiled form below tokenizes the pattern once and runs the same
-   backtracking over the token array. *)
-let like_match ~pattern s =
-  let np = String.length pattern and ns = String.length s in
-  let rec go p i star_p star_i =
-    if i = ns then
-      (* consume trailing %s *)
-      let rec only_percent p = p = np || (pattern.[p] = '%' && only_percent (p + 1)) in
-      if only_percent p then true
-      else if star_p >= 0 && star_i < ns then
-        go (star_p + 1) (star_i + 1) star_p (star_i + 1)
-      else false
-    else if p < np && pattern.[p] = '%' then go (p + 1) i p i
-    else if p < np && (pattern.[p] = '_' || pattern.[p] = s.[i]) then
-      go (p + 1) (i + 1) star_p star_i
-    else if star_p >= 0 then go (star_p + 1) (star_i + 1) star_p (star_i + 1)
-    else false
-  in
-  go 0 0 (-1) (-1)
-
+(* LIKE patterns with % (any sequence) and _ (any char) are tokenized
+   once, then matched by two-pointer backtracking on the last %. *)
 type like_tok = Any_seq | Any_one | Exactly of char
 
 type like_pattern = like_tok array
@@ -64,8 +45,7 @@ let like_match_compiled toks s =
 
 (* [scalar_function_lc] assumes the name is already lowercased — the
    compiler lowercases once per Func node instead of once per row. Error
-   messages are unchanged: the interpreter's message also uses the
-   lowercased name. *)
+   messages use the lowercased name. *)
 let scalar_function_lc lname args =
   match (lname, args) with
   | "abs", [ Value.Int i ] -> Value.Int (abs i)
@@ -115,113 +95,197 @@ let binop_value op a b =
   | And -> Value.logical_and a b
   | Or -> Value.logical_or a b
 
-let enabled =
-  Atomic.make
-    (match Sys.getenv_opt "PB_SQL_COMPILE" with
-    | Some ("0" | "false" | "off" | "no") -> false
-    | _ -> true)
+type select = Ast.select -> Relation.t
 
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
+(* What a column reference and an aggregate node compile to: the only
+   two nodes whose meaning depends on the input (one row, or one group of
+   rows). Both are called once per node at compile time and return the
+   per-input closure, so a row closure reads [row.(i)] directly. *)
+type 'a leaves = {
+  col : string -> 'a -> Value.t;
+  agg : agg_func -> expr option -> 'a -> Value.t;
+}
 
-type fallback = Value.t array -> Ast.expr -> Value.t
-
-(* The interpreter evaluates n-ary nodes in a specific order (OCaml's
-   right-to-left function-argument order for Binop/Between, left-to-right
-   List traversal elsewhere). The compiled closures pin the same order with
-   explicit lets so that when two subexpressions both raise, the surfaced
-   exception is the interpreter's — part of the bit-identical contract. *)
-let rec compile ~fallback schema e : Value.t array -> Value.t =
-  let c e = compile ~fallback schema e in
+(* The structural compiler, shared by rows and groups. Evaluation order
+   is pinned with explicit lets: the right operand of a Binop before the
+   left, the upper bound of BETWEEN before the lower, function arguments
+   left to right. When two subexpressions both raise, the surfaced
+   exception is always the same one. *)
+let rec compile : 'a. 'a leaves -> select option -> expr -> 'a -> Value.t =
+ fun leaves select e ->
+  let c e = compile leaves select e in
   match e with
-  | Lit v -> fun _row -> v
-  | Col name -> (
-      match Schema.index_of schema name with
-      | Some i -> fun row -> row.(i)
-      | None ->
-          (* Unknown/ambiguous column: defer the interpreter's Failure to
-             first invocation, so compiling against an empty input does not
-             raise where the interpreter would not have evaluated at all. *)
-          fun row -> row.(Schema.index_of_exn schema name))
+  | Lit v -> fun _ -> v
+  | Col name -> leaves.col name
+  | Agg (f, arg) -> leaves.agg f arg
   | Unary_minus e ->
       let ce = c e in
-      fun row -> Value.neg (ce row)
+      fun x -> Value.neg (ce x)
   | Not e ->
       let ce = c e in
-      fun row -> Value.logical_not (ce row)
+      fun x -> Value.logical_not (ce x)
   | Binop (op, a, b) ->
       let ca = c a and cb = c b in
-      fun row ->
-        let vb = cb row in
-        let va = ca row in
+      fun x ->
+        let vb = cb x in
+        let va = ca x in
         binop_value op va vb
   | Between (e, lo, hi) ->
       let ce = c e and clo = c lo and chi = c hi in
-      fun row ->
-        let v = ce row in
-        let upper = Value.cmp_bool (fun c -> c <= 0) v (chi row) in
-        let lower = Value.cmp_bool (fun c -> c >= 0) v (clo row) in
+      fun x ->
+        let v = ce x in
+        let upper = Value.cmp_bool (fun c -> c <= 0) v (chi x) in
+        let lower = Value.cmp_bool (fun c -> c >= 0) v (clo x) in
         Value.logical_and lower upper
   | In_list (e, items, neg) ->
       let ce = c e and citems = List.map c items in
-      fun row ->
-        let v = ce row in
-        let hit = List.exists (fun ci -> Value.equal v (ci row)) citems in
+      fun x ->
+        let v = ce x in
+        let hit = List.exists (fun ci -> Value.equal v (ci x)) citems in
         Value.Bool (if neg then not hit else hit)
-  | In_query _ | Exists _ ->
-      (* Subqueries keep the interpreter: they re-enter [select], which may
-         be correlated with the database and is not row-local. *)
-      fun row -> fallback row e
+  | In_query (e, q, neg) -> (
+      let ce = c e in
+      match select with
+      | None -> fun _ -> err "IN subquery requires a database context"
+      | Some select ->
+          fun x ->
+            let v = ce x in
+            let sub = select q in
+            if
+              Relation.cardinality sub > 0
+              && Schema.arity (Relation.schema sub) <> 1
+            then err "IN subquery must return one column"
+            else
+              let hit =
+                Array.exists (fun r -> Value.equal v r.(0)) (Relation.rows sub)
+              in
+              Value.Bool (if neg then not hit else hit))
+  | Exists q -> (
+      match select with
+      | None -> fun _ -> err "EXISTS subquery requires a database context"
+      | Some select -> fun _ -> Value.Bool (Relation.cardinality (select q) > 0))
   | Is_null (e, neg) ->
       let ce = c e in
-      fun row ->
-        let null = Value.is_null (ce row) in
+      fun x ->
+        let null = Value.is_null (ce x) in
         Value.Bool (if neg then not null else null)
   | Like (e, pattern, neg) ->
       let ce = c e in
       let toks = compile_like pattern in
-      fun row -> (
-        match ce row with
+      fun x -> (
+        match ce x with
         | Value.Null -> Value.Null
         | Value.Str s ->
             let hit = like_match_compiled toks s in
             Value.Bool (if neg then not hit else hit)
         | v -> err "LIKE on non-string value %s" (Value.to_string v))
-  | Agg (f, _) -> fun _row -> err "aggregate %s outside GROUP context" (agg_to_string f)
-  | Func (name, args) ->
+  | Func (name, args) -> (
       let lname = String.lowercase_ascii name in
-      (* args evaluate left-to-right, as in the interpreter's List.map *)
-      (match List.map c args with
-      | [ ca ] -> fun row -> scalar_function_lc lname [ ca row ]
+      match List.map c args with
+      | [ ca ] -> fun x -> scalar_function_lc lname [ ca x ]
       | [ ca; cb ] ->
-          fun row ->
-            let va = ca row in
-            let vb = cb row in
+          fun x ->
+            let va = ca x in
+            let vb = cb x in
             scalar_function_lc lname [ va; vb ]
-      | cargs ->
-          fun row -> scalar_function_lc lname (List.map (fun ca -> ca row) cargs))
+      | cargs -> fun x -> scalar_function_lc lname (List.map (fun ca -> ca x) cargs))
   | Case (branches, default) ->
       let cbranches = List.map (fun (cond, v) -> (c cond, c v)) branches in
       let cdefault = Option.map c default in
-      fun row ->
+      fun x ->
         let rec walk = function
-          | [] -> ( match cdefault with Some ce -> ce row | None -> Value.Null)
+          | [] -> ( match cdefault with Some ce -> ce x | None -> Value.Null)
           | (ccond, cval) :: rest ->
-              if Value.truthy (ccond row) then cval row else walk rest
+              if Value.truthy (ccond x) then cval x else walk rest
         in
         walk cbranches
+
+(* Row leaves: a column is an offset resolved now. An unknown or
+   ambiguous column defers [Schema.index_of_exn]'s Failure to the first
+   row, so compiling against an empty input never raises. *)
+let row_leaves schema =
+  {
+    col =
+      (fun name ->
+        match Schema.index_of schema name with
+        | Some i -> fun row -> row.(i)
+        | None -> fun row -> row.(Schema.index_of_exn schema name));
+    agg =
+      (fun f _ _ -> err "aggregate %s outside GROUP context" (agg_to_string f));
+  }
 
 (* No span here: a single expression compiles in microseconds and this
    runs everywhere (including before a query's root span opens); the
    traced compile is the memoized one below, which sits inside a
    statement's span tree. *)
-let expr ~fallback schema e =
-  if not (Atomic.get enabled) then fun row -> fallback row e
-  else compile ~fallback schema e
+let expr ?select schema e = compile (row_leaves schema) select e
 
-let predicate ~fallback schema e =
-  let f = expr ~fallback schema e in
+let predicate ?select schema e =
+  let f = expr ?select schema e in
   fun row -> Value.truthy (f row)
+
+(* An aggregate's argument values over the group: every row is evaluated
+   (in order) before any is reduced, and NULLs are dropped. *)
+let non_null arg group =
+  Array.fold_right
+    (fun v acc -> if Value.is_null v then acc else v :: acc)
+    (Array.map arg group) []
+
+let reduce f arg group =
+  match (f, non_null arg group) with
+  | Count, vs -> Value.Int (List.length vs)
+  | Count_star, _ -> Value.Int (Array.length group)
+  | _, [] -> Value.Null
+  | Sum, vs ->
+      if List.for_all (function Value.Int _ -> true | _ -> false) vs then
+        Value.Int
+          (List.fold_left (fun acc v -> acc + Option.get (Value.to_int v)) 0 vs)
+      else
+        Value.Float
+          (List.fold_left
+             (fun acc v ->
+               match Value.to_float v with
+               | Some x -> acc +. x
+               | None -> err "SUM over non-numeric value")
+             0.0 vs)
+  | Avg, vs ->
+      let total =
+        List.fold_left
+          (fun acc v ->
+            match Value.to_float v with
+            | Some x -> acc +. x
+            | None -> err "AVG over non-numeric value")
+          0.0 vs
+      in
+      Value.Float (total /. float_of_int (List.length vs))
+  | Min, v :: vs ->
+      List.fold_left (fun a b -> if Value.compare_values b a < 0 then b else a) v vs
+  | Max, v :: vs ->
+      List.fold_left (fun a b -> if Value.compare_values b a > 0 then b else a) v vs
+
+(* Group leaves: a column reads the group's first row (all NULLs for an
+   empty group); an aggregate compiles its argument as a row closure and
+   reduces the whole group with it. *)
+let group_leaves ?select schema =
+  let nulls = Array.make (Schema.arity schema) Value.Null in
+  let first group = if Array.length group > 0 then group.(0) else nulls in
+  {
+    col =
+      (fun name ->
+        match Schema.index_of schema name with
+        | Some i -> fun group -> (first group).(i)
+        | None -> fun group -> (first group).(Schema.index_of_exn schema name));
+    agg =
+      (fun f arg ->
+        match (f, arg) with
+        | Count_star, _ -> fun group -> Value.Int (Array.length group)
+        | f, Some arg ->
+            let row = expr ?select schema arg in
+            fun group -> reduce f row group
+        | f, None -> fun _ -> err "%s requires an argument" (agg_to_string f));
+  }
+
+let group ?select schema e = compile (group_leaves ?select schema) select e
 
 module Memo = struct
   type key = Ast.expr * Schema.column list
@@ -239,7 +303,7 @@ module Memo = struct
     Mutex.unlock t.mu;
     n
 
-  let expr t ~fallback schema e =
+  let expr t ?select schema e =
     let key = (e, Schema.columns schema) in
     Mutex.lock t.mu;
     match Hashtbl.find_opt t.tbl key with
@@ -252,7 +316,7 @@ module Memo = struct
            callers share one closure. *)
         let f =
           Trace.with_span ~name:"sql.compile" (fun () ->
-              expr ~fallback schema e)
+              expr ?select schema e)
         in
         Mutex.lock t.mu;
         let f =

@@ -1,42 +1,40 @@
-(** Expression → closure compilation: the hot-path replacement for the
-    tree-walking interpreter ({!Executor.eval_expr}).
+(** Expression → closure compilation: the SQL engine's one row-at-a-time
+    evaluator.
 
     [expr] makes one pass over an {!Ast.expr} and returns a
     [Value.t array -> Value.t] closure in which
 
     + every column reference is resolved to its integer offset once, at
       compile time (an unknown or ambiguous column compiles to a closure
-      that raises the interpreter's exact [Failure] when first invoked,
-      so zero-row inputs behave identically);
+      that raises [Schema.index_of_exn]'s [Failure] when first invoked,
+      so zero-row inputs never raise);
     + binary operators, CASE ladders and scalar-function argument lists
       are pre-dispatched to direct value-level calls;
     + LIKE patterns are compiled to a token array once instead of being
       re-scanned per row;
-    + subqueries ([IN (SELECT …)], [EXISTS]) fall back to the supplied
-      interpreter callback — the only nodes that still walk the tree.
+    + subqueries ([IN (SELECT …)], [EXISTS]) call the supplied [select]
+      callback, which the executor closes over its database.
 
-    The compiled closure is {e bit-identical} to the interpreter on every
-    input, including NULL propagation, type errors and the exception
-    raised (property-tested in [test_differential.ml]). Closures are pure
-    reads of the row array and are safe to call from pool worker domains.
+    [group] runs the same structural compiler over a group of rows:
+    aggregate nodes reduce the group, and other column references read
+    its first row. HAVING, grouped select items, ORDER BY over groups
+    and PaQL package validation all evaluate through it.
 
-    The scalar kernel shared by the interpreter and the compiler
-    ({!like_match}, {!scalar_function}, {!binop_value}, {!Eval_error})
-    lives here; {!Executor} re-exports the public pieces. *)
+    Evaluation order, laziness (a CASE branch not taken is never
+    evaluated, aggregates included), NULL propagation and error text
+    are those of a tree-walking interpreter over the same AST; the test
+    suite keeps one as the oracle and property-tests both closures
+    against it. Closures are pure reads of their input and are safe to
+    call from pool worker domains. *)
 
 exception Eval_error of string
-
-val like_match : pattern:string -> string -> bool
-(** SQL LIKE with [%] and [_] wildcards — the reference two-pointer
-    matcher over the raw pattern string. *)
 
 type like_pattern
 (** A LIKE pattern pre-compiled to a token array. *)
 
 val compile_like : string -> like_pattern
 val like_match_compiled : like_pattern -> string -> bool
-(** [like_match_compiled (compile_like p) s = like_match ~pattern:p s]
-    for every [p] and [s] (property-tested). *)
+(** SQL LIKE with [%] (any sequence) and [_] (any one character). *)
 
 val scalar_function :
   string -> Pb_relation.Value.t list -> Pb_relation.Value.t
@@ -46,21 +44,15 @@ val scalar_function :
 val binop_value :
   Ast.binop -> Pb_relation.Value.t -> Pb_relation.Value.t -> Pb_relation.Value.t
 
-val set_enabled : bool -> unit
-(** Global toggle (also settable via [PB_SQL_COMPILE=0]): when disabled,
-    {!expr} returns a closure that defers every node to the fallback
-    interpreter — used by the bench harness to measure the interpreter
-    against the compiler on identical plans. *)
-
-val is_enabled : unit -> bool
-
-type fallback = Pb_relation.Value.t array -> Ast.expr -> Pb_relation.Value.t
-(** Interpreter callback for subquery nodes, closing over the schema (and
-    database, when the caller has one) — normally
-    [fun row e -> Executor.eval_expr ?db schema row e]. *)
+type select = Ast.select -> Pb_relation.Relation.t
+(** Subquery evaluation for [IN (SELECT …)] and [EXISTS], normally
+    [Executor.select] over the caller's database. Without one, those
+    nodes raise {!Eval_error} (["IN subquery requires a database
+    context"], ["EXISTS subquery requires a database context"]) when
+    evaluated, not when compiled. *)
 
 val expr :
-  fallback:fallback ->
+  ?select:select ->
   Pb_relation.Schema.t ->
   Ast.expr ->
   Pb_relation.Value.t array ->
@@ -69,12 +61,25 @@ val expr :
     perform the compilation; the resulting closure evaluates one row. *)
 
 val predicate :
-  fallback:fallback ->
+  ?select:select ->
   Pb_relation.Schema.t ->
   Ast.expr ->
   Pb_relation.Value.t array ->
   bool
 (** [expr] composed with SQL truthiness ([Bool true] only). *)
+
+val group :
+  ?select:select ->
+  Pb_relation.Schema.t ->
+  Ast.expr ->
+  Pb_relation.Value.t array array ->
+  Pb_relation.Value.t
+(** Compile an expression over a group of rows: [COUNT( * )] is the group
+    size, [COUNT]/[SUM]/[AVG]/[MIN]/[MAX] evaluate their argument on
+    every row (in order) and reduce the non-NULL values, and other
+    column references read the first row (NULL for an empty group).
+    An aggregate nested inside an aggregate's argument raises when a row
+    is evaluated. *)
 
 (** Memoized compilation for prepared plans: a mutex-guarded table keyed
     by (expression, schema columns), so re-executing a cached statement
@@ -89,13 +94,13 @@ module Memo : sig
 
   val expr :
     t ->
-    fallback:fallback ->
+    ?select:select ->
     Pb_relation.Schema.t ->
     Ast.expr ->
     Pb_relation.Value.t array ->
     Pb_relation.Value.t
-  (** Like {!val:Compile.expr}, consulting the memo first. The fallback
+  (** Like {!val:Compile.expr}, consulting the memo first. The [select]
       of the {e first} compilation is captured in the cached closure, so
-      every caller of a given memo must supply an equivalent fallback
-      (same database). *)
+      every caller of a given memo must supply an equivalent one (same
+      database, and no per-request state such as a governance token). *)
 end

@@ -20,254 +20,71 @@ let m_rows_returned =
   Metrics.counter ~help:"Rows returned by SELECT blocks"
     "pb_sql_rows_returned_total"
 
-(* The scalar kernel (LIKE matcher, scalar functions, binop dispatch) lives
-   in [Compile] so the interpreter below and the compiled closures share one
-   implementation; re-exported here for existing callers. *)
 exception Eval_error = Compile.Eval_error
 
 type result = Rows of Relation.t | Affected of int | Created
 
 let err fmt = Printf.ksprintf (fun s -> raise (Eval_error s)) fmt
-let like_match = Compile.like_match
-let scalar_function = Compile.scalar_function
-let binop_value = Compile.binop_value
 
-(* Mutually recursive with [select] because of IN/EXISTS subqueries.
-   [gov] rides along so subquery evaluation inherits the request's
-   governance token. *)
-let rec eval_expr ?db ?gov schema row e =
-  let ev e = eval_expr ?db ?gov schema row e in
-  match e with
-  | Lit v -> v
-  | Col name -> row.(Schema.index_of_exn schema name)
-  | Unary_minus e -> Value.neg (ev e)
-  | Not e -> Value.logical_not (ev e)
-  | Binop (op, a, b) -> binop_value op (ev a) (ev b)
-  | Between (e, lo, hi) ->
-      let v = ev e in
-      Value.logical_and
-        (Value.cmp_bool (fun c -> c >= 0) v (ev lo))
-        (Value.cmp_bool (fun c -> c <= 0) v (ev hi))
-  | In_list (e, items, neg) ->
-      let v = ev e in
-      let hit = List.exists (fun it -> Value.equal v (ev it)) items in
-      Value.Bool (if neg then not hit else hit)
-  | In_query (e, q, neg) -> (
-      match db with
-      | None -> err "IN subquery requires a database context"
-      | Some db ->
-          let v = ev e in
-          let sub = select ?gov db q in
-          if Relation.cardinality sub > 0 && Schema.arity (Relation.schema sub) <> 1
-          then err "IN subquery must return one column"
-          else
-            let hit =
-              Array.exists (fun r -> Value.equal v r.(0)) (Relation.rows sub)
-            in
-            Value.Bool (if neg then not hit else hit))
-  | Exists q -> (
-      match db with
-      | None -> err "EXISTS subquery requires a database context"
-      | Some db -> Value.Bool (Relation.cardinality (select ?gov db q) > 0))
-  | Is_null (e, neg) ->
-      let null = Value.is_null (ev e) in
-      Value.Bool (if neg then not null else null)
-  | Like (e, pattern, neg) -> (
-      match ev e with
-      | Value.Null -> Value.Null
-      | Value.Str s ->
-          let hit = like_match ~pattern s in
-          Value.Bool (if neg then not hit else hit)
-      | v -> err "LIKE on non-string value %s" (Value.to_string v))
-  | Agg (f, _) -> err "aggregate %s outside GROUP context" (agg_to_string f)
-  | Func (name, args) -> scalar_function name (List.map ev args)
-  | Case (branches, default) -> eval_case ev branches default
+(* The first of the elements whose rows are equal by value ({!Value.Key}:
+   Int 3 and Float 3. are one row, Int 1 and Str "1" two), in order. *)
+let dedup ?gov row_of xs =
+  let seen = Value.Key_tbl.create 64 in
+  List.filteri
+    (fun i x ->
+      poll gov i;
+      let key = Array.to_list (row_of x) in
+      (not (Value.Key_tbl.mem seen key)) && (Value.Key_tbl.add seen key (); true))
+    xs
 
-and eval_case ev branches default =
-  let rec walk = function
-    | [] -> ( match default with Some e -> ev e | None -> Value.Null)
-    | (cond, value) :: rest -> if Value.truthy (ev cond) then ev value else walk rest
+let set_operation op left right =
+  if Schema.arity (Relation.schema left) <> Schema.arity (Relation.schema right)
+  then err "set operation over results of different arity";
+  let in_right () =
+    let tbl = Value.Key_tbl.create 64 in
+    Array.iter
+      (fun row -> Value.Key_tbl.replace tbl (Array.to_list row) ())
+      (Relation.rows right);
+    fun row -> Value.Key_tbl.mem tbl (Array.to_list row)
   in
-  walk branches
+  let rows = Relation.to_list left in
+  Relation.create (Relation.schema left)
+    (match op with
+    | Union_all -> rows @ Relation.to_list right
+    | Union -> dedup Fun.id (rows @ Relation.to_list right)
+    | Intersect ->
+        let mem = in_right () in
+        dedup Fun.id (List.filter mem rows)
+    | Except ->
+        let mem = in_right () in
+        dedup Fun.id (List.filter (fun row -> not (mem row)) rows))
 
-and eval_agg_expr ?db ?gov schema group e =
-  let representative =
-    match group with
-    | r :: _ -> r
-    | [] -> Array.make (Schema.arity schema) Value.Null
-  in
-  let rec ev e =
-    match e with
-    | Agg (Count_star, _) -> Value.Int (List.length group)
-    | Agg (f, Some arg) -> reduce f arg
-    | Agg (f, None) -> err "%s requires an argument" (agg_to_string f)
-    | Lit v -> v
-    | Col name -> representative.(Schema.index_of_exn schema name)
-    | Unary_minus e -> Value.neg (ev e)
-    | Not e -> Value.logical_not (ev e)
-    | Binop (op, a, b) -> binop_value op (ev a) (ev b)
-    | Between (e, lo, hi) ->
-        let v = ev e in
-        Value.logical_and
-          (Value.cmp_bool (fun c -> c >= 0) v (ev lo))
-          (Value.cmp_bool (fun c -> c <= 0) v (ev hi))
-    | In_list (e, items, neg) ->
-        let v = ev e in
-        let hit = List.exists (fun it -> Value.equal v (ev it)) items in
-        Value.Bool (if neg then not hit else hit)
-    | In_query (lhs, sub, neg) -> (
-        match db with
-        | None -> err "IN subquery requires a database context"
-        | Some db ->
-            (* The lhs may itself aggregate over the group. *)
-            let v = ev lhs in
-            let rel = select ?gov db sub in
-            if Relation.cardinality rel > 0 && Schema.arity (Relation.schema rel) <> 1
-            then err "IN subquery must return one column"
-            else
-              let hit =
-                Array.exists (fun r -> Value.equal v r.(0)) (Relation.rows rel)
-              in
-              Value.Bool (if neg then not hit else hit))
-    | Exists sub -> (
-        match db with
-        | None -> err "EXISTS subquery requires a database context"
-        | Some db -> Value.Bool (Relation.cardinality (select ?gov db sub) > 0))
-    | Is_null (e, neg) ->
-        let null = Value.is_null (ev e) in
-        Value.Bool (if neg then not null else null)
-    | Like (lhs, pattern, neg) -> (
-        match ev lhs with
-        | Value.Null -> Value.Null
-        | Value.Str s ->
-            let hit = like_match ~pattern s in
-            Value.Bool (if neg then not hit else hit)
-        | v -> err "LIKE on non-string value %s" (Value.to_string v))
-    | Func (name, args) -> scalar_function name (List.map ev args)
-    | Case (branches, default) -> eval_case ev branches default
-  and reduce f arg =
-    let values =
-      List.filter_map
-        (fun r ->
-          let v = eval_expr ?db ?gov schema r arg in
-          if Value.is_null v then None else Some v)
-        group
-    in
-    match (f, values) with
-    | Count, vs -> Value.Int (List.length vs)
-    | Count_star, _ -> Value.Int (List.length group)
-    | _, [] -> Value.Null
-    | Sum, vs ->
-        let all_int = List.for_all (function Value.Int _ -> true | _ -> false) vs in
-        if all_int then
-          Value.Int
-            (List.fold_left
-               (fun acc v -> acc + Option.get (Value.to_int v))
-               0 vs)
-        else
-          Value.Float
-            (List.fold_left
-               (fun acc v ->
-                 match Value.to_float v with
-                 | Some x -> acc +. x
-                 | None -> err "SUM over non-numeric value")
-               0.0 vs)
-    | Avg, vs ->
-        let total =
-          List.fold_left
-            (fun acc v ->
-              match Value.to_float v with
-              | Some x -> acc +. x
-              | None -> err "AVG over non-numeric value")
-            0.0 vs
-        in
-        Value.Float (total /. float_of_int (List.length vs))
-    | Min, v :: vs ->
-        List.fold_left (fun a b -> if Value.compare_values b a < 0 then b else a) v vs
-    | Max, v :: vs ->
-        List.fold_left (fun a b -> if Value.compare_values b a > 0 then b else a) v vs
-  in
-  ev e
-
-and select ?memo ?gov db q =
+(* Mutually recursive with the compiled closures because of IN/EXISTS
+   subqueries: a closure's [select] callback re-enters [select]. *)
+let rec select ?memo ?gov db q =
   let base = select_simple ?memo ?gov db q in
   (* Set operations, applied left to right over the first branch. *)
   List.fold_left
     (fun acc (op, rhs) -> set_operation op acc (select_simple ?memo ?gov db rhs))
     base q.compound
 
+(* Subqueries of closures compiled for this statement run under its
+   governance token. *)
+and subqueries ?gov db : Compile.select = fun q -> select ?gov db q
+
 (* Compile one row-local expression, through the prepared-plan memo when the
-   statement came from the cache. The fallback closes over [db] so subquery
-   nodes re-enter the interpreter with the same context. *)
-and compile_row ?db ?gov ?memo schema e =
+   statement came from the cache. *)
+and compile_row ?gov ?memo db schema e =
   match memo with
   | Some m ->
       (* Memoized closures are cached across requests by the plan cache,
-         so the fallback must NOT close over this request's governance
-         token — a stale token baked into a cached plan could cancel a
-         later, healthy request.  Subqueries reached through a memoized
-         plan therefore run un-governed (the enclosing operator loops
-         still poll). *)
-      let fallback row e = eval_expr ?db schema row e in
-      Compile.Memo.expr m ~fallback schema e
-  | None ->
-      let fallback row e = eval_expr ?db ?gov schema row e in
-      Compile.expr ~fallback schema e
-
-(* Key used for duplicate detection in DISTINCT and set operations:
-   numerics normalize (3 = 3.0), types otherwise separate so Int 1 and
-   Str "1" stay distinct. *)
-and dedup_key row =
-  let cell v =
-    match (v : Value.t) with
-    | Value.Null -> "0"
-    | Value.Bool b -> "b" ^ string_of_bool b
-    | Value.Int i -> "n" ^ string_of_float (float_of_int i)
-    | Value.Float f -> "n" ^ string_of_float f
-    | Value.Str s -> "s" ^ s
-  in
-  String.concat "\x00" (Array.to_list (Array.map cell row))
-
-and set_operation op left right =
-  if Schema.arity (Relation.schema left) <> Schema.arity (Relation.schema right)
-  then err "set operation over results of different arity";
-  let keys_of rel =
-    let tbl = Hashtbl.create 64 in
-    Array.iter (fun row -> Hashtbl.replace tbl (dedup_key row) ()) (Relation.rows rel);
-    tbl
-  in
-  let dedup rows =
-    let seen = Hashtbl.create 64 in
-    List.filter
-      (fun row ->
-        let k = dedup_key row in
-        if Hashtbl.mem seen k then false
-        else (
-          Hashtbl.add seen k ();
-          true))
-      rows
-  in
-  let schema = Relation.schema left in
-  match op with
-  | Union_all ->
-      Relation.create schema (Relation.to_list left @ Relation.to_list right)
-  | Union ->
-      Relation.create schema
-        (dedup (Relation.to_list left @ Relation.to_list right))
-  | Intersect ->
-      let right_keys = keys_of right in
-      Relation.create schema
-        (dedup
-           (List.filter
-              (fun row -> Hashtbl.mem right_keys (dedup_key row))
-              (Relation.to_list left)))
-  | Except ->
-      let right_keys = keys_of right in
-      Relation.create schema
-        (dedup
-           (List.filter
-              (fun row -> not (Hashtbl.mem right_keys (dedup_key row)))
-              (Relation.to_list left)))
+         so their subquery callback must NOT close over this request's
+         governance token — a stale token baked into a cached plan could
+         cancel a later, healthy request.  Subqueries reached through a
+         memoized plan therefore run un-governed (the enclosing operator
+         loops still poll). *)
+      Compile.Memo.expr m ~select:(subqueries db) schema e
+  | None -> Compile.expr ~select:(subqueries ?gov db) schema e
 
 and select_simple ?memo ?gov db q =
   Trace.with_span ~name:"sql.select" (fun () ->
@@ -284,9 +101,7 @@ and select_simple ?memo ?gov db q =
   | None ->
   let filtered, _plan_stats =
     try
-      Planner.execute ?gov db
-        ~eval:(fun schema row e -> eval_expr ~db ?gov schema row e)
-        ~compile:(fun schema e -> compile_row ~db ?gov ?memo schema e)
+      Planner.execute ?gov db ~compile:(compile_row ?gov ?memo db)
         ~from:q.from ~where:q.where
     with Failure msg -> err "%s" msg
   in
@@ -303,7 +118,7 @@ and select_simple ?memo ?gov db q =
       let item_fns =
         List.map
           (function
-            | Expr_item (e, _) -> compile_row ~db ?gov ?memo schema e
+            | Expr_item (e, _) -> compile_row ?gov ?memo db schema e
             | Star_item -> assert false)
           items
       in
@@ -331,72 +146,58 @@ and select_simple ?memo ?gov db q =
     end
     else begin
       Trace.with_span ~name:"sql.group" (fun () ->
-      (* Group rows by the GROUP BY key (single group when absent). *)
-      let key_fns = List.map (compile_row ~db ?gov ?memo schema) q.group_by in
-      let tbl = Hashtbl.create 64 in
+      (* Group rows by the value of the GROUP BY key ({!Value.Key}; a
+         single group when absent), in order of first appearance. *)
+      let key_fns = List.map (compile_row ?gov ?memo db schema) q.group_by in
+      let tbl = Value.Key_tbl.create 64 in
       let order = ref [] in
       let seen_rows = ref 0 in
       List.iter
         (fun row ->
           poll gov !seen_rows;
           incr seen_rows;
-          let key = List.map (fun f -> Value.to_string (f row)) key_fns in
-          (match Hashtbl.find_opt tbl key with
+          let key = List.map (fun f -> f row) key_fns in
+          (match Value.Key_tbl.find_opt tbl key with
           | Some cell -> cell := row :: !cell
           | None ->
-              Hashtbl.add tbl key (ref [ row ]);
-              order := key :: !order))
+              let cell = ref [ row ] in
+              Value.Key_tbl.add tbl key cell;
+              order := cell :: !order))
         (Relation.to_list filtered);
+      let group_of cell = Array.of_list (List.rev !cell) in
       let groups =
-        if q.group_by = [] then
-          [ List.rev (match Hashtbl.find_opt tbl [] with Some c -> !c | None -> []) ]
-        else
-          List.rev_map (fun key -> List.rev !(Hashtbl.find tbl key)) !order
-      in
-      let groups =
+        match !order with
         (* An empty input with no GROUP BY still yields one (empty) group,
            so that a bare SELECT COUNT of everything returns 0. *)
-        if q.group_by = [] then groups else List.filter (fun g -> g <> []) groups
+        | [] when q.group_by = [] -> [ [||] ]
+        | cells -> List.rev_map group_of cells
+      in
+      (* HAVING and the items are compiled once for the statement and
+         applied per group. *)
+      let having = Option.map (compile_group ?gov db schema) q.having in
+      let item_fns =
+        List.map
+          (function
+            | Expr_item (e, _) -> compile_group ?gov db schema e
+            | Star_item -> assert false)
+          items
       in
       List.filter_map
         (fun group ->
           Gov.tick_opt ~resource:Gov.Sql_rows gov;
           let keep =
-            match q.having with
+            match having with
             | None -> true
-            | Some pred ->
-                Value.truthy (eval_agg_expr ~db ?gov schema group pred)
+            | Some pred -> Value.truthy (pred group)
           in
           if not keep then None
           else
             Some
-              ( Array.of_list
-                  (List.map
-                     (function
-                       | Expr_item (e, _) -> eval_agg_expr ~db ?gov schema group e
-                       | Star_item -> assert false)
-                     items),
-                `Group group ))
+              (Array.of_list (List.map (fun f -> f group) item_fns), `Group group))
         groups)
     end
   in
-  let pairs =
-    if not q.distinct then pairs
-    else begin
-      let seen = Hashtbl.create 64 in
-      let i = ref 0 in
-      List.filter
-        (fun (row, _) ->
-          poll gov !i;
-          incr i;
-          let key = dedup_key row in
-          if Hashtbl.mem seen key then false
-          else (
-            Hashtbl.add seen key ();
-            true))
-        pairs
-    end
-  in
+  let pairs = if q.distinct then dedup ?gov fst pairs else pairs in
   let pairs =
     match q.order_by with
     | [] -> pairs
@@ -404,8 +205,7 @@ and select_simple ?memo ?gov db q =
         (* ORDER BY may reference output columns (by alias), or any source
            expression — including ones that were not projected — which is
            resolved against the row's provenance. Source-side keys are
-           compiled once instead of per comparison; grouped rows keep the
-           aggregate-aware interpreter. *)
+           compiled once, as row or group closures. *)
         let key_plans =
           List.map
             (fun (e, dir) ->
@@ -413,18 +213,18 @@ and select_simple ?memo ?gov db q =
                 match e with
                 | Col name when Schema.index_of out_schema name <> None ->
                     `Out (Schema.index_of_exn out_schema name)
-                | _ -> `Src (compile_row ~db ?gov ?memo schema e, e)
+                | _ when grouped_mode -> `Grp (compile_group ?gov db schema e)
+                | _ -> `Src (compile_row ?gov ?memo db schema e)
               in
               (plan, dir))
             keys
         in
         let key_value (out_row, provenance) plan =
-          match plan with
-          | `Out i -> out_row.(i)
-          | `Src (f, e) -> (
-              match provenance with
-              | `Row src -> f src
-              | `Group group -> eval_agg_expr ~db ?gov schema group e)
+          match (plan, provenance) with
+          | `Out i, _ -> out_row.(i)
+          | `Src f, `Row src -> f src
+          | `Grp g, `Group group -> g group
+          | (`Src _ | `Grp _), _ -> assert false
         in
         let cmp a b =
           let rec walk = function
@@ -455,9 +255,15 @@ and select_simple ?memo ?gov db q =
   Trace.add_count "rows_out" rows_out;
   Relation.create out_schema (List.map fst pairs))
 
-and eval_const ?db e =
-  let empty = Schema.make [] in
-  eval_expr ?db empty [||] e
+(* Group closures are compiled per statement, never memoized, so their
+   subqueries always run under the statement's own token. *)
+and compile_group ?gov db schema e =
+  Compile.group ~select:(subqueries ?gov db) schema e
+
+let compile ?gov db schema e = compile_row ?gov db schema e
+
+let eval_const ?db e =
+  Compile.expr ?select:(Option.map subqueries db) (Schema.make []) e [||]
 
 let execute ?memo ?gov db stmt =
   match stmt with
@@ -508,7 +314,7 @@ let execute ?memo ?gov db stmt =
             match where with
             | None -> fun _row -> false
             | Some pred ->
-                let f = compile_row ~db ?gov schema pred in
+                let f = compile_row ?gov db schema pred in
                 fun row -> not (Value.truthy (f row))
           in
           let kept = Relation.filter keep rel in
@@ -527,11 +333,11 @@ let execute ?memo ?gov db stmt =
         match (mask, where) with
         | Some _, _ | None, None -> fun _row -> true
         | None, Some pred ->
-            let f = compile_row ~db ?gov schema pred in
+            let f = compile_row ?gov db schema pred in
             fun row -> Value.truthy (f row)
       in
       let set_fns =
-        List.map (fun (col, e) -> (col, compile_row ~db ?gov schema e)) sets
+        List.map (fun (col, e) -> (col, compile_row ?gov db schema e)) sets
       in
       (* [pos] tracks the row position so a columnar-computed WHERE mask
          can stand in for the per-row predicate. *)

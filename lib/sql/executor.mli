@@ -14,32 +14,20 @@ type result =
   | Affected of int                 (** rows inserted/deleted/updated *)
   | Created                         (** DDL acknowledgement *)
 
-val eval_expr :
-  ?db:Database.t ->
+val compile :
   ?gov:Pb_util.Gov.t ->
+  Database.t ->
   Pb_relation.Schema.t ->
-  Pb_relation.Value.t array ->
   Ast.expr ->
+  Pb_relation.Value.t array ->
   Pb_relation.Value.t
-(** Evaluate a scalar expression against one row. Aggregate nodes raise
-    {!Eval_error} here (they only make sense over a group); subqueries need
-    [db] and inherit [gov]. *)
+(** The executor's row closure for an expression ({!Compile.expr}), with
+    subqueries answered by {!select} over the database under [gov]: the
+    [~compile] argument of {!Planner.execute} and {!Planner.naive}.
+    Aggregate nodes raise {!Eval_error} when evaluated. *)
 
 val eval_const : ?db:Database.t -> Ast.expr -> Pb_relation.Value.t
 (** Evaluate a row-independent expression (literals/arithmetic). *)
-
-val eval_agg_expr :
-  ?db:Database.t ->
-  ?gov:Pb_util.Gov.t ->
-  Pb_relation.Schema.t ->
-  Pb_relation.Value.t array list ->
-  Ast.expr ->
-  Pb_relation.Value.t
-(** Evaluate an expression over a group of rows: aggregate nodes reduce
-    the whole group, other column references resolve against the first
-    row (the group-by representative). This is exactly the semantics the
-    package validator reuses to check SUCH THAT constraints, treating the
-    candidate package as one group. *)
 
 val select :
   ?memo:Compile.Memo.t ->
@@ -55,7 +43,7 @@ val select :
     inside every planner and executor loop, and a stop raises
     {!Pb_util.Gov.Interrupted} — SQL has no useful partial result, so
     cancellation abandons the statement outright. One caveat: the
-    fallback interpreter baked into {e memoized} compiled closures is
+    subquery callback baked into {e memoized} compiled closures is
     deliberately gov-free (those closures are cached across requests by
     the plan cache, and a stale token must not cancel a later request),
     so subqueries reached through a cached plan run un-governed; the
@@ -65,7 +53,3 @@ val execute :
   ?memo:Compile.Memo.t -> ?gov:Pb_util.Gov.t -> Database.t -> Ast.statement -> result
 val execute_sql : ?gov:Pb_util.Gov.t -> Database.t -> string -> result
 (** Parse then execute a single statement. *)
-
-val like_match : pattern:string -> string -> bool
-(** SQL LIKE with [%] and [_] wildcards (exposed for tests; the matcher
-    itself lives in {!Compile}). *)

@@ -17,8 +17,13 @@ let ty_of_tag = function
   | "TEXT" -> Value.T_str
   | tag -> failwith ("Persist: unknown type tag " ^ tag)
 
+(* Floats are written in the shortest form that reads back to the same
+   bits; the display form ([Value.to_string]) rounds to 6 digits. *)
 let serialize_value v =
-  match v with Value.Null -> "" | v -> Value.to_string v
+  match v with
+  | Value.Null -> ""
+  | Value.Float f -> Value.float_repr f
+  | v -> Value.to_string v
 
 let parse_value ty field =
   if field = "" then Value.Null

@@ -82,8 +82,6 @@ let m_pushed_predicates =
   Metrics.counter ~help:"Predicates applied below the top of the join tree"
     "pb_sql_pushed_predicates_total"
 
-type eval_fn = Schema.t -> Value.t array -> Ast.expr -> Value.t
-
 type compile_fn = Schema.t -> Ast.expr -> Value.t array -> Value.t
 
 type stats = {
@@ -136,7 +134,7 @@ let load db { rel_name; alias } =
   let qualifier = Option.value alias ~default:rel_name in
   (rel_name, Relation.rename qualifier rel)
 
-let naive db ~eval ~from ~where =
+let naive db ~compile ~from ~where =
   match from with
   | [] -> failwith "empty FROM clause"
   | first :: rest ->
@@ -149,10 +147,8 @@ let naive db ~eval ~from ~where =
       (match where with
       | None -> source
       | Some pred ->
-          let schema = Relation.schema source in
-          Relation.filter
-            (fun row -> Value.truthy (eval schema row pred))
-            source)
+          let pred = compile (Relation.schema source) pred in
+          Relation.filter (fun row -> Value.truthy (pred row)) source)
 
 (* ---- single-table scan with optional index access ------------------- *)
 
@@ -267,26 +263,6 @@ let equi_keys left_schema right_schema conjs =
       | _ -> None)
     conjs
 
-(* Join keys are hashed as Value.t lists directly — no string rendering per
-   row. The hash must be consistent with [Value.equal], which normalizes
-   numerics (Int 3 = Float 3.), so Int hashes through its float image; the
-   rendering collisions of the old string keys (Int 1 vs Str "1" both "1")
-   cannot happen, removing the probe-time re-check. *)
-module Join_key = struct
-  type t = Value.t list
-
-  let equal = List.equal Value.equal
-
-  let norm v =
-    match (v : Value.t) with
-    | Value.Int i -> Value.Float (float_of_int i)
-    | v -> v
-
-  let hash values = Hashtbl.hash (List.map norm values)
-end
-
-module Join_tbl = Hashtbl.Make (Join_key)
-
 let hash_join ?gov ~compile left right keys =
   Trace.with_span ~name:"sql.hash_join" (fun () ->
   Metrics.incr m_hash_joins;
@@ -322,12 +298,12 @@ let hash_join ?gov ~compile left right keys =
       done;
     out
   in
-  let table = Join_tbl.create (Array.length rrows) in
+  let table = Value.Key_tbl.create (Array.length rrows) in
   Array.iteri
     (fun i row ->
       let values = rkeys.(i) in
       if not (List.exists Value.is_null values) then
-        Join_tbl.add table values row)
+        Value.Key_tbl.add table values row)
     rrows;
   (* Probe: read-only against the finished build table, chunked over the
      left rows with chunk outputs concatenated in order. *)
@@ -341,7 +317,7 @@ let hash_join ?gov ~compile left right keys =
       if not (List.exists Value.is_null values) then
         List.iter
           (fun rrow -> out := Array.append lrow rrow :: !out)
-          (Join_tbl.find_all table values)
+          (Value.Key_tbl.find_all table values)
     done;
     List.rev !out
   in
@@ -403,14 +379,7 @@ let governed_product ?gov a b =
 
 (* ---- the plan -------------------------------------------------------- *)
 
-let execute ?compile ?gov db ~eval ~from ~where =
-  (* Callers that don't compile (e.g. the naive ablation in \plan) get a
-     degenerate compile_fn that closes over the interpreter. *)
-  let compile =
-    match compile with
-    | Some f -> f
-    | None -> fun schema e row -> eval schema row e
-  in
+let execute ?gov db ~compile ~from ~where =
   Trace.with_span ~name:"sql.plan" (fun () ->
   match from with
   | [] -> failwith "empty FROM clause"

@@ -22,16 +22,13 @@
     neighbourhood query joins on {e inequalities}, which no index or hash
     join accelerates, so its cost still tracks the 2k-way product. *)
 
-type eval_fn =
-  Pb_relation.Schema.t -> Pb_relation.Value.t array -> Ast.expr -> Pb_relation.Value.t
-(** Row-level expression evaluation, supplied by the executor (closes
-    over the database for subquery predicates). *)
-
 type compile_fn =
   Pb_relation.Schema.t -> Ast.expr -> Pb_relation.Value.t array -> Pb_relation.Value.t
 (** Expression compilation (see {!Compile}): called once per (schema,
     expression) to obtain the per-row closure used inside scan filters,
-    hash-join key evaluation and post-join filters. *)
+    hash-join key evaluation and post-join filters — normally
+    [Executor.compile db], which closes over the database for subquery
+    predicates. *)
 
 type stats = {
   pushed_predicates : int;  (** conjuncts applied below the top join *)
@@ -41,17 +38,16 @@ type stats = {
 }
 
 val execute :
-  ?compile:compile_fn ->
   ?gov:Pb_util.Gov.t ->
   Database.t ->
-  eval:eval_fn ->
+  compile:compile_fn ->
   from:Ast.table_ref list ->
   where:Ast.expr option ->
   Pb_relation.Relation.t * stats
 (** Fully filtered join result, schema in FROM order with each table's
     columns qualified by its alias (or table name). Raises
-    {!Executor.Eval_error}-style [Failure]s through the evaluation
-    callback on unknown tables/columns.
+    {!Executor.Eval_error}-style [Failure]s through the compiled
+    closures on unknown tables/columns.
 
     [gov] is polled (sampled, every 256 rows) inside every operator loop
     — scan filters, hash-join build/probe, nested-loop products, final
@@ -63,7 +59,7 @@ val execute :
 
 val naive :
   Database.t ->
-  eval:eval_fn ->
+  compile:compile_fn ->
   from:Ast.table_ref list ->
   where:Ast.expr option ->
   Pb_relation.Relation.t

@@ -8,8 +8,8 @@ let of_string s =
 
 let to_string = function Row -> "row" | Columnar -> "columnar"
 
-(* Same shape as PB_SQL_COMPILE: an env-seeded Atomic so benches and tests
-   flip it at runtime. Columnar is the default; the row interpreter stays
+(* An env-seeded Atomic so benches and tests flip it at runtime.
+   Columnar is the default; the row engine stays
    available as the differential oracle via PB_STORE=row. *)
 let mode =
   Atomic.make

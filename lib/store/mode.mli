@@ -1,6 +1,6 @@
 (** Process-wide storage-engine toggle, seeded from the [PB_STORE]
     environment variable ([row] or [columnar]; default [columnar]).
-    The row interpreter is the differential oracle: every columnar fast
+    The row engine is the differential oracle: every columnar fast
     path must produce results identical to what the row engine returns
     for the same statement. *)
 

@@ -2,7 +2,7 @@
     multiplicity column. Reconstruction ({!to_relation}, {!get_row}) is
     exact — values, Int/Float tags, and original row order all survive the
     round trip, which is what lets the columnar engine stay bit-identical
-    to the row interpreter. *)
+    to the row engine. *)
 
 type t
 

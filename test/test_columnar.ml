@@ -80,7 +80,11 @@ let cell_float =
       Gen.return Value.Null;
       Gen.map
         (fun f -> Value.Float f)
-        (Gen.oneofl [ 0.0; -0.0; 1.5; -2.25; 3.75; Float.nan ]);
+        (* near-equal and large integral floats: GROUP BY, DISTINCT and
+           set operations must key them by value, not by display text *)
+        (Gen.oneofl
+           [ 0.0; -0.0; 1.5; -2.25; 3.75; Float.nan; 1.0000001; 1.0000002;
+             1000000000001.0; 1000000000002.0 ]);
     ]
 
 let cell_str =
@@ -134,6 +138,9 @@ let statements =
     "SELECT s, COUNT(*), SUM(v), AVG(f), MIN(v), MAX(f) FROM t GROUP BY s \
      ORDER BY s";
     "SELECT COUNT(*), SUM(f), SUM(v) FROM t";
+    "SELECT f, COUNT(*), MIN(v) FROM t GROUP BY f ORDER BY f";
+    "SELECT DISTINCT f FROM t";
+    "SELECT f FROM t UNION SELECT f FROM t WHERE v > 0";
     "SELECT * FROM t WHERE v = f";
     "SELECT * FROM t ORDER BY v, f, s, b LIMIT 4 OFFSET 1";
     "SELECT a.v, b.v FROM t a, t b WHERE a.v < b.v ORDER BY a.v, b.v";

@@ -652,15 +652,14 @@ let test_warm_front_concurrent () =
 (* ---- compiled expression evaluation vs the interpreter ---------------- *)
 
 (* Random expressions over a schema with qualified columns (so suffix and
-   ambiguity resolution are exercised) evaluated against rows of random —
-   deliberately ill-typed — values: the compiled closure must reproduce the
-   interpreter bit for bit, including NULL propagation, Eval_error/Failure
-   messages, and which exception surfaces when several subexpressions
-   would raise. *)
+   ambiguity resolution are exercised) evaluated against rows — and groups
+   of rows — of random, deliberately ill-typed values: the compiled
+   closures must reproduce the tree-walking interpreter of [Oracle] bit
+   for bit, including NULL propagation, Eval_error/Failure messages, and
+   which exception surfaces when several subexpressions would raise. *)
 
 module Compile = Pb_sql.Compile
 module Sql_ast = Pb_sql.Ast
-module Executor = Pb_sql.Executor
 
 let expr_schema =
   Schema.make
@@ -706,7 +705,16 @@ let func_name_gen =
     [ "abs"; "lower"; "upper"; "length"; "round"; "floor"; "ceil"; "coalesce";
       "sqrt"; "bogus" ]
 
-let expr_gen : Sql_ast.expr Gen.t =
+(* A subquery no property run can answer: there is no database, so both
+   evaluators must raise the same "requires a database context" error,
+   and only when the node is evaluated. *)
+let subquery = Pb_sql.Parser.parse_select "SELECT id FROM t"
+
+(* [agg sub] generates the aggregate nodes: a fixed one for row
+   expressions (where any aggregate must raise), any shape for group
+   expressions. *)
+let expr_gen_with ~(agg : Sql_ast.expr Gen.t -> Sql_ast.expr Gen.t) :
+    Sql_ast.expr Gen.t =
   let open Gen in
   sized (fun size ->
       fix
@@ -754,10 +762,50 @@ let expr_gen : Sql_ast.expr Gen.t =
                     (fun branches default -> Sql_ast.Case (branches, default))
                     (list_size (int_range 1 2) (pair sub sub))
                     (opt sub) );
-                (* aggregate outside GROUP: must raise identically *)
-                (1, return (Sql_ast.Agg (Sql_ast.Sum, Some (Sql_ast.Col "x"))));
+                ( 1,
+                  oneof
+                    [
+                      map2
+                        (fun e neg -> Sql_ast.In_query (e, subquery, neg))
+                        sub bool;
+                      return (Sql_ast.Exists subquery);
+                    ] );
+                (2, agg sub);
               ])
         (min size 5))
+
+(* an aggregate outside GROUP must raise identically *)
+let expr_gen =
+  expr_gen_with ~agg:(fun _ ->
+      Gen.return (Sql_ast.Agg (Sql_ast.Sum, Some (Sql_ast.Col "x"))))
+
+let group_expr_gen =
+  expr_gen_with ~agg:(fun sub ->
+      let open Gen in
+      frequency
+        [
+          (2, return (Sql_ast.Agg (Sql_ast.Count_star, None)));
+          ( 6,
+            map2
+              (fun f arg -> Sql_ast.Agg (f, Some arg))
+              (oneofl
+                 Sql_ast.[ Count; Sum; Avg; Min; Max ])
+              sub );
+          (* no argument: raises when evaluated *)
+          (1, return (Sql_ast.Agg (Sql_ast.Sum, None)));
+          (* an aggregate in a CASE branch that is not taken is never
+             reduced: SUM over the string column would raise *)
+          ( 2,
+            map
+              (fun default ->
+                Sql_ast.Case
+                  ( [
+                      ( Sql_ast.Lit (Value.Bool false),
+                        Sql_ast.Agg (Sql_ast.Sum, Some (Sql_ast.Col "name")) );
+                    ],
+                    Some default ))
+              sub );
+        ])
 
 let row_gen = Gen.array_size (Gen.return 6) value_gen
 
@@ -789,16 +837,14 @@ let outcome_to_string = function
   | Error msg -> "Error " ^ msg
 
 let prop_compiled_eq_interpreted =
-  QCheck.Test.make ~count:500 ~name:"compiled expression == interpreter"
+  QCheck.Test.make ~count:500 ~long_factor:10
+    ~name:"compiled expression == interpreter"
     (QCheck.make ~print:print_case case_gen)
     (fun (e, rows) ->
-      (* no db: subquery nodes are not generated, and the fallback must
-         behave exactly like the interpreter call the executor makes *)
-      let fallback row e = Executor.eval_expr expr_schema row e in
-      let compiled = Compile.expr ~fallback expr_schema e in
+      let compiled = Compile.expr expr_schema e in
       List.for_all
         (fun row ->
-          let reference = outcome (fun () -> Executor.eval_expr expr_schema row e) in
+          let reference = outcome (fun () -> Oracle.eval_expr expr_schema row e) in
           let got = outcome (fun () -> compiled row) in
           let same =
             match (reference, got) with
@@ -813,6 +859,31 @@ let prop_compiled_eq_interpreted =
               (print_case (e, [ row ])))
         rows)
 
+(* Groups of 0-4 rows, so empty groups (COUNT( * ) = 0, everything else
+   NULL, columns read an all-NULL row) are common. *)
+let group_case_gen =
+  Gen.pair group_expr_gen (Gen.list_size (Gen.int_range 0 4) row_gen)
+
+let prop_group_compiled_eq_interpreted =
+  QCheck.Test.make ~count:500 ~long_factor:10
+    ~name:"compiled group expression == interpreter"
+    (QCheck.make ~print:print_case group_case_gen)
+    (fun (e, group) ->
+      let reference = outcome (fun () -> Oracle.eval_agg_expr expr_schema group e) in
+      let got =
+        outcome (fun () -> Compile.group expr_schema e (Array.of_list group))
+      in
+      let same =
+        match (reference, got) with
+        | Ok a, Ok b -> Stdlib.compare a b = 0
+        | Error a, Error b -> a = b
+        | _ -> false
+      in
+      same
+      || QCheck.Test.fail_reportf "interpreter=%s compiled=%s on %s"
+           (outcome_to_string reference) (outcome_to_string got)
+           (print_case (e, group)))
+
 (* The tokenized LIKE matcher used by compiled closures vs the reference
    two-pointer matcher, over patterns dense in % and _ edge shapes. *)
 let prop_like_compiled =
@@ -824,7 +895,7 @@ let prop_like_compiled =
           (Gen.string_size ~gen:(Gen.oneofl [ 'a'; 'b'; 'c' ]) (Gen.int_range 0 8))))
     (fun (pattern, s) ->
       Compile.like_match_compiled (Compile.compile_like pattern) s
-      = Compile.like_match ~pattern s)
+      = Oracle.like_match ~pattern s)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
@@ -834,7 +905,8 @@ let suite =
       prop_sketch_refine_valid; prop_sketch_refine_gap;
       prop_pipeline_valid; prop_pipeline_gap; prop_search_finds_a_package;
       prop_front_matches_ilp; prop_front_refuses_decoys; prop_warm_front_matches_cold;
-      prop_compiled_eq_interpreted; prop_like_compiled;
+      prop_compiled_eq_interpreted; prop_group_compiled_eq_interpreted;
+      prop_like_compiled;
     ]
   @ [
       Alcotest.test_case "warm LP front under two domains = cold answers" `Quick

@@ -183,9 +183,8 @@ let test_create_index_missing () =
 
 let plan db sql =
   let q = Parser.parse_select sql in
-  Planner.execute db
-    ~eval:(fun schema row e -> Executor.eval_expr ~db schema row e)
-    ~from:q.Ast.from ~where:q.Ast.where
+  Planner.execute db ~compile:(Executor.compile db) ~from:q.Ast.from
+    ~where:q.Ast.where
 
 let test_planner_uses_index () =
   let db = setup_db () in
@@ -245,11 +244,11 @@ let test_planner_matches_naive () =
     let where = Pb_util.Prng.choice rng where_variants in
     let sql = "SELECT * FROM t1, t2 WHERE " ^ where in
     let q = Parser.parse_select sql in
-    let eval schema row e = Executor.eval_expr ~db schema row e in
+    let compile = Executor.compile db in
     let planned, _ =
-      Planner.execute db ~eval ~from:q.Ast.from ~where:q.Ast.where
+      Planner.execute db ~compile ~from:q.Ast.from ~where:q.Ast.where
     in
-    let naive = Planner.naive db ~eval ~from:q.Ast.from ~where:q.Ast.where in
+    let naive = Planner.naive db ~compile ~from:q.Ast.from ~where:q.Ast.where in
     let canon rel =
       List.sort compare
         (List.map

@@ -278,7 +278,8 @@ let like_input_gen =
 let prop_like_matches_reference =
   QCheck.Test.make ~count:500 ~name:"LIKE = backtracking reference"
     (QCheck.make like_input_gen) (fun (pattern, s) ->
-      Pb_sql.Executor.like_match ~pattern s = like_reference pattern s 0 0)
+      Pb_sql.Compile.(like_match_compiled (compile_like pattern) s)
+      = like_reference pattern s 0 0)
 
 (* ---- PaQL round-trip on random queries ------------------------------- *)
 

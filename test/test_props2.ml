@@ -107,13 +107,13 @@ let prop_planner_equivalent =
       let db = db_of_tables t in
       ignore (Executor.execute_sql db "CREATE INDEX ON t1 (b)");
       let q = Pb_sql.Parser.parse_select ("SELECT * FROM t1, t2 WHERE " ^ where) in
-      let eval schema row e = Executor.eval_expr ~db schema row e in
+      let compile = Executor.compile db in
       let planned, _ =
-        Pb_sql.Planner.execute db ~eval ~from:q.Pb_sql.Ast.from
+        Pb_sql.Planner.execute db ~compile ~from:q.Pb_sql.Ast.from
           ~where:q.Pb_sql.Ast.where
       in
       let naive =
-        Pb_sql.Planner.naive db ~eval ~from:q.Pb_sql.Ast.from
+        Pb_sql.Planner.naive db ~compile ~from:q.Pb_sql.Ast.from
           ~where:q.Pb_sql.Ast.where
       in
       let canon rel =
@@ -265,6 +265,54 @@ let prop_persist_roundtrip =
       in
       result)
 
+(* Floats reload with the same bits: the saved text is the shortest
+   form that round-trips, not the 6-digit display form. *)
+let float_gen : float Gen.t =
+  let open Gen in
+  frequency
+    [
+      ( 2,
+        oneofl
+          [ 0.0; -0.0; 5e-324; -5e-324; 2.2250738585072009e-308; 1e300;
+            -1e300; Float.max_float; Float.infinity; Float.neg_infinity;
+            1.0000001; 123.45678; 3.0; -7.0; 1e15; 4503599627370497.0 ] );
+      (1, map float_of_int (int_range (-1_000_000) 1_000_000));
+      ( 3,
+        map
+          (fun bits ->
+            let f = Int64.float_of_bits bits in
+            if Float.is_nan f then 0.5 else f)
+          ui64 );
+    ]
+
+let prop_persist_float_bits =
+  QCheck.Test.make ~count:100 ~name:"persist: floats reload bitwise"
+    (QCheck.make
+       ~print:(fun fs -> String.concat ", " (List.map (Printf.sprintf "%h") fs))
+       (Gen.list_size (Gen.int_range 1 20) float_gen))
+    (fun fs ->
+      let db = Database.create () in
+      let schema = Schema.make [ { Schema.name = "k"; ty = Value.T_float } ] in
+      Database.put db "t"
+        (Relation.create schema (List.map (fun f -> [| Value.Float f |]) fs));
+      let dir = Filename.temp_file "pb_prop" "" in
+      Sys.remove dir;
+      Fun.protect
+        ~finally:(fun () ->
+          if Sys.file_exists dir then begin
+            Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+            Sys.rmdir dir
+          end)
+        (fun () ->
+          Pb_sql.Persist.save_dir db dir;
+          let back = Database.find_exn (Pb_sql.Persist.load_dir dir) "t" in
+          let bits = function
+            | [| Value.Float f |] -> Some (Int64.bits_of_float f)
+            | _ -> None
+          in
+          List.map (fun f -> Some (Int64.bits_of_float f)) fs
+          = List.map bits (Relation.to_list back)))
+
 (* ---- interface helpers --------------------------------------------------- *)
 
 let paql_text_gen : string Gen.t =
@@ -329,6 +377,7 @@ let suite =
       prop_sql_generation_exact;
       prop_annealing_valid;
       prop_persist_roundtrip;
+      prop_persist_float_bits;
       prop_describe_total;
       prop_complete_prefix_of_itself;
     ]

@@ -271,7 +271,8 @@ let server_config = { Server.default_config with port = 0; poll_interval = 0.02 
    through a Router fronting two in-process shard servers; every
    reaction must match byte-for-byte. Covers merged aggregates, the
    scan-pull fallback (join with ORDER BY), routed INSERT, broadcast
-   UPDATE/DELETE, router-local tables, and \ commands. *)
+   UPDATE/DELETE (with exact float and quoted string literals),
+   router-local tables, and \ commands. *)
 let test_router_matches_single_node () =
   let full = Database.create () in
   Database.put full "recipes" (Pb_workload.Workload.recipes ~seed:11 ~n:60 ());
@@ -318,6 +319,20 @@ let test_router_matches_single_node () =
                   "SELECT id, rating FROM recipes WHERE id >= 900 ORDER BY id";
                   "DELETE FROM recipes WHERE id = 901";
                   "SELECT COUNT(*) FROM recipes";
+                  (* the router re-prints every statement it forwards, so
+                     float literals keep every digit and quoted strings
+                     their doubled quotes on the way to the shards *)
+                  "INSERT INTO recipes VALUES (902, 'O''Brien''s stew', \
+                   'irish', 'free', 512, 30, 10, 40, 5, 1.0000001, \
+                   123.45678, 25), (903, 'plain', 'irish', 'free', 500, 30, \
+                   10, 40, 5, 1.0, 3.0, 25)";
+                  "SELECT id, name FROM recipes WHERE name = 'O''Brien''s stew'";
+                  "SELECT COUNT(*) FROM recipes WHERE cost = 1.0000001";
+                  "SELECT COUNT(*) FROM recipes WHERE cost > 1 AND cost < 1.000001";
+                  "UPDATE recipes SET rating = 123.45679 WHERE name LIKE 'O''Brien%'";
+                  "SELECT id FROM recipes WHERE rating = 123.45679";
+                  "DELETE FROM recipes WHERE cost = 1.0000001";
+                  "SELECT COUNT(*) FROM recipes WHERE id >= 902";
                   "DROP TABLE note";
                   "\\schema recipes";
                   "sel ect nonsense";

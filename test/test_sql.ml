@@ -5,6 +5,7 @@ module Lexer = Pb_sql.Lexer
 module Parser = Pb_sql.Parser
 module Ast = Pb_sql.Ast
 module Executor = Pb_sql.Executor
+module Compile = Pb_sql.Compile
 module Database = Pb_sql.Database
 module Value = Pb_relation.Value
 module Relation = Pb_relation.Relation
@@ -116,7 +117,7 @@ let test_like () =
       Alcotest.(check bool)
         (Printf.sprintf "LIKE %s ~ %s" pattern s)
         expected
-        (Executor.like_match ~pattern s))
+        (Compile.like_match_compiled (Compile.compile_like pattern) s))
     cases
 
 let setup_db () =
@@ -391,6 +392,253 @@ let test_prepared_execution_matches_fresh () =
   Alcotest.(check (list string)) "first prepared run" [ fresh ] (run ());
   Alcotest.(check (list string)) "repeat prepared run" [ fresh ] (run ())
 
+(* GROUP BY, DISTINCT and set operations key rows by value: floats that
+   differ past the sixth digit (where [Value.to_string] rounds) or past
+   the twelfth (where [string_of_float] rounds) stay apart. *)
+let test_keys_by_value () =
+  let db = Database.create () in
+  List.iter
+    (fun sql -> ignore (Executor.execute_sql db sql))
+    [
+      "CREATE TABLE t (k FLOAT)";
+      "INSERT INTO t VALUES (1.0000001), (1.0000002), (1.0000002)";
+      "CREATE TABLE u (k FLOAT)";
+      "INSERT INTO u VALUES (1000000000001.0), (1000000000002.0)";
+    ];
+  let count sql =
+    match Executor.execute_sql db sql with
+    | Executor.Rows rel -> Relation.cardinality rel
+    | _ -> Alcotest.fail "expected rows"
+  in
+  let check_mode mode =
+    let saved = Pb_store.Mode.current () in
+    Pb_store.Mode.set mode;
+    Fun.protect
+      ~finally:(fun () -> Pb_store.Mode.set saved)
+      (fun () ->
+        let m = Pb_store.Mode.to_string mode in
+        Alcotest.(check int) (m ^ ": GROUP BY groups") 2
+          (count "SELECT k, COUNT(*) FROM t GROUP BY k");
+        Alcotest.(check int) (m ^ ": one group of 2") 1
+          (count "SELECT k FROM t GROUP BY k HAVING COUNT(*) = 2");
+        Alcotest.(check int) (m ^ ": DISTINCT") 2 (count "SELECT DISTINCT k FROM u");
+        Alcotest.(check int) (m ^ ": UNION") 2
+          (count "SELECT k FROM u UNION SELECT k FROM u");
+        Alcotest.(check int) (m ^ ": EXCEPT") 1
+          (count
+             "SELECT k FROM u EXCEPT SELECT k FROM u WHERE k < 1000000000001.5"))
+  in
+  check_mode Pb_store.Mode.Row;
+  check_mode Pb_store.Mode.Columnar
+
+(* ---- print/parse fixpoint over generated statements ------------------- *)
+
+module Gen = QCheck.Gen
+
+let ident_gen = Gen.oneofl [ "a"; "b"; "t.a"; "u.b"; "name" ]
+let table_gen = Gen.oneofl [ "t"; "u"; "recipes" ]
+
+(* Literals the parser produces: no negative numbers (those parse as a
+   unary minus), floats among hard-to-print values and random bit
+   patterns, strings with quotes and LIKE wildcards. *)
+let lit_gen : Value.t Gen.t =
+  let open Gen in
+  let finite_nonneg =
+    map
+      (fun bits ->
+        let f = Float.abs (Int64.float_of_bits bits) in
+        if Float.is_finite f then f else 1.5)
+      ui64
+  in
+  frequency
+    [
+      (1, return Value.Null);
+      (1, map (fun b -> Value.Bool b) bool);
+      (2, map (fun i -> Value.Int i) (oneof [ int_range 0 100; int_range 0 max_int ]));
+      ( 4,
+        map
+          (fun f -> Value.Float f)
+          (oneof
+             [
+               oneofl
+                 [ 0.0; 3.0; 1.0000001; 123.45678; 0.1; 1e20; 1e-7; 5e-324;
+                   2.2250738585072014e-308; 1e300; Float.max_float;
+                   Float.infinity; 1000000000001.0 ];
+               finite_nonneg;
+             ]) );
+      ( 3,
+        map
+          (fun s -> Value.Str s)
+          (string_size ~gen:(oneofl [ 'a'; '\''; '%'; '_'; ' '; 'b' ]) (int_range 0 6))
+      );
+    ]
+
+let binop_gen =
+  Gen.oneofl
+    Ast.[ Add; Sub; Mul; Div; Eq; Neq; Lt; Le; Gt; Ge; And; Or ]
+
+let rec expr_gen n : Ast.expr Gen.t =
+  let open Gen in
+  let leaf =
+    oneof
+      [ map (fun v -> Ast.Lit v) lit_gen; map (fun c -> Ast.Col c) ident_gen ]
+  in
+  if n <= 0 then leaf
+  else
+    let sub = expr_gen (n / 2) in
+    frequency
+      [
+        (3, leaf);
+        (1, map (fun e -> Ast.Unary_minus e) sub);
+        (1, map (fun e -> Ast.Not e) sub);
+        (4, map3 (fun op a b -> Ast.Binop (op, a, b)) binop_gen sub sub);
+        (1, map3 (fun a b c -> Ast.Between (a, b, c)) sub sub sub);
+        ( 1,
+          map3
+            (fun e items neg -> Ast.In_list (e, items, neg))
+            sub (list_size (int_range 1 3) sub) bool );
+        (1, map2 (fun e neg -> Ast.Is_null (e, neg)) sub bool);
+        ( 1,
+          map3
+            (fun e pat neg -> Ast.Like (e, pat, neg))
+            sub
+            (string_size ~gen:(oneofl [ 'a'; '\''; '%'; '_' ]) (int_range 0 4))
+            bool );
+        (1, return (Ast.Agg (Ast.Count_star, None)));
+        ( 1,
+          map2
+            (fun f e -> Ast.Agg (f, Some e))
+            (oneofl Ast.[ Count; Sum; Avg; Min; Max ])
+            sub );
+        ( 1,
+          map2
+            (fun f args -> Ast.Func (f, args))
+            (oneofl [ "abs"; "lower"; "coalesce" ])
+            (list_size (int_range 0 2) sub) );
+        ( 1,
+          map2
+            (fun bs d -> Ast.Case (bs, d))
+            (list_size (int_range 1 2) (pair sub sub))
+            (opt sub) );
+        ( 1,
+          map2 (fun e neg -> Ast.In_query (e, simple_select, neg)) sub bool );
+        (1, return (Ast.Exists simple_select));
+      ]
+
+and simple_select =
+  {
+    Ast.distinct = false;
+    items = [ Ast.Expr_item (Ast.Col "a", None) ];
+    from = [ { Ast.rel_name = "t"; alias = None } ];
+    where = Some (Ast.Binop (Ast.Gt, Ast.Col "b", Ast.Lit (Value.Float 0.5)));
+    group_by = [];
+    having = None;
+    order_by = [];
+    limit = None;
+    offset = None;
+    compound = [];
+  }
+
+let select_gen ~compound : Ast.select Gen.t =
+  let open Gen in
+  let e = expr_gen 4 in
+  let* distinct = bool in
+  let* items =
+    list_size (int_range 1 3)
+      (frequency
+         [
+           (1, return Ast.Star_item);
+           ( 4,
+             map2
+               (fun e a -> Ast.Expr_item (e, a))
+               e (opt (oneofl [ "x"; "total" ])) );
+         ])
+  in
+  let* from =
+    list_size (int_range 1 2)
+      (map2
+         (fun rel_name alias -> { Ast.rel_name; alias })
+         table_gen (opt (oneofl [ "p"; "q" ])))
+  in
+  let* where = opt e in
+  let* group_by = list_size (int_range 0 2) e in
+  let* having = opt e in
+  let* order_by =
+    list_size (int_range 0 2) (pair e (oneofl Ast.[ Asc; Desc ]))
+  in
+  let* limit = opt (int_range 0 50) in
+  let* offset = opt (int_range 0 5) in
+  let* compound =
+    if compound then
+      list_size (int_range 0 2)
+        (pair
+           (oneofl Ast.[ Union; Union_all; Intersect; Except ])
+           (return simple_select))
+    else return []
+  in
+  return
+    {
+      Ast.distinct; items; from; where; group_by; having; order_by; limit;
+      offset; compound;
+    }
+
+let statement_gen : Ast.statement Gen.t =
+  let open Gen in
+  let e = expr_gen 4 in
+  frequency
+    [
+      (4, map (fun q -> Ast.Select_stmt q) (select_gen ~compound:true));
+      ( 2,
+        map3
+          (fun t cols rows -> Ast.Insert (t, cols, rows))
+          table_gen
+          (opt (return [ "a"; "b" ]))
+          (list_size (int_range 1 3)
+             (list_repeat 2 (map (fun v -> Ast.Lit v) lit_gen))) );
+      ( 1,
+        map3
+          (fun t sets w -> Ast.Update (t, sets, w))
+          table_gen
+          (list_size (int_range 1 2) (pair (oneofl [ "a"; "b" ]) e))
+          (opt e) );
+      (1, map2 (fun t w -> Ast.Delete (t, w)) table_gen (opt e));
+      ( 1,
+        map2
+          (fun t tys ->
+            Ast.Create_table
+              ( t,
+                List.mapi
+                  (fun i col_ty -> { Ast.col_name = Printf.sprintf "c%d" i; col_ty })
+                  tys ))
+          table_gen
+          (list_size (int_range 1 3)
+             (oneofl Value.[ T_int; T_float; T_str; T_bool ])) );
+      (1, map (fun t -> Ast.Drop_table t) table_gen);
+      (1, map (fun t -> Ast.Create_index { table = t; column = "a" }) table_gen);
+    ]
+
+(* Printing a parsed statement and parsing it back gives the same tree,
+   and printing is then a fixpoint: the router forwards statements to
+   shards as printed text, so nothing may change on the way — not a
+   float digit, not a quote. *)
+let prop_print_parse_fixpoint =
+  QCheck.Test.make ~count:500 ~long_factor:10 ~name:"print/parse fixpoint"
+    (QCheck.make ~print:Ast.statement_to_string statement_gen)
+    (fun stmt ->
+      let text = Ast.statement_to_string stmt in
+      match Parser.parse_statement text with
+      | exception Parser.Parse_error msg ->
+          QCheck.Test.fail_reportf "%s\ndoes not parse: %s" text msg
+      | exception Lexer.Lex_error (msg, _) ->
+          QCheck.Test.fail_reportf "%s\ndoes not lex: %s" text msg
+      | parsed ->
+          let again = Ast.statement_to_string parsed in
+          if again <> text then
+            QCheck.Test.fail_reportf "printed:\n%s\nreprinted:\n%s" text again
+          else if parsed <> stmt then
+            QCheck.Test.fail_reportf "%s\nparses to a different tree" text
+          else true)
+
 let suite =
   [
     Alcotest.test_case "lexer basics" `Quick test_lexer_basics;
@@ -427,4 +675,7 @@ let suite =
       test_plan_cache_eviction;
     Alcotest.test_case "prepared execution matches fresh" `Quick
       test_prepared_execution_matches_fresh;
+    Alcotest.test_case "GROUP BY, DISTINCT and set ops key by value" `Quick
+      test_keys_by_value;
+    QCheck_alcotest.to_alcotest prop_print_parse_fixpoint;
   ]
