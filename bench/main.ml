@@ -25,12 +25,18 @@
    Load generator (serving-path numbers, run against a live pb_server):
 
      dune exec bench/main.exe -- --loadgen --port 7878 \
-       --clients 8 --requests 200 --workload bench/workloads/net_mixed.txt \
+       --connections 8 --duration 10 --workload bench/workloads/net_mixed.txt \
        --label d1 --json-out out.json
 
-   Each of N clients opens one connection and replays the workload file
-   round-robin (starting at a per-client offset so clients interleave
-   differently); reported are throughput and p50/p95/p99 latency. *)
+   --connections persistent connections (default 4) share one event loop
+   and replay the workload file in order. Without --rate every connection
+   re-issues as soon as its answer arrives (closed loop); --rate R offers
+   a Poisson arrival stream instead (open loop). Reported are throughput
+   and p50/p95/p99 latency.
+
+   Every JSON file written here nests perfbench's run envelope (host,
+   nproc, git rev, PB_DOMAINS, PB_STORE, argv) and the process's peak
+   RSS. Unknown flags and bad values exit 2 with a usage message. *)
 
 module Engine = Pb_core.Engine
 module Coeffs = Pb_core.Coeffs
@@ -40,6 +46,7 @@ module Package = Pb_paql.Package
 module Semantics = Pb_paql.Semantics
 module Table = Pb_util.Table
 module Stats = Pb_util.Stats
+module Json = Pbb.Json
 
 let quick = ref false
 let selected : string list ref = ref []
@@ -68,41 +75,42 @@ let with_metrics id f =
       in
       metric_records := (id, deltas) :: !metric_records
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let num v = Json.Num v
+let int i = Json.Num (float_of_int i)
+let domains () = int (Pb_par.Pool.size (Pb_par.Pool.get_default ()))
+let store_mode () = Json.Str (Pb_store.Mode.to_string (Pb_store.Mode.current ()))
 
-let json_num v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%g" v
+(* One line per member of the top two levels, so a committed file diffs
+   line by line. *)
+let rec pretty depth v =
+  let pad = "\n" ^ String.make (2 * (depth + 1)) ' ' in
+  let block o c items = o ^ pad ^ String.concat ("," ^ pad) items ^ "\n" ^ String.make (2 * depth) ' ' ^ c in
+  match v with
+  | Json.Obj (_ :: _ as fs) when depth < 2 ->
+      block "{" "}" (List.map (fun (k, x) -> Json.to_string (Json.Str k) ^ ": " ^ pretty (depth + 1) x) fs)
+  | Json.Arr (_ :: _ as l) when depth < 2 -> block "[" "]" (List.map (pretty (depth + 1)) l)
+  | v -> Json.to_string v
+
+(* Every JSON file bench writes: perfbench's run envelope and the
+   process's peak RSS (VmHWM; it only grows), then the output's fields. *)
+let write_json path ~workload ~seed fields =
+  let envelope = Pbb.Report.envelope ~workload ~seed ~flags:[] ~servers:[] in
+  let doc =
+    Json.Obj ([ ("envelope", envelope); ("peak_rss_mb", num (Pbb.Procs.peak_rss_mb 0)) ] @ fields)
+  in
+  Out_channel.with_open_text path (fun oc -> output_string oc (pretty 0 doc ^ "\n"));
+  Printf.printf "%s results written to %s\n" workload path
 
 let write_metrics path =
-  let oc = open_out path in
   let experiment (id, deltas) =
-    Printf.sprintf "{\"experiment\":\"%s\",\"metrics\":{%s}}" (json_escape id)
-      (String.concat ","
-         (List.map
-            (fun (name, v) ->
-              Printf.sprintf "\"%s\":%s" (json_escape name) (json_num v))
-            deltas))
+    Json.Obj
+      [ ("experiment", Json.Str id); ("metrics", Json.Obj (List.map (fun (name, v) -> (name, num v)) deltas)) ]
   in
-  output_string oc
-    ("{\"quick\":" ^ string_of_bool !quick ^ ",\"domains\":"
-    ^ string_of_int (Pb_par.Pool.size (Pb_par.Pool.get_default ()))
-    ^ ",\"experiments\":[\n"
-    ^ String.concat ",\n" (List.rev_map experiment !metric_records)
-    ^ "\n]}\n");
-  close_out oc;
-  Printf.printf "metric snapshots written to %s\n" path
+  write_json path ~workload:"bench --metrics-out" ~seed:7
+    [
+      ("quick", Json.Bool !quick); ("domains", domains ());
+      ("experiments", Json.Arr (List.rev_map experiment !metric_records));
+    ]
 
 let header id title claim =
   Printf.printf "\n================================================================\n";
@@ -997,16 +1005,16 @@ let sql_bench () =
   header "SQL" "row engine hot paths, storage engines, plan cache"
     "perf substrate (DESIGN.md): one-pass expr->closure compilation, \
      columnar batch kernels, and the server-side prepared-plan cache";
-  let median_time ?(repeat = 5) f =
+  (* (p25, median, p75) of [repeat] timed runs after one warm-up. *)
+  let time_quartiles ?(repeat = 5) f =
     ignore (f ());
-    let ts =
-      List.sort compare (List.init repeat (fun _ -> snd (Stats.timeit f)))
-    in
-    List.nth ts (repeat / 2)
+    let ts = List.init repeat (fun _ -> snd (Stats.timeit f)) in
+    (Stats.percentile 25.0 ts, Stats.median ts, Stats.percentile 75.0 ts)
   in
-  (* (case, [metric name, seconds], speedup of the first metric over the
-     second, when there are two) *)
-  let results : (string * (string * float) list * float option) list ref =
+  let median (_, m, _) = m in
+  (* (case, [metric name, quartiles], speedup of the first metric's median
+     over the second's, when there are two) *)
+  let results : (string * (string * (float * float * float)) list * float option) list ref =
     ref []
   in
   let was_mode = Pb_store.Mode.current () in
@@ -1014,19 +1022,19 @@ let sql_bench () =
      so the columnar fast path doesn't answer them. *)
   Pb_store.Mode.set Pb_store.Mode.Row;
   let row_case name ?repeat f =
-    results := (name, [ ("compiled_s", median_time ?repeat f) ], None) :: !results
+    results := (name, [ ("compiled_s", time_quartiles ?repeat f) ], None) :: !results
   in
   (* Row-vs-columnar duels: the row side runs the compiled closures, the
      columnar side the batch kernels. The warm-up call inside
-     [median_time] builds the columnar image, so timings exclude the
+     [time_quartiles] builds the columnar image, so timings exclude the
      one-off conversion. *)
   let store_duel name ?repeat f =
     Pb_store.Mode.set Pb_store.Mode.Row;
-    let row = median_time ?repeat f in
+    let row = time_quartiles ?repeat f in
     Pb_store.Mode.set Pb_store.Mode.Columnar;
-    let columnar = median_time ?repeat f in
+    let columnar = time_quartiles ?repeat f in
     Pb_store.Mode.set Pb_store.Mode.Row;
-    let speedup = row /. Float.max 1e-9 columnar in
+    let speedup = median row /. Float.max 1e-9 (median columnar) in
     results :=
       (name, [ ("row_s", row); ("columnar_s", columnar) ], Some speedup)
       :: !results
@@ -1124,11 +1132,11 @@ let sql_bench () =
           AND (cost / 2.0 < 6.5 OR rating >= 4.5) AND name LIKE '%ra%' AND \
           gluten = 'free'")
   in
-  let untraced = median_time scan in
+  let untraced = time_quartiles scan in
   let store = Pb_obs.Trace_store.create ~capacity:64 () in
   let bench_tid = String.make 32 'b' in
   let traced =
-    median_time (fun () ->
+    time_quartiles (fun () ->
         let started = Unix.gettimeofday () in
         let (), spans =
           Pb_obs.Trace.with_context ~trace_id:bench_tid (fun () -> scan ())
@@ -1146,7 +1154,7 @@ let sql_bench () =
   results :=
     ( "filter_scan_trace_store",
       [ ("traced_s", traced); ("untraced_s", untraced) ],
-      Some (traced /. Float.max 1e-9 untraced) )
+      Some (median traced /. Float.max 1e-9 (median untraced)) )
     :: !results;
   (* prepared-statement repetition on a small table, so lex/parse/compile
      dominates execution: cold clears the plan cache before every request,
@@ -1167,14 +1175,14 @@ let sql_bench () =
     List.iter (fun s -> ignore (Pb_sql.Executor.execute ~memo pdb s)) stmts
   in
   let cold =
-    median_time ~repeat:3 (fun () ->
+    time_quartiles ~repeat:3 (fun () ->
         for _ = 1 to reps do
           Pb_sql.Plan_cache.clear cache;
           run ()
         done)
   in
   let warm =
-    median_time ~repeat:3 (fun () ->
+    time_quartiles ~repeat:3 (fun () ->
         for _ = 1 to reps do
           run ()
         done)
@@ -1182,7 +1190,7 @@ let sql_bench () =
   results :=
     ( Printf.sprintf "prepared_repeat_x%d" reps,
       [ ("cold_s", cold); ("warm_s", warm) ],
-      Some (cold /. Float.max 1e-9 warm) )
+      Some (median cold /. Float.max 1e-9 (median warm)) )
     :: !results;
   Pb_store.Mode.set was_mode;
   let results = List.rev !results in
@@ -1194,32 +1202,26 @@ let sql_bench () =
          match (metrics, speedup) with
          | [ (bl, bv); (ol, ov) ], Some speedup ->
              [
-               name; bl; fmt_seconds bv; ol; fmt_seconds ov;
+               name; bl; fmt_seconds (median bv); ol; fmt_seconds (median ov);
                Printf.sprintf "%.1fx" speedup;
              ]
-         | [ (ol, ov) ], _ -> [ name; ""; ""; ol; fmt_seconds ov; "" ]
+         | [ (ol, ov) ], _ -> [ name; ""; ""; ol; fmt_seconds (median ov); "" ]
          | _ -> [ name; "?"; "?"; "?"; "?"; "?" ])
        results);
-  let oc = open_out !sql_json_out in
-  Printf.fprintf oc
-    "{\"quick\":%b,\"domains\":%d,\"store_mode\":\"%s\",\"cases\":[\n%s\n]}\n"
-    !quick
-    (Pb_par.Pool.size (Pb_par.Pool.get_default ()))
-    (Pb_store.Mode.to_string (Pb_store.Mode.current ()))
-    (String.concat ",\n"
-       (List.map
-          (fun (name, metrics, speedup) ->
-            Printf.sprintf "{\"name\":\"%s\",%s%s}" (json_escape name)
-              (String.concat ","
-                 (List.map
-                    (fun (k, v) -> Printf.sprintf "\"%s\":%s" k (json_num v))
-                    metrics))
-              (match speedup with
-              | Some x -> ",\"speedup\":" ^ json_num x
-              | None -> ""))
-          results));
-  close_out oc;
-  Printf.printf "sql bench results written to %s\n" !sql_json_out;
+  let case (name, metrics, speedup) =
+    Json.Obj
+      ((("name", Json.Str name)
+       :: List.concat_map
+            (fun (k, (p25, m, p75)) -> [ (k, num m); (k ^ "_p25", num p25); (k ^ "_p75", num p75) ])
+            metrics)
+      @ match speedup with Some x -> [ ("speedup", num x) ] | None -> [])
+  in
+  write_json !sql_json_out ~workload:"bench --sql" ~seed:7
+    [
+      ("quick", Json.Bool !quick); ("domains", domains ()); ("store_mode", store_mode ());
+      ("timing_note", Json.Str "each metric is the median of 5 timed runs (3 for three_way_ineq_join and prepared_repeat) after one warm-up; _p25/_p75 are their nearest-rank quartiles; speedup is the ratio of medians");
+      ("cases", Json.Arr (List.map case results));
+    ];
   print_endline
     "shape check: the columnar kernels beat the row engine's compiled\n\
      closures on scans and grouped aggregates, most on duplicate-heavy\n\
@@ -1272,25 +1274,6 @@ let paql_scale_tweak =
   "SELECT PACKAGE(R) AS P FROM t R SUCH THAT COUNT(*) BETWEEN 8 AND 10 AND \
    SUM(P.a) <= 125 MAXIMIZE SUM(P.b)"
 
-(* The process's peak resident set so far (VmHWM), in MiB; nan where
-   /proc is unavailable. It only grows, so rows record the high-water
-   mark reached by the end of each row. *)
-let peak_rss_mb () =
-  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
-  | exception Sys_error _ -> nan
-  | text -> (
-      let line =
-        List.find_opt
-          (fun l -> String.length l > 6 && String.sub l 0 6 = "VmHWM:")
-          (String.split_on_char '\n' text)
-      in
-      match line with
-      | None -> nan
-      | Some l ->
-          let kb = String.trim (String.sub l 6 (String.length l - 6)) in
-          let kb = List.hd (String.split_on_char ' ' kb) in
-          float_of_string kb /. 1024.0)
-
 (* Branch-and-bound nodes and simplex pivots spent by [f], from the
    process-wide counters. *)
 let with_solver_counts f =
@@ -1312,19 +1295,17 @@ let paql_scale () =
   let node_budget = if !quick then 5_000 else 20_000 in
   let deadline = if !quick then 5.0 else 30.0 in
   let pool = Pb_par.Pool.get_default () in
-  let records : string list ref = ref [] in
+  let records : Json.t list ref = ref [] in
   let table_rows : string list list ref = ref [] in
   let fnum = function None -> "-" | Some v -> Printf.sprintf "%.6g" v in
-  let jopt = function None -> "null" | Some v -> json_num v in
-  let record fields = records := Printf.sprintf "{%s}" (String.concat "," fields) :: !records in
+  let opt = function None -> Json.Null | Some v -> num v in
+  let record fields = records := Json.Obj fields :: !records in
   let rates ~wall ~nodes ~pivots =
     [
-      Printf.sprintf "\"bb_nodes\":%.0f" nodes;
-      Printf.sprintf "\"lp_pivots\":%.0f" pivots;
-      Printf.sprintf "\"nodes_per_s\":%s" (json_num (if wall > 0.0 then nodes /. wall else 0.0));
-      Printf.sprintf "\"pivots_per_node\":%s"
-        (if nodes > 0.0 then json_num (pivots /. nodes) else "null");
-      Printf.sprintf "\"peak_rss_mb\":%s" (json_num (peak_rss_mb ()));
+      ("bb_nodes", num nodes); ("lp_pivots", num pivots);
+      ("nodes_per_s", num (if wall > 0.0 then nodes /. wall else 0.0));
+      ("pivots_per_node", if nodes > 0.0 then num (pivots /. nodes) else Json.Null);
+      ("peak_rss_mb", num (Pbb.Procs.peak_rss_mb 0));
     ]
   in
   List.iter
@@ -1358,22 +1339,13 @@ let paql_scale () =
         :: !table_rows;
       record
         ([
-           Printf.sprintf "\"name\":\"lp_front\"";
-           Printf.sprintf "\"rows\":%d" n;
-           Printf.sprintf "\"wall_s\":%s" (json_num wall);
-           Printf.sprintf "\"front_s\":%s" (json_num out.front_seconds);
-           Printf.sprintf "\"front\":\"%s\"" out.front;
-           Printf.sprintf "\"certified\":%b" (out.front = "certified");
-           Printf.sprintf "\"lp_front_pivots\":%d" out.lp_pivots;
-           Printf.sprintf "\"kept_columns\":%d" out.kept_columns;
-           Printf.sprintf "\"lp_bound\":%s" (jopt out.lp_bound);
-           Printf.sprintf "\"objective\":%s" (jopt out.best_objective);
-           Printf.sprintf "\"bound\":%s" (jopt out.bound);
-           Printf.sprintf "\"gap\":%s" (jopt out.gap);
-           Printf.sprintf "\"proven_optimal\":%b" out.proven_optimal;
-           Printf.sprintf "\"valid_package\":%b" (valid out);
-           Printf.sprintf "\"partitions\":%d" out.partitions_built;
-           Printf.sprintf "\"refine_steps\":%d" out.refine_steps;
+           ("name", Json.Str "lp_front"); ("rows", int n); ("wall_s", num wall);
+           ("front_s", num out.front_seconds); ("front", Json.Str out.front);
+           ("certified", Json.Bool (out.front = "certified")); ("lp_front_pivots", int out.lp_pivots);
+           ("kept_columns", int out.kept_columns); ("lp_bound", opt out.lp_bound);
+           ("objective", opt out.best_objective); ("bound", opt out.bound); ("gap", opt out.gap);
+           ("proven_optimal", Json.Bool out.proven_optimal); ("valid_package", Json.Bool (valid out));
+           ("partitions", int out.partitions_built); ("refine_steps", int out.refine_steps);
          ]
         @ rates ~wall ~nodes ~pivots);
       (* One right-hand side moved: the front re-solves the LP from the
@@ -1400,20 +1372,13 @@ let paql_scale () =
         :: !table_rows;
       record
         ([
-           Printf.sprintf "\"name\":\"lp_front_warm\"";
-           Printf.sprintf "\"rows\":%d" n;
-           Printf.sprintf "\"query\":\"%s\"" (json_escape paql_scale_tweak);
-           Printf.sprintf "\"wall_s\":%s" (json_num wall);
-           Printf.sprintf "\"front_s\":%s" (json_num out.front_seconds);
-           Printf.sprintf "\"front\":\"%s\"" out.front;
-           Printf.sprintf "\"lp_warm\":%b" out.lp_warm;
-           Printf.sprintf "\"lp_front_pivots\":%d" out.lp_pivots;
-           Printf.sprintf "\"kept_columns\":%d" out.kept_columns;
-           Printf.sprintf "\"lp_bound\":%s" (jopt out.lp_bound);
-           Printf.sprintf "\"objective\":%s" (jopt out.best_objective);
-           Printf.sprintf "\"proven_optimal\":%b" out.proven_optimal;
-           Printf.sprintf "\"valid_package\":%b"
-             (match out.best with Some p -> Pb_core.Coeffs.check c2 p | None -> false);
+           ("name", Json.Str "lp_front_warm"); ("rows", int n); ("query", Json.Str paql_scale_tweak);
+           ("wall_s", num wall); ("front_s", num out.front_seconds); ("front", Json.Str out.front);
+           ("lp_warm", Json.Bool out.lp_warm); ("lp_front_pivots", int out.lp_pivots);
+           ("kept_columns", int out.kept_columns); ("lp_bound", opt out.lp_bound);
+           ("objective", opt out.best_objective); ("proven_optimal", Json.Bool out.proven_optimal);
+           ( "valid_package",
+             Json.Bool (match out.best with Some p -> Pb_core.Coeffs.check c2 p | None -> false) );
          ]
         @ rates ~wall ~nodes ~pivots);
       Pb_core.Sketch_refine.forget_warm_fronts ();
@@ -1444,22 +1409,14 @@ let paql_scale () =
             :: !table_rows;
           record
             ([
-               Printf.sprintf "\"name\":\"sketch_refine\"";
-               Printf.sprintf "\"rows\":%d" n;
-               Printf.sprintf "\"partitions\":%d" out.partitions_built;
-               Printf.sprintf "\"fanout\":%d" params.fanout;
-               Printf.sprintf "\"wall_s\":%s" (json_num wall);
-               Printf.sprintf "\"partition_s\":%s" (json_num out.partition_seconds);
-               Printf.sprintf "\"sketch_s\":%s" (json_num out.sketch_seconds);
-               Printf.sprintf "\"refine_s\":%s" (json_num out.refine_seconds);
-               Printf.sprintf "\"objective\":%s" (jopt out.best_objective);
-               Printf.sprintf "\"bound\":%s" (jopt out.bound);
-               Printf.sprintf "\"gap\":%s" (jopt out.gap);
-               Printf.sprintf "\"proven_optimal\":%b" out.proven_optimal;
-               Printf.sprintf "\"valid_package\":%b" (valid out);
-               Printf.sprintf "\"refine_steps\":%d" out.refine_steps;
-               Printf.sprintf "\"refined_partitions\":%d" out.refined_partitions;
-               Printf.sprintf "\"sketch_status\":\"%s\"" (json_escape out.sketch_status);
+               ("name", Json.Str "sketch_refine"); ("rows", int n);
+               ("partitions", int out.partitions_built); ("fanout", int params.fanout);
+               ("wall_s", num wall); ("partition_s", num out.partition_seconds);
+               ("sketch_s", num out.sketch_seconds); ("refine_s", num out.refine_seconds);
+               ("objective", opt out.best_objective); ("bound", opt out.bound); ("gap", opt out.gap);
+               ("proven_optimal", Json.Bool out.proven_optimal); ("valid_package", Json.Bool (valid out));
+               ("refine_steps", int out.refine_steps); ("refined_partitions", int out.refined_partitions);
+               ("sketch_status", Json.Str out.sketch_status);
              ]
             @ rates ~wall ~nodes ~pivots))
         [ None; Some 64; Some 1024 ];
@@ -1483,12 +1440,9 @@ let paql_scale () =
         :: !table_rows;
       record
         ([
-           Printf.sprintf "\"name\":\"ilp\"";
-           Printf.sprintf "\"rows\":%d" n;
-           Printf.sprintf "\"wall_s\":%s" (json_num wall);
-           Printf.sprintf "\"objective\":%s" (jopt r.Engine.objective);
-           Printf.sprintf "\"proof\":\"%s\"" (Engine.proof_to_string r.Engine.proof);
-           Printf.sprintf "\"stopped\":%b" (List.mem_assoc "stopped" r.Engine.stats);
+           ("name", Json.Str "ilp"); ("rows", int n); ("wall_s", num wall);
+           ("objective", opt r.Engine.objective); ("proof", Json.Str (Engine.proof_to_string r.Engine.proof));
+           ("stopped", Json.Bool (List.mem_assoc "stopped" r.Engine.stats));
          ]
         @ rates ~wall ~nodes ~pivots))
     sizes;
@@ -1496,17 +1450,15 @@ let paql_scale () =
     ~align:[ Table.Right; Table.Left; Table.Right; Table.Right; Table.Right; Table.Right; Table.Left ]
     ~header:[ "rows"; "method"; "wall"; "objective"; "bound"; "gap"; "outcome" ]
     (List.rev !table_rows);
-  let oc = open_out !paql_json_out in
-  Printf.fprintf oc
-    "{\"quick\":%b,\"domains\":%d,\"store_mode\":\"%s\",\"node_budget\":%d,\"deadline_s\":%s,\"query\":\"%s\",\"peak_rss_note\":\"process VmHWM at the end of each row; it only grows, and lp_front then lp_front_warm run first at each size\",\"runs\":[\n%s\n]}\n"
-    !quick
-    (Pb_par.Pool.size pool)
-    (Pb_store.Mode.to_string (Pb_store.Mode.current ()))
-    node_budget (json_num deadline)
-    (json_escape paql_scale_query)
-    (String.concat ",\n" (List.rev !records));
-  close_out oc;
-  Printf.printf "paql scale results written to %s\n" !paql_json_out;
+  write_json !paql_json_out ~workload:"bench --paql-scale" ~seed:42
+    [
+      ("quick", Json.Bool !quick); ("domains", domains ()); ("store_mode", store_mode ());
+      ("node_budget", int node_budget); ("deadline_s", num deadline); ("query", Json.Str paql_scale_query);
+      ( "peak_rss_note",
+        Json.Str
+          "process VmHWM at the end of each row; it only grows, and lp_front then lp_front_warm run first at each size" );
+      ("runs", Json.Arr (List.rev !records));
+    ];
   print_endline
     "shape check: the LP front's wall clock grows with n through the dense\n\
      whole-relation LP alone (its reduced ILP has ~300 columns at every size);\n\
@@ -1517,13 +1469,11 @@ let paql_scale () =
      where it gives way, the pipeline runs on the nodes it left and the\n\
      answer is at least the pipeline's."
 
-(* ---- loadgen: concurrent clients against a live pb_server --------------- *)
+(* ---- loadgen: a pool of connections against a live pb_server ------------ *)
 
 let loadgen_host = ref "127.0.0.1"
 let loadgen_port = ref 7878
-let loadgen_clients = ref 4
-let loadgen_requests = ref 100
-let loadgen_connections = ref 0
+let loadgen_connections = ref 4
 let loadgen_rate = ref 0.0
 let loadgen_duration = ref 10.0
 let loadgen_workload : string option ref = ref None
@@ -1542,179 +1492,20 @@ let default_workload_lines =
   ]
 
 let read_workload_file path =
-  let ic = open_in path in
-  let rec loop acc =
-    match input_line ic with
-    | line ->
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' then loop acc else loop (line :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  loop []
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n' |> List.map String.trim
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
 
-(* One worker = one connection; replays the workload round-robin starting at
-   a per-client offset so concurrent clients hit different statements at the
-   same instant. Latencies are collected per request; a request that comes
-   back as a protocol error (e.g. deadline) still counts as a completed
-   round-trip but is tallied separately. *)
-let loadgen () =
-  let lines =
-    match !loadgen_workload with
-    | Some path -> read_workload_file path
-    | None -> default_workload_lines
-  in
-  if lines = [] then failwith "loadgen: workload file has no statements";
-  let statements = Array.of_list lines in
-  let n_stmts = Array.length statements in
-  let clients = max 1 !loadgen_clients in
-  let per_client = max 1 !loadgen_requests in
-  let deadline =
-    if !loadgen_deadline > 0.0 then Some !loadgen_deadline else None
-  in
-  let latencies = Array.make clients [] in
-  let errors = Atomic.make 0 in
-  let busy = Atomic.make 0 in
-  let cancelled = Atomic.make 0 in
-  let failures = Atomic.make 0 in
-  let worker i () =
-    match Pb_net.Client.connect ~host:!loadgen_host ~port:!loadgen_port () with
-    | exception _ ->
-        Atomic.incr failures;
-        Printf.eprintf "loadgen: client %d could not connect to %s:%d\n%!" i
-          !loadgen_host !loadgen_port
-    | c ->
-        Fun.protect
-          ~finally:(fun () -> Pb_net.Client.close c)
-          (fun () ->
-            let acc = ref [] in
-            (try
-               for r = 0 to per_client - 1 do
-                 let stmt = statements.((i + r) mod n_stmts) in
-                 let t0 = Unix.gettimeofday () in
-                 let resp = Pb_net.Client.request ?deadline c stmt in
-                 let dt = Unix.gettimeofday () -. t0 in
-                 acc := dt :: !acc;
-                 match resp.Pb_net.Protocol.status with
-                 | Pb_net.Protocol.Ok -> ()
-                 | Pb_net.Protocol.Busy ->
-                     Atomic.incr busy;
-                     Atomic.incr errors
-                 | Pb_net.Protocol.Deadline_exceeded | Pb_net.Protocol.Cancelled
-                   ->
-                     Atomic.incr cancelled;
-                     Atomic.incr errors
-                 | _ -> Atomic.incr errors
-               done
-             with Pb_net.Client.Net_error msg ->
-               Atomic.incr failures;
-               Printf.eprintf "loadgen: client %d dropped: %s\n%!" i msg);
-            latencies.(i) <- !acc)
-  in
-  let t0 = Unix.gettimeofday () in
-  let threads = List.init clients (fun i -> Thread.create (worker i) ()) in
-  List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
-  let all = Array.to_list latencies |> List.concat in
-  let completed = List.length all in
-  if completed = 0 then failwith "loadgen: no request completed";
-  let sorted = List.sort compare all in
-  let p q = Stats.percentile q sorted in
-  let throughput = float_of_int completed /. wall in
-  Printf.printf "loadgen %s: %d clients x %d requests against %s:%d\n"
-    !loadgen_label clients per_client !loadgen_host !loadgen_port;
-  Printf.printf
-    "  completed %d round-trips in %s (%d error statuses: %d busy, %d \
-     deadline/cancelled; %d dropped clients)\n"
-    completed (fmt_seconds wall) (Atomic.get errors) (Atomic.get busy)
-    (Atomic.get cancelled) (Atomic.get failures);
-  Printf.printf "  throughput: %.1f req/s\n" throughput;
-  Printf.printf "  latency: p50 %s  p95 %s  p99 %s  max %s\n"
-    (fmt_seconds (p 50.0)) (fmt_seconds (p 95.0)) (fmt_seconds (p 99.0))
-    (fmt_seconds (p 100.0));
-  (* Full cumulative histogram over the same bucket bounds the server's
-     pb_net_*_request_seconds histograms use, so client-observed and
-     server-observed latency distributions line up bucket for bucket. *)
-  let bucket_bounds = [ 0.0005; 0.001; 0.005; 0.01; 0.05; 0.1; 0.5; 1.0; 5.0 ] in
-  let cumulative le = List.length (List.filter (fun v -> v <= le) all) in
-  let latency_sum = List.fold_left ( +. ) 0.0 all in
-  (* End-to-end trace check: send one traced request with a fresh
-     client-generated id and require the server to hand the span tree
-     back under exactly that id. *)
-  let trace_check =
-    match Pb_net.Client.connect ~host:!loadgen_host ~port:!loadgen_port () with
-    | exception _ -> "unavailable"
-    | c ->
-        Fun.protect
-          ~finally:(fun () -> Pb_net.Client.close c)
-          (fun () ->
-            let id = Pb_net.Protocol.fresh_trace_id () in
-            match Pb_net.Client.request ~trace:id c statements.(0) with
-            | exception Pb_net.Client.Net_error _ -> "unavailable"
-            | _ -> (
-                match Pb_net.Client.request c ("\\traces " ^ id) with
-                | exception Pb_net.Client.Net_error _ -> "unavailable"
-                | resp ->
-                    let prefix = "trace " ^ id in
-                    let b = resp.Pb_net.Protocol.body in
-                    if
-                      resp.Pb_net.Protocol.status = Pb_net.Protocol.Ok
-                      && String.length b >= String.length prefix
-                      && String.sub b 0 (String.length prefix) = prefix
-                    then "ok"
-                    else "missing"))
-  in
-  Printf.printf "  traced sample: %s\n" trace_check;
-  match !loadgen_json_out with
-  | None -> ()
-  | Some path ->
-      let buckets_json =
-        String.concat ","
-          (List.map
-             (fun le ->
-               Printf.sprintf "{\"le\":%s,\"count\":%d}" (json_num le)
-                 (cumulative le))
-             bucket_bounds
-          @ [ Printf.sprintf "{\"le\":\"+Inf\",\"count\":%d}" completed ])
-      in
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\"label\":\"%s\",\"mode\":\"closed\",\"store_mode\":\"%s\",\
-         \"clients\":%d,\
-         \"requests_per_client\":%d,\
-         \"nproc\":%d,\"completed\":%d,\"protocol_errors\":%d,\"busy\":%d,\
-         \"cancelled\":%d,\"dropped_clients\":%d,\
-         \"wall_seconds\":%s,\"throughput_rps\":%s,\"p50_s\":%s,\"p95_s\":%s,\
-         \"p99_s\":%s,\"max_s\":%s,\"latency_sum_s\":%s,\
-         \"latency_buckets\":[%s],\"trace_check\":\"%s\"}\n"
-        (json_escape !loadgen_label)
-        (Pb_store.Mode.to_string (Pb_store.Mode.current ()))
-        clients per_client
-        (Domain.recommended_domain_count ())
-        completed (Atomic.get errors) (Atomic.get busy) (Atomic.get cancelled)
-        (Atomic.get failures) (json_num wall)
-        (json_num throughput) (json_num (p 50.0)) (json_num (p 95.0))
-        (json_num (p 99.0)) (json_num (p 100.0)) (json_num latency_sum)
-        buckets_json trace_check;
-      close_out oc;
-      Printf.printf "  json written to %s\n" path
-
-(* ---- open-loop loadgen: one thread, a pool of non-blocking connections --- *)
-
-(* The closed-loop generator above measures the system at its natural
-   concurrency: every worker waits for its response before sending again,
-   so offered load collapses when the server slows down — latency hides.
-   The open-loop generator decouples arrivals from completions: requests
-   arrive on a Poisson process at --rate regardless of how the server is
-   doing, each grabbing an idle connection from a pool of --connections
-   persistent non-blocking connections multiplexed on one Poller. An
-   arrival that finds every connection busy is *dropped and counted* —
-   under overload the drop counter grows instead of the latency lying.
-   Without --rate the pool runs closed-loop (each connection re-issues on
-   completion), which is the apples-to-apples shape for comparing server
-   modes at high connection counts without spawning thousands of client
-   threads. *)
+(* One thread drives a pool of --connections persistent non-blocking
+   connections multiplexed on one Poller. Without --rate the pool runs
+   closed-loop: each connection re-issues as soon as its answer arrives,
+   so the server is measured at that concurrency, and thousands of
+   connections cost no client threads. With --rate requests arrive on a
+   Poisson process regardless of how the server is doing, each grabbing
+   an idle connection; an arrival that finds every connection busy is
+   *dropped and counted* — under overload the drop counter grows instead
+   of the latency lying. Every round-trip counts as completed, and error
+   statuses (busy, deadline, cancelled, ...) are tallied beside it. *)
 
 type oconn = {
   oc_fd : Unix.file_descr;
@@ -1771,7 +1562,7 @@ let connect_nonblocking addr =
       (try Unix.close fd with _ -> ());
       None
 
-let loadgen_open () =
+let loadgen () =
   let lines =
     match !loadgen_workload with
     | Some path -> read_workload_file path
@@ -1800,7 +1591,7 @@ let loadgen_open () =
   let n_conns = Array.length conns in
   let connect_seconds = Unix.gettimeofday () -. t_conn0 in
   if n_conns = 0 then failwith "loadgen: no connection could be established";
-  Printf.printf "loadgen %s (open pool): %d/%d connections up in %s\n%!"
+  Printf.printf "loadgen %s: %d/%d connections up in %s\n%!"
     !loadgen_label n_conns want_conns (fmt_seconds connect_seconds);
   let poller = Pb_net.Poller.create () in
   let by_fd = Hashtbl.create (2 * n_conns) in
@@ -1974,8 +1765,7 @@ let loadgen_open () =
   Pb_net.Poller.close poller;
   let all = !latencies in
   if !completed = 0 then failwith "loadgen: no request completed";
-  let sorted = List.sort compare all in
-  let p q = Stats.percentile q sorted in
+  let p q = Stats.percentile q all in
   let throughput = float_of_int !completed /. wall in
   let mode = if closed_loop then "closed" else "open" in
   Printf.printf
@@ -1991,43 +1781,32 @@ let loadgen_open () =
   Printf.printf "  latency: p50 %s  p95 %s  p99 %s  max %s\n"
     (fmt_seconds (p 50.0)) (fmt_seconds (p 95.0)) (fmt_seconds (p 99.0))
     (fmt_seconds (p 100.0));
-  match !loadgen_json_out with
-  | None -> ()
-  | Some path ->
-      let bucket_bounds =
-        [ 0.0005; 0.001; 0.005; 0.01; 0.05; 0.1; 0.5; 1.0; 5.0 ]
-      in
-      let cumulative le = List.length (List.filter (fun v -> v <= le) all) in
-      let buckets_json =
-        String.concat ","
-          (List.map
-             (fun le ->
-               Printf.sprintf "{\"le\":%s,\"count\":%d}" (json_num le)
-                 (cumulative le))
-             bucket_bounds
-          @ [ Printf.sprintf "{\"le\":\"+Inf\",\"count\":%d}" !completed ])
-      in
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\"label\":\"%s\",\"mode\":\"%s\",\"store_mode\":\"%s\",\
-         \"connections\":%d,\"connections_requested\":%d,\
-         \"offered_rate_rps\":%s,\"duration_s\":%s,\
-         \"connect_seconds\":%s,\"nproc\":%d,\"completed\":%d,\
-         \"protocol_errors\":%d,\"busy\":%d,\"cancelled\":%d,\
-         \"dropped_arrivals\":%d,\"dead_connections\":%d,\
-         \"wall_seconds\":%s,\"throughput_rps\":%s,\"p50_s\":%s,\
-         \"p95_s\":%s,\"p99_s\":%s,\"max_s\":%s,\"latency_buckets\":[%s]}\n"
-        (json_escape !loadgen_label) mode
-        (Pb_store.Mode.to_string (Pb_store.Mode.current ()))
-        n_conns want_conns (json_num rate) (json_num duration)
-        (json_num connect_seconds)
-        (Domain.recommended_domain_count ())
-        !completed !errors !busy !cancelled !dropped_arrivals died
-        (json_num wall) (json_num throughput) (json_num (p 50.0))
-        (json_num (p 95.0)) (json_num (p 99.0)) (json_num (p 100.0))
-        buckets_json;
-      close_out oc;
-      Printf.printf "  json written to %s\n" path
+  (* The cumulative histogram over the bucket bounds of the server's
+     pb_net_*_request_seconds histograms, so client- and server-observed
+     latency distributions line up bucket for bucket. *)
+  let bucket le count = Json.Obj [ ("le", le); ("count", int count) ] in
+  let buckets =
+    List.map
+      (fun le -> bucket (num le) (List.length (List.filter (fun v -> v <= le) all)))
+      [ 0.0005; 0.001; 0.005; 0.01; 0.05; 0.1; 0.5; 1.0; 5.0 ]
+    @ [ bucket (Json.Str "+Inf") !completed ]
+  in
+  Option.iter
+    (fun path ->
+      write_json path ~workload:"bench --loadgen" ~seed:42
+        [
+          ("label", Json.Str !loadgen_label); ("mode", Json.Str mode);
+          ("connections", int n_conns); ("connections_requested", int want_conns);
+          ("offered_rate_rps", num rate); ("duration_s", num duration);
+          ("connect_seconds", num connect_seconds);
+          ("completed", int !completed); ("protocol_errors", int !errors); ("busy", int !busy);
+          ("cancelled", int !cancelled); ("dropped_arrivals", int !dropped_arrivals);
+          ("dead_connections", int died); ("wall_seconds", num wall); ("throughput_rps", num throughput);
+          ("p50_s", num (p 50.0)); ("p95_s", num (p 95.0)); ("p99_s", num (p 99.0));
+          ("max_s", num (p 100.0)); ("latency_sum_s", num (List.fold_left ( +. ) 0.0 all));
+          ("latency_buckets", Json.Arr buckets);
+        ])
+    !loadgen_json_out
 
 (* ---- driver -------------------------------------------------------------- *)
 
@@ -2043,8 +1822,21 @@ let run_loadgen = ref false
 let run_sql_bench = ref false
 let run_paql_scale = ref false
 
+let usage =
+  "usage: main.exe [--quick] [--exp ID]... [--metrics-out FILE] [--domains N]\n\
+  \       main.exe --bechamel | --sql [--sql-json FILE] | --paql-scale [--paql-json FILE]\n\
+  \       main.exe --loadgen [--host H] [--port P] [--connections N] [--rate R]\n\
+  \         [--duration S] [--workload FILE] [--deadline S] [--label L] [--json-out FILE]"
+
+let bad_usage msg =
+  prerr_endline ("bench: " ^ msg);
+  prerr_endline usage;
+  exit 2
+
+let value flag conv ok s =
+  match conv s with Some v when ok v -> v | _ -> bad_usage (Printf.sprintf "invalid %s value: %s" flag s)
+
 let () =
-  let args = Array.to_list Sys.argv in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest ->
@@ -2072,42 +1864,22 @@ let () =
         loadgen_host := h;
         parse rest
     | "--port" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some p when p > 0 -> loadgen_port := p
-        | _ -> prerr_endline ("ignoring invalid --port value: " ^ n));
-        parse rest
-    | "--clients" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some k when k >= 1 -> loadgen_clients := k
-        | _ -> prerr_endline ("ignoring invalid --clients value: " ^ n));
-        parse rest
-    | "--requests" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some k when k >= 1 -> loadgen_requests := k
-        | _ -> prerr_endline ("ignoring invalid --requests value: " ^ n));
+        loadgen_port := value "--port" int_of_string_opt (fun p -> p > 0) n;
         parse rest
     | "--connections" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some k when k >= 1 -> loadgen_connections := k
-        | _ -> prerr_endline ("ignoring invalid --connections value: " ^ n));
+        loadgen_connections := value "--connections" int_of_string_opt (fun k -> k >= 1) n;
         parse rest
     | "--rate" :: s :: rest ->
-        (match float_of_string_opt s with
-        | Some r when r > 0.0 -> loadgen_rate := r
-        | _ -> prerr_endline ("ignoring invalid --rate value: " ^ s));
+        loadgen_rate := value "--rate" float_of_string_opt (fun r -> r > 0.0) s;
         parse rest
     | "--duration" :: s :: rest ->
-        (match float_of_string_opt s with
-        | Some d when d > 0.0 -> loadgen_duration := d
-        | _ -> prerr_endline ("ignoring invalid --duration value: " ^ s));
+        loadgen_duration := value "--duration" float_of_string_opt (fun d -> d > 0.0) s;
         parse rest
     | "--workload" :: path :: rest ->
         loadgen_workload := Some path;
         parse rest
     | "--deadline" :: s :: rest ->
-        (match float_of_string_opt s with
-        | Some d when d >= 0.0 -> loadgen_deadline := d
-        | _ -> prerr_endline ("ignoring invalid --deadline value: " ^ s));
+        loadgen_deadline := value "--deadline" float_of_string_opt (fun d -> d >= 0.0) s;
         parse rest
     | "--label" :: l :: rest ->
         loadgen_label := l;
@@ -2122,15 +1894,12 @@ let () =
         metrics_out := Some path;
         parse rest
     | "--domains" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some k when k >= 1 -> Pb_par.Pool.set_default_size k
-        | _ -> prerr_endline ("ignoring invalid --domains value: " ^ n));
+        Pb_par.Pool.set_default_size (value "--domains" int_of_string_opt (fun k -> k >= 1) n);
         parse rest
-    | _ :: rest -> parse rest
+    | arg :: _ -> bad_usage ("unknown flag, or a flag without its value: " ^ arg)
   in
-  parse args;
-  if !run_loadgen then
-    if !loadgen_connections > 0 then loadgen_open () else loadgen ()
+  parse (List.tl (Array.to_list Sys.argv));
+  if !run_loadgen then loadgen ()
   else if !run_paql_scale then paql_scale ()
   else if !run_sql_bench then sql_bench ()
   else if !run_bechamel then micro_benchmarks ()

@@ -125,6 +125,34 @@ if ! OCAMLRUNPARAM='s=4k,o=20' ./_build/default/test/test_main.exe \
   exit 1
 fi
 
+# Bench writer smoke: --sql and --paql-scale (quick sweeps) must write
+# JSON that parses and carries perfbench's run envelope, and the harness
+# must refuse a flag it does not know with a usage message and exit code
+# 2: a stale --clients skipped silently would run a different load.
+echo "== bench writers (--sql, --paql-scale JSON envelope; unknown flag exits 2) =="
+./_build/default/bench/main.exe --sql --quick --sql-json _build/ci/sql.json \
+  >_build/ci/bench_sql.txt 2>&1
+./_build/default/bench/main.exe --paql-scale --quick \
+  --paql-json _build/ci/paql.json >_build/ci/bench_paql.txt 2>&1
+for out in _build/ci/sql.json _build/ci/paql.json; do
+  if ! python3 -c '
+import json, sys
+env = json.load(open(sys.argv[1]))["envelope"]
+missing = [k for k in ("host", "nproc", "PB_DOMAINS", "PB_STORE") if k not in env]
+sys.exit("missing envelope keys: %s" % missing if missing else 0)' "$out"; then
+    echo "CI FAIL: $out is not JSON with the run envelope"
+    exit 1
+  fi
+done
+BENCH_EXIT=0
+./_build/default/bench/main.exe --loadgen --clients 6 \
+  >_build/ci/bench_badflag.txt 2>&1 || BENCH_EXIT=$?
+if [ "$BENCH_EXIT" -ne 2 ] || ! grep -q '^usage:' _build/ci/bench_badflag.txt; then
+  echo "CI FAIL: bench --clients exited $BENCH_EXIT (expected 2 with a usage message)"
+  cat _build/ci/bench_badflag.txt
+  exit 1
+fi
+
 # Storage-engine differential gate: the same scripted session (DDL, DML,
 # duplicate rows, NULLs, scans, joins, grouped aggregates) replayed
 # against a PB_STORE=row server and a PB_STORE=columnar server must
@@ -357,11 +385,14 @@ if [ -z "$POISON_PORT" ]; then
   kill "$POISON_PID" 2>/dev/null || true
   exit 1
 fi
+# Six closed-loop connections against one slot and one queue place: the
+# overflow is turned away busy and the admitted poison hits the deadline.
 ./_build/default/bench/main.exe --loadgen --port "$POISON_PORT" \
-  --clients 6 --requests 4 --workload bench/workloads/net_poison.txt \
+  --connections 6 --duration 1 --workload bench/workloads/net_poison.txt \
   --label poison-burst --json-out _build/ci/poison.json \
   >_build/ci/poison_loadgen.txt 2>&1
-BUSY=$(sed -n 's/.*"busy":\([0-9][0-9]*\).*/\1/p' _build/ci/poison.json)
+BUSY=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["busy"])' \
+  _build/ci/poison.json 2>/dev/null || true)
 if [ -z "$BUSY" ] || [ "$BUSY" -lt 1 ]; then
   echo "CI FAIL: expected >= 1 busy rejection past the admission queue;"
   echo "         loadgen reported: ${BUSY:-no busy field}"
