@@ -716,10 +716,10 @@ let exp_a1 () =
     "shape check: the equi-join speedup grows with table size (hash join is\n\
      linear where the product is quadratic); inequality joins are unaffected."
 
-(* ---- A2: solver ablation (node order, presolve) -------------------------- *)
+(* ---- A2: solver ablation (node order) ------------------------------------ *)
 
 let exp_a2 () =
-  header "A2" "MILP ablation: DFS vs best-bound, presolve on/off"
+  header "A2" "MILP ablation: DFS vs best-bound"
     "substrate ablation (DESIGN.md): the constraint solver of sec 4";
   let n = if !quick then 80 else 150 in
   let db = recipes_db n in
@@ -737,11 +737,11 @@ let exp_a2 () =
   let c = Coeffs.make db query in
   let rows = ref [] in
   List.iter
-    (fun (label, node_order, presolve) ->
+    (fun (label, node_order) ->
       let t = Pb_core.Translate.build c in
       let sol, elapsed =
         Stats.timeit (fun () ->
-            Pb_lp.Milp.solve ~node_order ~presolve t.Pb_core.Translate.model)
+            Pb_lp.Milp.solve ~node_order t.Pb_core.Translate.model)
       in
       let nodes = sol.Pb_lp.Milp.nodes in
       rows :=
@@ -758,10 +758,8 @@ let exp_a2 () =
         ]
         :: !rows)
     [
-      ("dfs", Pb_lp.Milp.Dfs, false);
-      ("dfs + presolve", Pb_lp.Milp.Dfs, true);
-      ("best-bound", Pb_lp.Milp.Best_bound, false);
-      ("best-bound + presolve", Pb_lp.Milp.Best_bound, true);
+      ("dfs", Pb_lp.Milp.Dfs);
+      ("best-bound", Pb_lp.Milp.Best_bound);
     ];
   Table.print
     ~align:(Table.Left :: List.init 6 (fun _ -> Table.Right))
@@ -772,10 +770,9 @@ let exp_a2 () =
       ]
     (List.rev !rows);
   print_endline
-    "shape check: all configurations agree on the optimum; best-bound\n\
-     typically explores no more nodes than DFS; presolve pays a small\n\
-     fixed cost that only matters on models this size. Each node re-solves\n\
-     warm from its parent's basis, so pivots/node stays in single digits."
+    "shape check: both node orders agree on the optimum; best-bound\n\
+     typically explores no more nodes than DFS. Each node re-solves warm\n\
+     from its parent's basis, so pivots/node stays in single digits."
 
 (* ---- A3: heuristic ablation (hill climbing vs annealing) ----------------- *)
 
@@ -1005,11 +1002,29 @@ let sql_bench () =
   header "SQL" "row engine hot paths, storage engines, plan cache"
     "perf substrate (DESIGN.md): one-pass expr->closure compilation, \
      columnar batch kernels, and the server-side prepared-plan cache";
+  let quartiles ts = (Stats.percentile 25.0 ts, Stats.median ts, Stats.percentile 75.0 ts) in
   (* (p25, median, p75) of [repeat] timed runs after one warm-up. *)
   let time_quartiles ?(repeat = 5) f =
     ignore (f ());
-    let ts = List.init repeat (fun _ -> snd (Stats.timeit f)) in
-    (Stats.percentile 25.0 ts, Stats.median ts, Stats.percentile 75.0 ts)
+    quartiles (List.init repeat (fun _ -> snd (Stats.timeit f)))
+  in
+  (* The same for two legs timed in alternation: every repeat times both,
+     [f] first on even repeats and [g] first on odd ones, so drift over
+     the run lands on both legs alike. *)
+  let time_paired ?(repeat = 5) f g =
+    ignore (f ());
+    ignore (g ());
+    let pairs =
+      List.init repeat (fun r ->
+          let time h = snd (Stats.timeit h) in
+          if r mod 2 = 0 then
+            let a = time f in
+            (a, time g)
+          else
+            let b = time g in
+            (time f, b))
+    in
+    (quartiles (List.map fst pairs), quartiles (List.map snd pairs))
   in
   let median (_, m, _) = m in
   (* (case, [metric name, quartiles], speedup of the first metric's median
@@ -1124,7 +1139,8 @@ let sql_bench () =
      request trace context whose completed span tree lands in a trace
      store — the exact per-request work pb_server does when
      --trace-capacity > 0. Span cost is per operator, not per row, so
-     the two should be within a few percent. *)
+     the two should be within a few percent; the legs alternate within
+     each repeat, so run order does not favour either. *)
   let scan () =
     ignore
       (Pb_sql.Executor.execute_sql db
@@ -1132,11 +1148,10 @@ let sql_bench () =
           AND (cost / 2.0 < 6.5 OR rating >= 4.5) AND name LIKE '%ra%' AND \
           gluten = 'free'")
   in
-  let untraced = time_quartiles scan in
   let store = Pb_obs.Trace_store.create ~capacity:64 () in
   let bench_tid = String.make 32 'b' in
-  let traced =
-    time_quartiles (fun () ->
+  let untraced, traced =
+    time_paired scan (fun () ->
         let started = Unix.gettimeofday () in
         let (), spans =
           Pb_obs.Trace.with_context ~trace_id:bench_tid (fun () -> scan ())
@@ -1219,7 +1234,7 @@ let sql_bench () =
   write_json !sql_json_out ~workload:"bench --sql" ~seed:7
     [
       ("quick", Json.Bool !quick); ("domains", domains ()); ("store_mode", store_mode ());
-      ("timing_note", Json.Str "each metric is the median of 5 timed runs (3 for three_way_ineq_join and prepared_repeat) after one warm-up; _p25/_p75 are their nearest-rank quartiles; speedup is the ratio of medians");
+      ("timing_note", Json.Str "each metric is the median of 5 timed runs (3 for three_way_ineq_join and prepared_repeat) after one warm-up (filter_scan_trace_store times its two legs in alternation, one of each per repeat); _p25/_p75 are their nearest-rank quartiles; speedup is the ratio of medians");
       ("cases", Json.Arr (List.map case results));
     ];
   print_endline
@@ -1386,7 +1401,7 @@ let paql_scale () =
          counts (None = ~sqrt n), under the same budget *)
       List.iter
         (fun parts ->
-          let params = { Pb_core.Sketch_refine.partitions = parts; fanout = 4; prepartition = None } in
+          let params = { Pb_core.Sketch_refine.partitions = parts; fanout = 4 } in
           let gov = Pb_util.Gov.create ~deadline_in:deadline ~milp_nodes:node_budget () in
           let t0 = Unix.gettimeofday () in
           let out, nodes, pivots =

@@ -43,8 +43,8 @@ done
 # LP warm-start differential: the lp suite's properties (warm re-solve =
 # cold solve after branch-and-bound bound changes and after right-hand-
 # side changes, some infeasible, with the warm dual bound still bounding
-# the optimum; MILP = enumeration; solve_all = ranked enumeration) at a
-# fixed seed with QCHECK_LONG's larger counts.
+# the optimum; MILP = enumeration; next_packages' no-good cuts = ranked
+# enumeration) at a fixed seed with QCHECK_LONG's larger counts.
 echo "== LP differential (warm vs cold simplex, long qcheck counts) =="
 if ! QCHECK_SEED=20260806 QCHECK_LONG=1 ./_build/default/test/test_main.exe \
   test lp >_build/ci/lp_long.txt 2>&1; then
@@ -55,9 +55,8 @@ fi
 
 # Partitioner differential: the partition suite's properties (the
 # segment/quickselect build = the sort-every-split reference oracle, with
-# centroids compared bitwise; O(1) group_of = a membership scan;
-# prepartitioned builds = the reference on ascending groups and valid on
-# hostile ones) at a fixed seed with QCHECK_LONG's larger counts.
+# centroids compared bitwise; O(1) group_of = a membership scan) at a
+# fixed seed with QCHECK_LONG's larger counts.
 echo "== partition differential (build vs reference oracle, long qcheck counts) =="
 if ! QCHECK_SEED=20260806 QCHECK_LONG=1 ./_build/default/test/test_main.exe \
   test partition >_build/ci/partition_long.txt 2>&1; then

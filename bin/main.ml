@@ -99,18 +99,7 @@ let read_query text =
   Pb_paql.Parser.parse src
 
 let print_result (r : Pb_core.Engine.result) =
-  (match r.package with
-  | Some pkg -> print_string (Pb_paql.Package.to_string pkg)
-  | None -> print_endline "no valid package");
-  (match r.objective with
-  | Some v -> Printf.printf "objective: %g\n" v
-  | None -> ());
-  Printf.printf "strategy: %s%s, %.3fs\n" r.strategy_used
-    (match r.proof with
-    | Pb_core.Engine.Optimal | Pb_core.Engine.Infeasible -> " (proven optimal)"
-    | Pb_core.Engine.Feasible -> ""
-    | Pb_core.Engine.Cancelled -> " (cancelled)")
-    r.elapsed;
+  print_endline (Pb_shell.Repl.render_paql_result r);
   List.iter (fun (k, v) -> Printf.printf "  %s = %s\n" k v) r.stats
 
 (* ---- run -------------------------------------------------------------- *)

@@ -179,8 +179,7 @@ let serve host port max_conns max_inflight max_queue deadline tables size
   if slowlog > 0.0 then Pb_obs.Slow_log.set_threshold (Some slowlog);
   let config =
     {
-      Pb_net.Server.default_config with
-      host;
+      Pb_net.Server.host;
       port;
       max_connections = max_conns;
       max_inflight;

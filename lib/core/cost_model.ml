@@ -8,10 +8,6 @@ type estimate = {
 
 let exact_preference = 10.0
 
-let linearizable (c : Coeffs.t) =
-  Result.is_ok c.formula
-  && match c.objective with None | Some (Some _) -> true | Some None -> false
-
 (* Count atoms and disjunction branches of the compiled formula — the ILP
    row count and indicator count follow from these. *)
 let rec formula_shape = function
@@ -52,7 +48,7 @@ let estimates (c : Coeffs.t) =
   let bf_cost = space (Pruning.log2_unpruned c) in
   let bf_pruned_cost = space (Pruning.log2_pruned c bounds) in
   let ilp =
-    if not (linearizable c) then
+    if not (Translate.linearizable c) then
       {
         strategy_label = "ilp";
         applicable = false;

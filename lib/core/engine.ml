@@ -1,7 +1,6 @@
 module Ast = Pb_paql.Ast
 module Package = Pb_paql.Package
 module Semantics = Pb_paql.Semantics
-module Model = Pb_lp.Model
 module Milp = Pb_lp.Milp
 module Trace = Pb_obs.Trace
 module Metrics = Pb_obs.Metrics
@@ -120,10 +119,6 @@ type report = {
          [Feasible] instead of [Cancelled] *)
 }
 
-let linearizable (c : Coeffs.t) =
-  Result.is_ok c.formula
-  && match c.objective with None | Some (Some _) -> true | Some None -> false
-
 (* Final safety net: never hand the user a package the reference
    semantics rejects. *)
 let verified db (c : Coeffs.t) report =
@@ -179,7 +174,7 @@ let run_ilp ~gov db (c : Coeffs.t) =
       ~attrs:[ ("candidates", string_of_int c.n) ]
       (fun () ->
         Metrics.incr m_runs;
-        if not (linearizable c) then
+        if not (Translate.linearizable c) then
           let reason =
             match c.formula with
             | Error r -> r
@@ -533,9 +528,8 @@ let run ?pool ?gov ?strategy db query =
 
 let next_packages ?gov ?(limit = 5) db query =
   let c = coeffs db query in
-  if linearizable c && c.max_mult = 1 then begin
+  if Translate.linearizable c && c.max_mult = 1 then begin
     let t = Translate.build c in
-    let cut_count = ref 0 in
     let rec loop acc k =
       if k = 0 then List.rev acc
       else
@@ -545,23 +539,7 @@ let next_packages ?gov ?(limit = 5) db query =
             let pkg = Translate.package_of_solution c t sol.x in
             if not (Semantics.is_valid ~db query pkg) then List.rev acc
             else begin
-              (* No-good cut over the tuple variables only, so that two
-                 solver points differing only in indicator variables do
-                 not yield the same package twice. *)
-              let terms = ref [] and ones = ref 0 in
-              Array.iter
-                (fun v ->
-                  if Float.round sol.x.(v) >= 0.5 then begin
-                    terms := (-1.0, v) :: !terms;
-                    incr ones
-                  end
-                  else terms := (1.0, v) :: !terms)
-                t.vars;
-              incr cut_count;
-              Model.add_constr t.model
-                ~name:(Printf.sprintf "pkg_nogood%d" !cut_count)
-                !terms Model.Ge
-                (1.0 -. float_of_int !ones);
+              Translate.exclude t pkg;
               loop (pkg :: acc) (k - 1)
             end
         | _ -> List.rev acc

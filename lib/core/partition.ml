@@ -138,16 +138,15 @@ module Heap = struct
     top
 end
 
-(* Median-split one segment into at most [target] groups, appending the
-   resulting segments to [out]. *)
-let split_segment features perm ~lo ~len ~target out =
-  let target = max 1 (min target len) in
+(* Median-split the whole (nonempty) permutation into at most [target]
+   segments. *)
+let split features perm ~target =
+  let n = Array.length perm in
+  let target = max 1 (min target n) in
   (* Each split pops one group and pushes two, so the heap never holds
      more than [count <= target] groups. *)
-  let heap =
-    Heap.singleton ~capacity:target { lo; len; least = seg_min perm lo len }
-  in
-  let count = ref 1 in
+  let heap = Heap.singleton ~capacity:target { lo = 0; len = n; least = seg_min perm 0 n } in
+  let out = ref [] and count = ref 1 in
   while !count < target && heap.Heap.size > 0 do
     let g = Heap.pop heap in
     match widest_dim features perm g with
@@ -162,30 +161,16 @@ let split_segment features perm ~lo ~len ~target out =
   done;
   for x = 0 to heap.Heap.size - 1 do
     out := heap.Heap.a.(x) :: !out
-  done
+  done;
+  !out
 
-let build_within ~features ~perm segments =
-  let n = Array.length perm in
-  let owner = Array.make n (-1) in
-  Array.iter
-    (fun i ->
-      if i < 0 || i >= n || owner.(i) >= 0 then
-        invalid_arg "Partition.build_within: perm is not a permutation";
-      owner.(i) <- 0)
-    perm;
-  let pieces = ref [] and at = ref 0 in
-  List.iter
-    (fun (len, target) ->
-      if len < 1 || !at + len > n then
-        invalid_arg "Partition.build_within: segments must tile perm";
-      split_segment features perm ~lo:!at ~len ~target pieces;
-      at := !at + len)
-    segments;
-  if !at <> n then invalid_arg "Partition.build_within: segments must tile perm";
+let build ~target ~features ~n =
+  let perm = Array.init n Fun.id in
+  let pieces = if n = 0 then [||] else Array.of_list (split features perm ~target) in
+  let owner = Array.make n 0 in
   (* Label every candidate with its piece, then emit: scanning candidates
      in ascending order numbers the groups by smallest member and fills
      each one already ascending, and [owner] becomes the inverse map. *)
-  let pieces = Array.of_list !pieces in
   Array.iteri
     (fun p g ->
       for x = g.lo to g.lo + g.len - 1 do
@@ -218,7 +203,3 @@ let build_within ~features ~perm segments =
       groups
   in
   { groups; centroids; owner }
-
-let build ~target ~features ~n =
-  build_within ~features ~perm:(Array.init n Fun.id)
-    (if n = 0 then [] else [ (n, target) ])

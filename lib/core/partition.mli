@@ -47,21 +47,6 @@ val build : target:int -> features:float array array -> n:int -> t
     [features] (each a per-candidate value array of length [n]).
     [target] is clamped to [1, n]; [n = 0] yields zero groups. *)
 
-val build_within :
-  features:float array array -> perm:int array -> (int * int) list -> t
-(** [build_within ~features ~perm segments] partitions candidates
-    [0, n), [n = Array.length perm], without letting any group straddle
-    a caller-imposed boundary. [perm] lists the candidates as
-    consecutive segments: [segments] gives each one's [(length, target)]
-    in order, the first covering [perm.(0 .. length - 1)]. Each segment
-    is median-split on its own into at most [max 1 (min target length)]
-    groups, exactly as {!build} splits the sub-relation of its members
-    taken in ascending order — the order of members within a segment
-    does not matter. The pieces are then canonicalised over all of
-    [0, n) as in {!build}. [perm] is reordered in place.
-    @raise Invalid_argument unless [perm] is a permutation of [0, n)
-    and the segment lengths are positive and sum to [n]. *)
-
 val group_count : t -> int
 
 val group_of : t -> int -> int

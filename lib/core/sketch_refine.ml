@@ -9,48 +9,9 @@ module Pool = Pb_par.Pool
 module Progress = Pb_obs.Progress
 module Trace = Pb_obs.Trace
 
-type params = {
-  partitions : int option;
-  fanout : int;
-  prepartition : int array array option;
-}
+type params = { partitions : int option; fanout : int }
 
-let default_params = { partitions = None; fanout = 4; prepartition = None }
-
-(* Partitioning constrained to caller-supplied groups (the shard
-   router's hash partitions): each prepartition group becomes one
-   segment of a single permutation and is sub-split by the usual
-   median-split build over its own members — so refine legs never
-   straddle a shard boundary — with a target proportional to its size.
-   Indices out of range or repeated are dropped; candidates the
-   prepartition misses form one extra group, so the result always covers
-   [0, n) exactly and satisfies every Partition.build invariant. *)
-let partition_within ~target ~features ~n (pre : int array array) =
-  let seen = Array.make n false in
-  let perm = Array.make n 0 and filled = ref 0 in
-  let segments = ref [] in
-  let take g =
-    let start = !filled in
-    Array.iter
-      (fun i ->
-        if i >= 0 && i < n && not seen.(i) then begin
-          seen.(i) <- true;
-          perm.(!filled) <- i;
-          incr filled
-        end)
-      g;
-    let m = !filled - start in
-    if m > 0 then
-      let sub_target =
-        max 1
-          (int_of_float
-             (Float.round (float_of_int (target * m) /. float_of_int n)))
-      in
-      segments := (m, sub_target) :: !segments
-  in
-  Array.iter take pre;
-  take (Array.init n Fun.id);
-  Partition.build_within ~features ~perm (List.rev !segments)
+let default_params = { partitions = None; fanout = 4 }
 
 type outcome = {
   best : Package.t option;
@@ -105,52 +66,17 @@ let not_applicable reason = { empty_outcome with applicable = false; reason }
 
 (* ---- Applicability ------------------------------------------------ *)
 
-(* A solver row over the candidate multiplicities: Σ coef.(i)·x_i sense
-   rhs, with strict comparisons already eps-tightened by
-   {!Translate.cmp_to_row} so both model builders agree. [nonempty]
-   carries SQL NULL semantics: the source aggregate rejects the empty
-   package. *)
-type row = {
+(* Rows and objective come from {!Translate}, which owns the rule for
+   turning PaQL into solver rows; [rows_of_formula] refuses what this
+   strategy cannot sketch (MIN/MAX, disjunctions). *)
+type row = Translate.row = {
   coef : float array;
   sense : Model.sense;
   rhs : float;
   nonempty : bool;
 }
 
-let rows_of_formula (c : Coeffs.t) =
-  let rec go acc = function
-    | Coeffs.C_true -> Ok acc
-    | Coeffs.C_false ->
-        (* constant-false SUCH THAT: an unsatisfiable row keeps the
-           pipeline uniform and lets the bound sketch prove it *)
-        Ok
-          ({ coef = Array.make c.n 0.0; sense = Model.Ge; rhs = 1.0; nonempty = false }
-          :: acc)
-    | Coeffs.C_atom (Coeffs.C_linear { coef; cmp; rhs; has_sum }) ->
-        let sense, rhs = Translate.cmp_to_row cmp rhs in
-        Ok ({ coef; sense; rhs; nonempty = has_sum } :: acc)
-    | Coeffs.C_atom (Coeffs.C_avg { arg; cmp; rhs }) ->
-        (* AVG(e) cmp c  ==>  Σ (e_i - c)·x_i cmp 0, empty rejected. *)
-        let shifted = Array.map (fun v -> v -. rhs) arg in
-        let sense, rhs = Translate.cmp_to_row cmp 0.0 in
-        Ok ({ coef = shifted; sense; rhs; nonempty = true } :: acc)
-    | Coeffs.C_atom (Coeffs.C_ext _) ->
-        Error "MIN/MAX constraints need per-tuple witnesses"
-    | Coeffs.C_and fs ->
-        List.fold_left (fun acc f -> Result.bind acc (fun a -> go a f)) (Ok acc) fs
-    | Coeffs.C_or _ -> Error "disjunctive constraints"
-  in
-  match c.formula with
-  | Error reason -> Error ("SUCH THAT is not linearizable: " ^ reason)
-  | Ok f -> Result.map List.rev (go [] f)
-
-type obj = No_obj | Linear of Ast.direction * float array
-
-let objective_of_coeffs (c : Coeffs.t) =
-  match c.objective with
-  | None -> Ok No_obj
-  | Some None -> Error "objective is not linearizable"
-  | Some (Some (dir, coef)) -> Ok (Linear (dir, coef))
+type obj = Translate.objective = No_obj | Linear of Ast.direction * float array
 
 (* ---- Per-partition coefficient aggregation ------------------------ *)
 
@@ -172,13 +98,8 @@ let agg_loose groups coef sense =
           Array.fold_left (fun acc i -> Float.min acc coef.(i)) infinity g
       | Model.Ge ->
           Array.fold_left (fun acc i -> Float.max acc coef.(i)) neg_infinity g
-      | Model.Eq -> assert false (* cmp_to_row never yields Eq *))
+      | Model.Eq -> assert false (* rows never carry Eq *))
     groups
-
-let terms_of coefs vars =
-  let out = ref [] in
-  Array.iteri (fun p v -> if coefs.(p) <> 0.0 then out := (coefs.(p), v) :: !out) vars;
-  !out
 
 (* ---- Search ------------------------------------------------------- *)
 
@@ -195,7 +116,7 @@ let milp_status_to_string = function
 let materialize_cap = 200_000
 
 let pipeline ~params ~pool ~gov (c : Coeffs.t) : outcome =
-  match (rows_of_formula c, objective_of_coeffs c) with
+  match (Translate.rows_of_formula c, Translate.objective_of_coeffs c) with
   | Error reason, _ | _, Error reason -> not_applicable reason
   | Ok rows, Ok obj when c.n = 0 ->
       (* No candidates: the empty package is the only one. *)
@@ -228,12 +149,7 @@ let pipeline ~params ~pool ~gov (c : Coeffs.t) : outcome =
               | Some k -> k
               | None -> int_of_float (Float.round (sqrt (float_of_int n)))
             in
-            let part =
-              match params.prepartition with
-              | None -> Partition.build ~target ~features ~n
-              | Some pre -> partition_within ~target ~features ~n pre
-            in
-            (part, features))
+            (Partition.build ~target ~features ~n, features))
       in
       let groups = part.groups in
       let k = Array.length groups in
@@ -252,43 +168,23 @@ let pipeline ~params ~pool ~gov (c : Coeffs.t) : outcome =
             in
             (Some (agg_mean groups coef), Some (agg_loose groups coef loose_sense))
       in
+      let senses = Array.map (fun r -> r.sense) rows_a in
       let sketch_model row_coefs obj_coefs =
-        let model = Model.create () in
-        let yvars =
-          Array.init k (fun p ->
-              Model.add_var model ~integer:true ~lower:0.0
-                ~upper:(float_of_int ub.(p))
-                (Printf.sprintf "y%d" p))
-        in
-        Array.iteri
-          (fun ri r ->
-            Model.add_constr model
-              ~name:(Printf.sprintf "row%d" ri)
-              (terms_of row_coefs.(ri) yvars)
-              r.sense r.rhs)
-          rows_a;
-        if needs_nonempty then
-          Model.add_constr model ~name:"nonempty"
-            (Array.to_list (Array.map (fun v -> (1.0, v)) yvars))
-            Model.Ge 1.0;
-        (match (obj, obj_coefs) with
-        | No_obj, _ | _, None -> Model.set_objective model (Model.Maximize [])
-        | Linear (dir, _), Some coefs ->
-            let terms = terms_of coefs yvars in
-            Model.set_objective model
-              (match dir with
-              | Ast.Maximize -> Model.Maximize terms
-              | Ast.Minimize -> Model.Minimize terms));
-        (model, yvars)
+        Translate.of_columns
+          ~upper:(Array.map float_of_int ub)
+          ~coefs:row_coefs ~senses
+          ~rhs:(Array.map (fun r -> r.rhs) rows_a)
+          ~nonempty:needs_nonempty
+          (match (obj, obj_coefs) with
+          | Linear (dir, _), Some coefs -> Linear (dir, coefs)
+          | _ -> No_obj)
       in
       (* -- Sketch --------------------------------------------------- *)
-      let ((bound_sol, bound_vars), (rep_sol, rep_vars)), sketch_seconds =
+      let (bound_sol, rep_sol), sketch_seconds =
         Trace.timed ~name:"sketch-refine.sketch" (fun () ->
-            let bound_model, bound_vars = sketch_model loose_rows loose_obj in
-            let bound_sol = Milp.solve ~gov:(Gov.child gov) bound_model in
-            let rep_model, rep_vars = sketch_model mean_rows mean_obj in
-            let rep_sol = Milp.solve ~gov:(Gov.child gov) rep_model in
-            ((bound_sol, bound_vars), (rep_sol, rep_vars)))
+            let bound_sol = Milp.solve ~gov:(Gov.child gov) (sketch_model loose_rows loose_obj) in
+            let rep_sol = Milp.solve ~gov:(Gov.child gov) (sketch_model mean_rows mean_obj) in
+            (bound_sol, rep_sol))
       in
       if bound_sol.Milp.status = Milp.Infeasible then
         (* Sound: the bound sketch relaxes every real package. *)
@@ -307,23 +203,19 @@ let pipeline ~params ~pool ~gov (c : Coeffs.t) : outcome =
           | Linear _, Milp.Optimal -> Some bound_sol.Milp.objective
           | _ -> None
         in
-        let y_of sol vars =
+        let y_of sol =
           if Array.length sol.Milp.x = 0 then None
-          else
-            Some
-              (Array.map
-                 (fun v -> int_of_float (Float.round sol.Milp.x.(v)))
-                 vars)
+          else Some (Array.map (fun v -> int_of_float (Float.round v)) sol.Milp.x)
         in
         let y0 =
           (* seed refinement from the mean sketch; if it produced no
              point (e.g. mean-level infeasible), fall back to the bound
              sketch's — refinement re-solves anyway, the seed only ranks
              which partitions to refine first *)
-          match y_of rep_sol rep_vars with
+          match y_of rep_sol with
           | Some y -> y
           | None -> (
-              match y_of bound_sol bound_vars with
+              match y_of bound_sol with
               | Some y -> y
               | None -> Array.make k 0)
         in
@@ -373,7 +265,7 @@ let pipeline ~params ~pool ~gov (c : Coeffs.t) : outcome =
                 match r.sense with
                 | Model.Le -> v <= r.rhs
                 | Model.Ge -> v >= r.rhs
-                | Model.Eq -> Float.abs (v -. r.rhs) <= Translate.strict_eps
+                | Model.Eq -> assert false (* rows never carry Eq *)
               in
               (* Expand the current hybrid state (fixed tuples +
                  representative mass) into a concrete candidate package
@@ -462,84 +354,43 @@ let pipeline ~params ~pool ~gov (c : Coeffs.t) : outcome =
                  tuples, other unrefined partitions as representatives,
                  refined tuples frozen into the right-hand sides. *)
               let solve_leg p =
-                let model = Model.create () in
-                let xvars =
-                  Array.map
-                    (fun i ->
-                      ( i,
-                        Model.add_var model ~integer:true ~lower:0.0
-                          ~upper:(float_of_int c.max_mult)
-                          (Printf.sprintf "x%d" i) ))
-                    groups.(p)
+                let xs = groups.(p) in
+                let ys =
+                  Array.of_list
+                    (List.filter (fun q -> (not refined.(q)) && q <> p) (List.init k Fun.id))
                 in
-                let yvars = ref [] in
-                for q = k - 1 downto 0 do
-                  if (not refined.(q)) && q <> p then
-                    yvars :=
-                      ( q,
-                        Model.add_var model ~integer:true ~lower:0.0
-                          ~upper:(float_of_int ub.(q))
-                          (Printf.sprintf "y%d" q) )
-                      :: !yvars
-                done;
-                let yvars = !yvars in
-                Array.iteri
-                  (fun ri r ->
-                    let terms = ref [] in
-                    Array.iter
-                      (fun (i, v) ->
-                        if r.coef.(i) <> 0.0 then
-                          terms := (r.coef.(i), v) :: !terms)
-                      xvars;
-                    List.iter
-                      (fun (q, v) ->
-                        let cq = mean_rows.(ri).(q) in
-                        if cq <> 0.0 then terms := (cq, v) :: !terms)
-                      yvars;
-                    Model.add_constr model
-                      ~name:(Printf.sprintf "row%d" ri)
-                      !terms r.sense
-                      (r.rhs -. fixed_rows.(ri)))
-                  rows_a;
-                if needs_nonempty && !fixed_count < 1 then begin
-                  let terms =
-                    Array.to_list (Array.map (fun (_, v) -> (1.0, v)) xvars)
-                    @ List.map (fun (_, v) -> (1.0, v)) yvars
-                  in
-                  Model.add_constr model ~name:"nonempty" terms Model.Ge 1.0
-                end;
-                (match obj with
-                | No_obj -> Model.set_objective model (Model.Maximize [])
-                | Linear (dir, coef) ->
-                    let terms = ref [] in
-                    Array.iter
-                      (fun (i, v) ->
-                        if coef.(i) <> 0.0 then terms := (coef.(i), v) :: !terms)
-                      xvars;
-                    let mobj = Option.get mean_obj in
-                    List.iter
-                      (fun (q, v) ->
-                        if mobj.(q) <> 0.0 then terms := (mobj.(q), v) :: !terms)
-                      yvars;
-                    Model.set_objective model
-                      (match dir with
-                      | Ast.Maximize -> Model.Maximize !terms
-                      | Ast.Minimize -> Model.Minimize !terms));
+                let nx = Array.length xs in
+                (* columns: [p]'s tuples, then the other unrefined
+                   partitions' representatives *)
+                let over tuple_coef rep_coef =
+                  Array.append
+                    (Array.map (fun i -> tuple_coef.(i)) xs)
+                    (Array.map (fun q -> rep_coef.(q)) ys)
+                in
+                let model =
+                  Translate.of_columns
+                    ~upper:
+                      (Array.append
+                         (Array.make nx (float_of_int c.max_mult))
+                         (Array.map (fun q -> float_of_int ub.(q)) ys))
+                    ~coefs:(Array.mapi (fun ri r -> over r.coef mean_rows.(ri)) rows_a)
+                    ~senses
+                    ~rhs:(Array.mapi (fun ri r -> r.rhs -. fixed_rows.(ri)) rows_a)
+                    ~nonempty:(needs_nonempty && !fixed_count < 1)
+                    (match obj with
+                    | No_obj -> No_obj
+                    | Linear (dir, coef) -> Linear (dir, over coef (Option.get mean_obj)))
+                in
                 let sol = Milp.solve ~gov:(Gov.child gov) model in
+                let mult j = int_of_float (Float.round sol.Milp.x.(j)) in
                 match sol.Milp.status with
                 | (Milp.Optimal | Milp.Feasible)
                   when Array.length sol.Milp.x > 0 ->
                     Some
                       ( p,
                         sol.Milp.objective,
-                        Array.map
-                          (fun (i, v) ->
-                            (i, int_of_float (Float.round sol.Milp.x.(v))))
-                          xvars,
-                        List.map
-                          (fun (q, v) ->
-                            (q, int_of_float (Float.round sol.Milp.x.(v))))
-                          yvars )
+                        Array.mapi (fun j i -> (i, mult j)) xs,
+                        Array.mapi (fun j q -> (q, mult (nx + j))) ys )
                 | _ -> None
               in
               let commit (p, _, xs, ys) =
@@ -562,7 +413,7 @@ let pipeline ~params ~pool ~gov (c : Coeffs.t) : outcome =
                       | No_obj -> ()
                     end)
                   xs;
-                List.iter (fun (q, y) -> repy.(q) <- y) ys
+                Array.iter (fun (q, y) -> repy.(q) <- y) ys
               in
               try_incumbent ();
               let no_obj_done () = obj = No_obj && !best <> None in
@@ -926,34 +777,22 @@ let lp_front ~gov (c : Coeffs.t) rows_a needs_nonempty obj =
         | None -> Gov.child gov
       in
       let solve_reduced kept =
-        let model = Model.create () in
-        let vars =
-          Array.map
-            (fun i ->
-              Model.add_var model ~integer:true ~lower:0.0 ~upper:mm (Printf.sprintf "x%d" i))
-            kept
+        let over (w : float array) = Array.map (fun i -> w.(i)) kept in
+        let model =
+          Translate.of_columns
+            ~upper:(Array.make (Array.length kept) mm)
+            ~coefs:(Array.map (fun r -> over r.coef) rows_a)
+            ~senses:(Array.map (fun r -> r.sense) rows_a)
+            ~rhs:(Array.map (fun r -> r.rhs) rows_a)
+            ~nonempty:needs_nonempty
+            (match obj with No_obj -> No_obj | Linear (dir, coef) -> Linear (dir, over coef))
         in
-        let terms_over (w : float array) =
-          let out = ref [] in
-          for k = Array.length kept - 1 downto 0 do
-            let v = w.(kept.(k)) in
-            if v <> 0.0 then out := (v, vars.(k)) :: !out
-          done;
-          !out
-        in
-        Array.iteri
-          (fun ri r ->
-            Model.add_constr model ~name:(Printf.sprintf "row%d" ri) (terms_over r.coef) r.sense
-              r.rhs)
-          lp_rows;
-        let terms = terms_over coef in
-        Model.set_objective model (if maximize then Model.Maximize terms else Model.Minimize terms);
         let sol = Milp.solve ~node_order:Milp.Best_bound ~gov:front_gov model in
         let found =
           if Array.length sol.Milp.x = 0 then None
           else begin
             let m = Array.make n 0 in
-            Array.iteri (fun k i -> m.(i) <- int_of_float (Float.round sol.Milp.x.(vars.(k)))) kept;
+            Array.iteri (fun k i -> m.(i) <- int_of_float (Float.round sol.Milp.x.(k))) kept;
             if Coeffs.check_mult c m then Some (m, Coeffs.objective_of_mult c m) else None
           end
         in
@@ -1011,7 +850,7 @@ let better_of ~maximize (a : Package.t option * float option) (b : Package.t opt
   | _ -> a
 
 let search ~params ~pool ~gov (c : Coeffs.t) : outcome =
-  match (rows_of_formula c, objective_of_coeffs c) with
+  match (Translate.rows_of_formula c, Translate.objective_of_coeffs c) with
   | Error reason, _ | _, Error reason -> not_applicable reason
   | Ok _, Ok _ when c.n = 0 -> pipeline ~params ~pool ~gov c
   | Ok rows, Ok obj -> (

@@ -58,32 +58,10 @@ type params = {
   partitions : int option;
       (** partition count; [None] = ~sqrt of the candidate count *)
   fanout : int;  (** refine legs per round (deterministic, pool-independent) *)
-  prepartition : int array array option;
-      (** caller-imposed coarse grouping of the candidate indices (the
-          shard router passes its hash partitions): each group is
-          sub-split by the usual median-split build over its own members,
-          so no refine leg straddles a group boundary. The bound sketch
-          relaxes {e any} partitioning, so proof semantics are unchanged.
-          Unknown/duplicate indices are dropped and uncovered candidates
-          form one extra group; [None] = unconstrained build. *)
 }
 
 val default_params : params
-(** [{ partitions = None; fanout = 4; prepartition = None }] *)
-
-val partition_within :
-  target:int ->
-  features:float array array ->
-  n:int ->
-  int array array ->
-  Partition.t
-(** The partitioning [search] uses when [prepartition] is set:
-    [partition_within ~target ~features ~n pre] sub-splits each cleaned
-    group of [pre] (unknown and repeated indices dropped, uncovered
-    candidates appended as one extra group) with a target proportional
-    to its size, via {!Partition.build_within}. The result depends only
-    on the groups' member sets, and satisfies every {!Partition}
-    invariant on any input. *)
+(** [{ partitions = None; fanout = 4 }] *)
 
 type outcome = {
   best : Pb_paql.Package.t option;

@@ -1,8 +1,13 @@
 module Analyze = Pb_paql.Analyze
 module Ast = Pb_paql.Ast
+module Package = Pb_paql.Package
 module Model = Pb_lp.Model
 
 type t = { model : Model.t; vars : int array }
+
+let linearizable (c : Coeffs.t) =
+  Result.is_ok c.formula
+  && match c.objective with None | Some (Some _) -> true | Some None -> false
 
 let strict_eps = 1e-6
 
@@ -154,6 +159,19 @@ let rec add_formula (c : Coeffs.t) model vars ~indicator f =
             ((-1.0, z) :: terms)
             Model.Ge 0.0)
 
+type objective = No_obj | Linear of Ast.direction * float array
+
+let objective_of_coeffs (c : Coeffs.t) =
+  match c.objective with
+  | None -> Ok No_obj
+  | Some None -> Error "objective is not linearizable"
+  | Some (Some (dir, coef)) -> Ok (Linear (dir, coef))
+
+let set_objective model vars = function
+  | No_obj -> Model.set_objective model (Model.Maximize [])
+  | Linear (Ast.Maximize, coef) -> Model.set_objective model (Model.Maximize (linear_terms coef vars))
+  | Linear (Ast.Minimize, coef) -> Model.set_objective model (Model.Minimize (linear_terms coef vars))
+
 let build (c : Coeffs.t) =
   let model = Model.create () in
   let mf = float_of_int c.max_mult in
@@ -166,16 +184,9 @@ let build (c : Coeffs.t) =
   | Ok f -> add_formula c model vars ~indicator:None f
   | Error reason ->
       failwith ("Translate.build: SUCH THAT is not linearizable: " ^ reason));
-  (match c.objective with
-  | None -> Model.set_objective model (Model.Maximize [])
-  | Some None ->
-      failwith "Translate.build: objective is not linearizable"
-  | Some (Some (dir, coef)) ->
-      let terms = linear_terms coef vars in
-      Model.set_objective model
-        (match dir with
-        | Ast.Maximize -> Model.Maximize terms
-        | Ast.Minimize -> Model.Minimize terms));
+  (match objective_of_coeffs c with
+  | Ok objective -> set_objective model vars objective
+  | Error reason -> failwith ("Translate.build: " ^ reason));
   { model; vars }
 
 let package_of_solution (c : Coeffs.t) t x =
@@ -185,3 +196,60 @@ let package_of_solution (c : Coeffs.t) t x =
       t.vars
   in
   Coeffs.package_of_mult c mult
+
+let exclude t pkg =
+  let terms = ref [] and ones = ref 0 in
+  Array.iteri
+    (fun i v ->
+      if Package.multiplicity pkg i > 0 then begin
+        terms := (-1.0, v) :: !terms;
+        incr ones
+      end
+      else terms := (1.0, v) :: !terms)
+    t.vars;
+  Model.add_constr t.model !terms Model.Ge (1.0 -. float_of_int !ones)
+
+(* ---- Rows over an explicit column set ------------------------------ *)
+
+type row = { coef : float array; sense : Model.sense; rhs : float; nonempty : bool }
+
+let rows_of_formula (c : Coeffs.t) =
+  let rec go acc = function
+    | Coeffs.C_true -> Ok acc
+    | Coeffs.C_false ->
+        (* constant-false SUCH THAT: one unsatisfiable row *)
+        Ok ({ coef = Array.make c.n 0.0; sense = Model.Ge; rhs = 1.0; nonempty = false } :: acc)
+    | Coeffs.C_atom (Coeffs.C_linear { coef; cmp; rhs; has_sum }) ->
+        let sense, rhs = cmp_to_row cmp rhs in
+        Ok ({ coef; sense; rhs; nonempty = has_sum } :: acc)
+    | Coeffs.C_atom (Coeffs.C_avg { arg; cmp; rhs }) ->
+        (* AVG(e) cmp c  ==>  Σ (e_i - c)·x_i cmp 0, empty rejected. *)
+        let shifted = Array.map (fun v -> v -. rhs) arg in
+        let sense, rhs = cmp_to_row cmp 0.0 in
+        Ok ({ coef = shifted; sense; rhs; nonempty = true } :: acc)
+    | Coeffs.C_atom (Coeffs.C_ext _) -> Error "MIN/MAX constraints need per-tuple witnesses"
+    | Coeffs.C_and fs ->
+        List.fold_left (fun acc f -> Result.bind acc (fun a -> go a f)) (Ok acc) fs
+    | Coeffs.C_or _ -> Error "disjunctive constraints"
+  in
+  match c.formula with
+  | Error reason -> Error ("SUCH THAT is not linearizable: " ^ reason)
+  | Ok f -> Result.map List.rev (go [] f)
+
+(* Laid out as [build] lays out its rows: each row's and the objective's
+   terms by descending column, the nonempty row last. *)
+let of_columns ~upper ~coefs ~senses ~rhs ~nonempty objective =
+  let model = Model.create () in
+  let ncols = Array.length upper in
+  let vars =
+    Array.init ncols (fun j ->
+        Model.add_var model ~integer:true ~lower:0.0 ~upper:upper.(j) (Printf.sprintf "x%d" j))
+  in
+  Array.iteri
+    (fun ri coef ->
+      Model.add_constr model ~name:(Printf.sprintf "row%d" ri) (linear_terms coef vars)
+        senses.(ri) rhs.(ri))
+    coefs;
+  if nonempty then Model.add_constr model ~name:"nonempty" (count_terms vars) Model.Ge 1.0;
+  set_objective model vars objective;
+  model

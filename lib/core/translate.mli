@@ -22,21 +22,24 @@
     Strict comparisons are tightened by a small epsilon (1e-6); with
     integer-valued data this is exact.
 
-    Raises [Failure] when the formula or the objective is not
-    linearizable — callers check {!Coeffs.t.formula} first. *)
+    [build] raises [Failure] when the formula or the objective is not
+    linearizable — callers check {!linearizable} first.
+
+    This module is the one place PaQL rows become solver models: besides
+    [build] it turns the compiled formula into dense rows
+    ({!rows_of_formula}) and builds models over an explicit column set
+    ({!of_columns}) — {!Sketch_refine}'s sketches, refine legs and LP
+    front all come from there — and it adds the binary no-good cut
+    ({!exclude}) that ranked enumeration and resampling use. *)
 
 type t = {
   model : Pb_lp.Model.t;
   vars : int array;  (** vars.(i) = model variable of candidate tuple i *)
 }
 
-val strict_eps : float
-(** Epsilon used to tighten strict comparisons (1e-6). *)
-
-val cmp_to_row : Pb_paql.Analyze.cmp -> float -> Pb_lp.Model.sense * float
-(** Map a comparison to a solver row sense: [Le]/[Ge] pass through,
-    [Lt]/[Gt] tighten the right-hand side by {!strict_eps}. Shared with
-    {!Sketch_refine} so both model builders agree on strictness. *)
+val linearizable : Coeffs.t -> bool
+(** The formula compiled and the objective, if any, is linear: what
+    {!build} needs. *)
 
 val build : Coeffs.t -> t
 (** Model with multiplicity variables, all constraint rows, and the
@@ -45,3 +48,45 @@ val build : Coeffs.t -> t
 val package_of_solution : Coeffs.t -> t -> float array -> Pb_paql.Package.t
 (** Round the solver point's tuple variables to a package (indicator
     variables are ignored). *)
+
+val exclude : t -> Pb_paql.Package.t -> unit
+(** Add the binary no-good cut that excludes exactly [pkg]'s support
+    over [t.vars] (indicator variables stay free, so two solver points
+    differing only there cannot yield one package twice). Binary models
+    only: the cut is exact for multiplicities in [{0, 1}]. *)
+
+(** {1 Rows over an explicit column set} *)
+
+type row = {
+  coef : float array;  (** one coefficient per candidate tuple *)
+  sense : Pb_lp.Model.sense;  (** [Le] or [Ge], never [Eq] *)
+  rhs : float;  (** strict comparisons already tightened by 1e-6 *)
+  nonempty : bool;
+      (** the source aggregate rejects the empty package (SQL NULL
+          semantics), so a model over these rows needs [Σ x ≥ 1] *)
+}
+
+val rows_of_formula : Coeffs.t -> (row list, string) result
+(** A conjunction of linear and AVG atoms as rows, in formula order
+    (AVG(e) cmp c becomes Σ (eᵢ - c)·xᵢ cmp 0; constant false one
+    unsatisfiable row). [Error] names what is not a plain conjunction
+    of such atoms: MIN/MAX, disjunction, or an opaque formula. *)
+
+type objective = No_obj | Linear of Pb_paql.Ast.direction * float array
+
+val objective_of_coeffs : Coeffs.t -> (objective, string) result
+(** [Error] when the objective is present but not linear. *)
+
+val of_columns :
+  upper:float array ->
+  coefs:float array array ->
+  senses:Pb_lp.Model.sense array ->
+  rhs:float array ->
+  nonempty:bool ->
+  objective ->
+  Pb_lp.Model.t
+(** Integer model over an explicit column set: variable [j] is column
+    [j], in [[0, upper.(j)]]; row [r] is [Σ_j coefs.(r).(j)·x_j
+    senses.(r) rhs.(r)] (dense coefficients over the columns); with
+    [nonempty] a last row [Σ_j x_j ≥ 1] follows; the objective's
+    coefficients are over the columns too ([No_obj]: maximize 0). *)

@@ -20,7 +20,8 @@ type t = {
 }
 
 let start ?(seed = 11) db query =
-  let result = Pb_core.Engine.run db query in
+  let coeffs = Coeffs.make db query in
+  let result = Pb_core.Engine.run_coeffs db coeffs in
   match result.Pb_core.Engine.package with
   | None -> Error "query has no valid package"
   | Some pkg ->
@@ -28,7 +29,7 @@ let start ?(seed = 11) db query =
         {
           db;
           query;
-          coeffs = Coeffs.make db query;
+          coeffs;
           rng = Prng.create seed;
           current = pkg;
           history = [ pkg ];
@@ -38,10 +39,6 @@ let start ?(seed = 11) db query =
 let current t = t.current
 let rounds t = t.rounds
 let seen t = t.history
-
-let linearizable (c : Coeffs.t) =
-  Result.is_ok c.formula
-  && match c.objective with None | Some (Some _) -> true | Some None -> false
 
 (* Solver-based resample: pin kept tuples via lower bounds, exclude every
    package in the history with a no-good cut, re-solve. Binary queries
@@ -58,22 +55,7 @@ let resample_ilp t ~keep =
         let _, hi = Model.bounds model vars.(i) in
         Model.set_bounds model vars.(i) m hi)
     keep;
-  List.iteri
-    (fun cut_id prev ->
-      let terms = ref [] and ones = ref 0 in
-      Array.iteri
-        (fun i v ->
-          if Package.multiplicity prev i > 0 then begin
-            terms := (-1.0, v) :: !terms;
-            incr ones
-          end
-          else terms := (1.0, v) :: !terms)
-        vars;
-      Model.add_constr model
-        ~name:(Printf.sprintf "seen%d" cut_id)
-        !terms Model.Ge
-        (1.0 -. float_of_int !ones))
-    t.history;
+  List.iter (Pb_core.Translate.exclude translated) t.history;
   let sol = Milp.solve ~gov:(Pb_util.Gov.create ~milp_nodes:50_000 ()) model in
   match sol.Milp.status with
   | Milp.Optimal | Milp.Feasible when Array.length sol.Milp.x > 0 ->
@@ -121,7 +103,7 @@ let resample_random t ~keep =
 
 let keep_and_resample t ~keep =
   let fresh =
-    if linearizable t.coeffs && t.coeffs.Coeffs.max_mult = 1 then
+    if Pb_core.Translate.linearizable t.coeffs && t.coeffs.Coeffs.max_mult = 1 then
       resample_ilp t ~keep
     else resample_random t ~keep
   in

@@ -185,21 +185,7 @@ let maximization_sense model =
   | Model.Maximize _ -> true
   | Model.Minimize _ -> false
 
-let rec solve_impl ~gov ?(eps = 1e-6) ?(node_order = Dfs) ?(presolve = false)
-    model =
-  if presolve then
-    match Presolve.presolve model with
-    | Presolve.Proven_infeasible ->
-        {
-          status = Infeasible;
-          x = [||];
-          objective = nan;
-          nodes = 0;
-          lp_iterations = 0;
-        }
-    | Presolve.Reduced { model = reduced; _ } ->
-        solve_impl ~gov ~eps ~node_order ~presolve:false reduced
-  else
+let solve_impl ~gov ?(eps = 1e-6) ?(node_order = Dfs) model =
   let n = Model.num_vars model in
   let saved_bounds = Array.init n (Model.bounds model) in
   let restore () =
@@ -364,48 +350,11 @@ let rec solve_impl ~gov ?(eps = 1e-6) ?(node_order = Dfs) ?(presolve = false)
       in
       { status; x = [||]; objective = nan; nodes; lp_iterations }
 
-let solve ?gov ?eps ?node_order ?presolve model =
+let solve ?gov ?eps ?node_order model =
   let gov = match gov with Some g -> g | None -> Gov.create () in
   Trace.with_span ~name:"milp.solve" (fun () ->
       Metrics.incr m_solves;
-      let sol = solve_impl ~gov ?eps ?node_order ?presolve model in
+      let sol = solve_impl ~gov ?eps ?node_order model in
       Trace.add_count "bb_nodes" sol.nodes;
       Trace.add_count "lp_pivots" sol.lp_iterations;
       sol)
-
-let solve_all ?(max_solutions = 10) ?gov model =
-  let n = Model.num_vars model in
-  for i = 0 to n - 1 do
-    if Model.is_integer model i then begin
-      let lo, hi = Model.bounds model i in
-      if not (lo >= -1e-9 && hi <= 1.0 +. 1e-9) then
-        invalid_arg "Milp.solve_all: integer variables must be binary"
-    end
-  done;
-  let added = ref 0 in
-  let rec loop acc k =
-    if k = 0 then List.rev acc
-    else
-      let sol = solve ?gov model in
-      match sol.status with
-      | Optimal | Feasible when Array.length sol.x > 0 ->
-          (* No-good cut: sum of selected complements + unselected vars
-             >= 1 excludes exactly this 0/1 point. *)
-          let terms = ref [] and ones = ref 0 in
-          for i = 0 to n - 1 do
-            if Model.is_integer model i then
-              if Float.round sol.x.(i) >= 0.5 then begin
-                terms := (-1.0, i) :: !terms;
-                incr ones
-              end
-              else terms := (1.0, i) :: !terms
-          done;
-          incr added;
-          Model.add_constr model
-            ~name:(Printf.sprintf "nogood%d" !added)
-            !terms Model.Ge
-            (1.0 -. float_of_int !ones);
-          loop ((sol.x, sol.objective) :: acc) (k - 1)
-      | _ -> List.rev acc
-  in
-  loop [] max_solutions

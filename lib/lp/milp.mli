@@ -44,7 +44,6 @@ val solve :
   ?gov:Pb_util.Gov.t ->
   ?eps:float ->
   ?node_order:node_order ->
-  ?presolve:bool ->
   Model.t ->
   solution
 (** [solve model] finds an optimal integral assignment. [gov] governs
@@ -54,23 +53,5 @@ val solve :
     incumbent as {!Feasible}. When omitted, a private
     [Pb_util.Gov.create ()] supplies the historical default of 200_000
     nodes and no deadline. [eps] is the integrality tolerance (default
-    1e-6); [node_order] defaults to {!Dfs}; [presolve] (default false)
-    runs {!Presolve} first and solves the reduced model (same variable
-    indexing, so the solution vector needs no translation). The model's
-    variable bounds are mutated during the search and restored before
-    returning. *)
-
-val solve_all :
-  ?max_solutions:int ->
-  ?gov:Pb_util.Gov.t ->
-  Model.t ->
-  (float array * float) list
-(** Enumerate successive optimal-then-suboptimal solutions of a pure
-    binary model by re-solving with no-good cuts (§5 "solvers return a
-    single package solution at a time"): after each solve, a constraint
-    excluding exactly that 0/1 assignment is added and the model is solved
-    again, until infeasible or [max_solutions] (default 10) is reached.
-    Returns (point, objective) in discovery order. Each solve starts a
-    fresh working tableau, since the no-good rows change the model.
-    Requires every integer variable to be binary; raises
-    [Invalid_argument] otherwise. *)
+    1e-6); [node_order] defaults to {!Dfs}. The model's variable bounds
+    are mutated during the search and restored before returning. *)

@@ -14,7 +14,6 @@ type config = {
   max_inflight : int;
   max_queue : int;
   default_deadline : float option;
-  poll_interval : float;
   plan_cache_capacity : int;
   trace_capacity : int;
 }
@@ -27,7 +26,6 @@ let default_config =
     max_inflight = 64;
     max_queue = 128;
     default_deadline = None;
-    poll_interval = 0.05;
     plan_cache_capacity = 128;
     trace_capacity = 256;
   }
@@ -105,6 +103,9 @@ type t = {
   completions : (conn * Protocol.response * bool) Queue.t;
   comp_mu : Mutex.t;
   mutable serve_thread : Thread.t option;
+  (* the event loop closes [ended_w] as it ends; [join] reads [ended_r] *)
+  ended_r : Unix.file_descr;
+  ended_w : Unix.file_descr;
   finish_mu : Mutex.t;
   mutable finished : bool;
 }
@@ -358,10 +359,12 @@ let is_health_command text = String.trim text = "\\healthz"
 
 (* ---- workers ---------------------------------------------------------- *)
 
+(* A full pipe already holds a wake-up; a closed one belongs to a loop
+   that has ended, which has nothing left to wake. *)
 let wake t =
   try ignore (Unix.write_substring t.wake_w "x" 0 1)
   with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _) ->
+  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE | Unix.EBADF), _, _) ->
     ()
 
 let worker t () =
@@ -663,7 +666,10 @@ let run t =
        d)
     in
     if not done_ then begin
-      let events = Poller.wait t.poller ~timeout:t.config.poll_interval in
+      (* Block until something is ready: workers and [request_stop]
+         wake the loop through the self-pipe, so an idle server never
+         spins. *)
+      let events = Poller.wait t.poller ~timeout:(-1.0) in
       Metrics.incr m_wakeups;
       List.iter
         (fun { Poller.fd; readable; writable; error } ->
@@ -695,6 +701,9 @@ let run t =
   in
   Fun.protect
     ~finally:(fun () ->
+      (* first, so no failing step below leaves [join] waiting; it
+         joins this thread for the rest *)
+      Unix.close t.ended_w;
       Mutex.lock t.jobs_mu;
       t.workers_stop <- true;
       Condition.broadcast t.jobs_nonempty;
@@ -703,6 +712,9 @@ let run t =
       (* empty after a drain; after an exception this keeps [active] and
          the connection gauges honest *)
       List.iter (close_conn t) (all_conns ());
+      (* set before the pipe closes, so a later [request_stop] does not
+         write to it *)
+      Atomic.set t.stop true;
       (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
       (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
       Poller.close t.poller)
@@ -753,6 +765,7 @@ let start ?(config = default_config) ?session_factory db =
   let poller = Poller.create () in
   Poller.add poller listen ~read:true ~write:false;
   Poller.add poller wake_r ~read:true ~write:false;
+  let ended_r, ended_w = Unix.pipe ~cloexec:true () in
   let t =
     {
       config;
@@ -777,6 +790,8 @@ let start ?(config = default_config) ?session_factory db =
       completions = Queue.create ();
       comp_mu = Mutex.create ();
       serve_thread = None;
+      ended_r;
+      ended_w;
       finish_mu = Mutex.create ();
       finished = false;
     }
@@ -832,18 +847,29 @@ let http_handler t path =
         | None -> None
       else None
 
-let request_stop t = Atomic.set t.stop true
+let request_stop t = if not (Atomic.exchange t.stop true) then wake t
 
-(* The event loop returns only once every connection has drained, so
-   joining its thread is the whole wait. *)
+(* The event loop returns only once every connection has drained. The
+   wait for it is a read of [ended_r], not [Thread.join]: a signal
+   interrupts the read, so a SIGINT/SIGTERM handler runs on the joining
+   thread even while every other thread sleeps in the kernel. Inside
+   [Thread.join] it would wait for some thread to run OCaml code, and
+   an idle event loop never does. *)
 let join t =
   Mutex.lock t.finish_mu;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.finish_mu)
     (fun () ->
       if not t.finished then begin
+        let rec await_end () =
+          match Unix.read t.ended_r (Bytes.create 1) 0 1 with
+          | _ -> ()
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> await_end ()
+        in
+        await_end ();
         Option.iter Thread.join t.serve_thread;
         (try Unix.close t.listen with Unix.Unix_error _ -> ());
+        Unix.close t.ended_r;
         t.finished <- true
       end)
 

@@ -44,11 +44,13 @@
     reports its state over the query wire — the shard router's health
     aggregation relies on this.
 
-    Shutdown: {!request_stop} (async-signal-safe: it only flips an
-    atomic) stops accepting and makes every connection close after the
-    request it is currently serving — in-flight requests drain, idle
-    connections close within one poll interval. {!join} blocks until
-    the drain completes. *)
+    Shutdown: {!request_stop} (async-signal-safe: it flips an atomic and
+    writes one byte to the event loop's self-pipe) stops accepting and
+    makes every connection close after the request it is currently
+    serving — in-flight requests drain, idle connections close at once.
+    {!join} blocks until the drain completes. The event loop blocks
+    until a descriptor is ready or the self-pipe is written, so an idle
+    server does not wake up at all. *)
 
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
@@ -63,9 +65,6 @@ type config = {
           >= 0 *)
   default_deadline : float option;
       (** applied to requests that carry no deadline; [None] = unlimited *)
-  poll_interval : float;
-      (** seconds between stop-flag checks while idle; bounds shutdown
-          latency *)
   plan_cache_capacity : int;
       (** entries in the shared prepared-plan cache; [0] disables caching
           (every request re-parses — the benchmark baseline) *)
@@ -79,7 +78,7 @@ type config = {
 
 val default_config : config
 (** [127.0.0.1:7878], 64 connections, 64 in-flight requests with a
-    128-deep admission queue, no default deadline, 50ms poll, 128 cached
+    128-deep admission queue, no default deadline, 128 cached
     plans, 256 retained traces. *)
 
 type t
@@ -124,7 +123,9 @@ val request_stop : t -> unit
 val join : t -> unit
 (** Block until the server has fully stopped: event loop exited after
     draining every connection, listen socket closed. Does {e not} itself
-    initiate shutdown. Safe to call from several threads. *)
+    initiate shutdown. Safe to call from several threads. The wait is
+    interrupted by signals, so the handlers {!install_signal_handlers}
+    sets run on the main thread while it is blocked here. *)
 
 val shutdown : t -> unit
 (** [request_stop] + [join]. Idempotent. *)

@@ -410,33 +410,12 @@ let run_script t ~gov text =
 
 (* ---- PaQL over shards -------------------------------------------------- *)
 
-let proof_suffix = function
-  | Pb_core.Engine.Optimal | Pb_core.Engine.Infeasible -> " (proven optimal)"
-  | Pb_core.Engine.Feasible -> ""
-  | Pb_core.Engine.Cancelled -> " (cancelled)"
-
-let render_paql_result (result : Pb_core.Engine.result) =
-  let buf = Buffer.create 256 in
-  (match result.Pb_core.Engine.package with
-  | Some pkg -> Buffer.add_string buf (Pb_paql.Package.to_string pkg)
-  | None -> Buffer.add_string buf "no valid package\n");
-  (match result.Pb_core.Engine.objective with
-  | Some v -> Buffer.add_string buf (Printf.sprintf "objective: %g\n" v)
-  | None -> ());
-  Buffer.add_string buf
-    (Printf.sprintf "strategy: %s%s, %.3fs" result.Pb_core.Engine.strategy_used
-       (proof_suffix result.Pb_core.Engine.proof)
-       result.Pb_core.Engine.elapsed);
-  ok (Buffer.contents buf)
-
-(* Router-level sketch, shard-level refine: pull the input table, group
-   the candidate tuples by their {e home shard} (recomputing the same
-   hash the data was partitioned with — the data-mode codec's bit-exact
-   values make this agree with shard residency), and hand those groups
-   to SketchRefine as its prepartition. Refine legs then correspond to
-   shard-local subproblems; the strict-improvement merge and the bound
-   sketch's proof semantics are SketchRefine's own. *)
+(* Router-level evaluation: pull the input table and run SketchRefine
+   over it. Its LP front settles the query over the whole pulled
+   relation before any partitioning; the pipeline, when it runs, uses
+   the same partitioner as a single node. *)
 let run_paql t ~gov text =
+  let render result = ok (Repl.render_paql_result result) in
   match Pb_paql.Parser.parse text with
   | exception Pb_paql.Parser.Parse_error msg -> ok ("paql error: " ^ msg)
   | query -> (
@@ -444,41 +423,18 @@ let run_paql t ~gov text =
       if not (is_sharded t input) then
         match Pb_core.Engine.run ~gov t.local query with
         | exception Failure msg -> ok ("error: " ^ msg)
-        | result -> render_paql_result result
+        | result -> render result
       else
         match
           let scratch = Database.create () in
           Database.put scratch input (pull_table t ~gov input);
-          let coeffs = Pb_core.Coeffs.make scratch query in
-          let shards = shard_count t in
-          let buckets = Array.make shards [] in
-          let rows = Relation.rows coeffs.Pb_core.Coeffs.candidates in
-          Array.iteri
-            (fun i row ->
-              let s = Hash.shard_of_row ~shards row in
-              buckets.(s) <- i :: buckets.(s))
-            rows;
-          let groups =
-            Array.to_list buckets
-            |> List.filter_map (fun b ->
-                   match List.rev b with
-                   | [] -> None
-                   | l -> Some (Array.of_list l))
-            |> Array.of_list
-          in
-          let params =
-            {
-              Pb_core.Sketch_refine.default_params with
-              prepartition = (if Array.length groups = 0 then None else Some groups);
-            }
-          in
           Pb_core.Engine.run ~gov
-            ~strategy:(Pb_core.Engine.Sketch_refine params)
+            ~strategy:(Pb_core.Engine.Sketch_refine Pb_core.Sketch_refine.default_params)
             scratch query
         with
         | exception Failure msg -> ok ("error: " ^ msg)
         | exception Shard_error msg -> ok ("shard error: " ^ msg)
-        | result -> render_paql_result result)
+        | result -> render result)
 
 (* ---- commands ---------------------------------------------------------- *)
 

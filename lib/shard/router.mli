@@ -29,14 +29,10 @@
     node would — the transcript-identity guarantee is for deterministic
     (ordered) output.
 
-    PaQL: a query over a sharded input pulls the input table, builds
-    {!Pb_core.Coeffs} at the router (the sketch side), regroups the
-    candidate rows by home shard with the same hash, and runs
-    {!Pb_core.Engine} under a [Sketch_refine] strategy whose
-    prepartition is exactly those shard groups — refine legs correspond
-    to shard-local subproblems while bound/gap proof semantics remain
-    SketchRefine's own (the bound sketch is sound for {e any}
-    partitioning). *)
+    PaQL: a query over a sharded input pulls the input table and runs
+    {!Pb_core.Engine} under a [Sketch_refine] strategy with default
+    parameters, rendering the result as the single-node shell does
+    ({!Pb_shell.Repl.render_paql_result}). *)
 
 type t
 

@@ -92,6 +92,21 @@ let proof_suffix = function
   | Pb_core.Engine.Feasible -> ""
   | Pb_core.Engine.Cancelled -> " (cancelled)"
 
+(* The objective line, if any, and the one-line strategy footer. *)
+let add_footer buf (result : Pb_core.Engine.result) =
+  Option.iter (fun v -> Buffer.add_string buf (Printf.sprintf "objective: %g\n" v)) result.objective;
+  Buffer.add_string buf
+    (Printf.sprintf "strategy: %s%s, %.3fs" result.strategy_used (proof_suffix result.proof)
+       result.elapsed)
+
+let render_paql_result (result : Pb_core.Engine.result) =
+  let buf = Buffer.create 256 in
+  (match result.package with
+  | Some pkg -> Buffer.add_string buf (Pb_paql.Package.to_string pkg)
+  | None -> Buffer.add_string buf "no valid package\n");
+  add_footer buf result;
+  Buffer.contents buf
+
 let run_paql ?gov st text =
   match Pb_paql.Parser.parse text with
   | exception Pb_paql.Parser.Parse_error msg -> ok ("paql error: " ^ msg)
@@ -104,19 +119,7 @@ let run_paql ?gov st text =
           ignore
             (Slow_log.observe ~query:text
                ~elapsed:result.Pb_core.Engine.elapsed);
-          let buf = Buffer.create 256 in
-          (match result.Pb_core.Engine.package with
-          | Some pkg -> Buffer.add_string buf (Pb_paql.Package.to_string pkg)
-          | None -> Buffer.add_string buf "no valid package\n");
-          (match result.Pb_core.Engine.objective with
-          | Some v -> Buffer.add_string buf (Printf.sprintf "objective: %g\n" v)
-          | None -> ());
-          Buffer.add_string buf
-            (Printf.sprintf "strategy: %s%s, %.3fs"
-               result.Pb_core.Engine.strategy_used
-               (proof_suffix result.Pb_core.Engine.proof)
-               result.Pb_core.Engine.elapsed);
-          ok (Buffer.contents buf))
+          ok (render_paql_result result))
 
 let run_sql ?gov st text =
   (* Prepared-statement path: repeat text skips lex/parse/resolve and
@@ -208,14 +211,7 @@ let explain_analyze ?gov st text =
                 ("stats: "
                 ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) stats)
                 ^ "\n"));
-          (match result.Pb_core.Engine.objective with
-          | Some v -> Buffer.add_string buf (Printf.sprintf "objective: %g\n" v)
-          | None -> ());
-          Buffer.add_string buf
-            (Printf.sprintf "strategy: %s%s, %.3fs"
-               result.Pb_core.Engine.strategy_used
-               (proof_suffix result.Pb_core.Engine.proof)
-               result.Pb_core.Engine.elapsed);
+          add_footer buf result;
           ok (Buffer.contents buf))
 
 (* "\explain analyze Q" routes to explain_analyze; bare "\explain Q"

@@ -43,6 +43,12 @@ type reaction = {
   quit : bool;  (** true after [\quit] *)
 }
 
+val render_paql_result : Pb_core.Engine.result -> string
+(** A PaQL answer as the shell prints it: the package table (or "no
+    valid package"), the objective, and a one-line strategy footer with
+    the proof annotation and elapsed seconds. The shard router renders
+    its answers with it too, so both read the same. *)
+
 val handle : ?gov:Pb_util.Gov.t -> state -> string -> reaction
 (** Process one input line. The state is mutated in place (the database
     is shared); errors of any kind are reported in [output] rather than

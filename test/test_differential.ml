@@ -214,7 +214,7 @@ let prop_gov_never_better =
       optimum always lies within the strategy's own reported gap of the
       returned objective. *)
 
-let sr_params parts = { Pb_core.Sketch_refine.partitions = Some parts; fanout = 2; prepartition = None }
+let sr_params parts = { Pb_core.Sketch_refine.partitions = Some parts; fanout = 2 }
 
 let print_sr (i, parts) = Printf.sprintf "%s partitions=%d" (print_inst i) parts
 

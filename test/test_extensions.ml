@@ -1,10 +1,8 @@
-(* Tests for the optimization extensions: MILP presolve, LP-format
-   export, best-bound node order, the §5 cost model, and simulated
-   annealing. *)
+(* Tests for the optimization extensions: LP-format export, best-bound
+   node order, the §5 cost model, and simulated annealing. *)
 
 module Model = Pb_lp.Model
 module Milp = Pb_lp.Milp
-module Presolve = Pb_lp.Presolve
 module Lp_format = Pb_lp.Lp_format
 module Parser = Pb_paql.Parser
 module Coeffs = Pb_core.Coeffs
@@ -18,7 +16,7 @@ let contains hay needle =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
-(* ---- presolve -------------------------------------------------------- *)
+(* ---- lp format -------------------------------------------------------- *)
 
 let knapsack () =
   let m = Model.create () in
@@ -33,73 +31,6 @@ let knapsack () =
     (Model.Maximize (Array.to_list (Array.map (fun v -> (1.0, v)) vars)));
   (m, vars)
 
-let test_presolve_drops_redundant_rows () =
-  let m, vars = knapsack () in
-  (* Always-true row: sum of binaries <= 100. *)
-  Model.add_constr m
-    (Array.to_list (Array.map (fun v -> (1.0, v)) vars))
-    Model.Le 100.0;
-  match Presolve.presolve m with
-  | Presolve.Reduced { rows_dropped; model; _ } ->
-      Alcotest.(check bool) "dropped" true (rows_dropped >= 1);
-      Alcotest.(check int) "one row left" 1
-        (List.length (Model.constraints model))
-  | Presolve.Proven_infeasible -> Alcotest.fail "feasible model"
-
-let test_presolve_singleton_to_bound () =
-  let m, vars = knapsack () in
-  Model.add_constr m [ (2.0, vars.(0)) ] Model.Le 1.0;  (* x0 <= 0.5 -> 0 *)
-  match Presolve.presolve m with
-  | Presolve.Reduced { model; bounds_tightened; _ } ->
-      Alcotest.(check bool) "tightened" true (bounds_tightened >= 1);
-      let _, hi = Model.bounds model vars.(0) in
-      (* integer rounding: x0 <= floor(0.5) = 0 *)
-      Alcotest.(check (float 1e-9)) "upper 0" 0.0 hi
-  | Presolve.Proven_infeasible -> Alcotest.fail "feasible model"
-
-let test_presolve_detects_infeasible () =
-  let m, vars = knapsack () in
-  (* Sum of 4 binaries >= 5: max activity is 4. *)
-  Model.add_constr m
-    (Array.to_list (Array.map (fun v -> (1.0, v)) vars))
-    Model.Ge 5.0;
-  match Presolve.presolve m with
-  | Presolve.Proven_infeasible -> ()
-  | Presolve.Reduced _ -> Alcotest.fail "should be infeasible"
-
-let test_presolve_preserves_optimum () =
-  let rng = Pb_util.Prng.create 31 in
-  for _ = 1 to 20 do
-    let n = Pb_util.Prng.int_in rng 2 7 in
-    let m = Model.create () in
-    let vars =
-      Array.init n (fun i ->
-          Model.add_var m ~integer:true ~upper:1.0 (Printf.sprintf "v%d" i))
-    in
-    let w = Array.init n (fun _ -> float_of_int (Pb_util.Prng.int_in rng 1 9)) in
-    let v = Array.init n (fun _ -> float_of_int (Pb_util.Prng.int_in rng 0 9)) in
-    Model.add_constr m
-      (Array.to_list (Array.mapi (fun i x -> (w.(i), x)) vars))
-      Model.Le
-      (float_of_int (Pb_util.Prng.int_in rng 3 25));
-    (* plus a redundant and a singleton row to give presolve work *)
-    Model.add_constr m
-      (Array.to_list (Array.map (fun x -> (1.0, x)) vars))
-      Model.Le 99.0;
-    Model.add_constr m [ (1.0, vars.(0)) ] Model.Le 1.0;
-    Model.set_objective m
-      (Model.Maximize (Array.to_list (Array.mapi (fun i x -> (v.(i), x)) vars)));
-    let plain = Milp.solve m in
-    let presolved = Milp.solve ~presolve:true m in
-    match (plain.Milp.status, presolved.Milp.status) with
-    | Milp.Optimal, Milp.Optimal ->
-        Alcotest.(check (float 1e-6)) "same optimum" plain.Milp.objective
-          presolved.Milp.objective
-    | a, b ->
-        Alcotest.(check bool) "same status" true (a = b)
-  done
-
-(* ---- lp format -------------------------------------------------------- *)
 
 let test_lp_format_sections () =
   let m, _ = knapsack () in
@@ -253,14 +184,6 @@ let test_annealing_deterministic () =
 
 let suite =
   [
-    Alcotest.test_case "presolve drops redundant rows" `Quick
-      test_presolve_drops_redundant_rows;
-    Alcotest.test_case "presolve singleton to bound" `Quick
-      test_presolve_singleton_to_bound;
-    Alcotest.test_case "presolve detects infeasible" `Quick
-      test_presolve_detects_infeasible;
-    Alcotest.test_case "presolve preserves optimum" `Quick
-      test_presolve_preserves_optimum;
     Alcotest.test_case "lp format sections" `Quick test_lp_format_sections;
     Alcotest.test_case "lp format sanitizes names" `Quick test_lp_format_sanitizes;
     Alcotest.test_case "best-bound = dfs answers" `Quick

@@ -209,46 +209,6 @@ let test_milp_bounds_restored () =
   Alcotest.(check (pair (float 0.0) (float 0.0))) "y bounds" (0.0, 1.0)
     (Model.bounds m y)
 
-let test_solve_all_descending () =
-  let m = Model.create () in
-  let vars =
-    Array.init 4 (fun i ->
-        Model.add_var m ~integer:true ~upper:1.0 (Printf.sprintf "v%d" i))
-  in
-  Model.add_constr m
-    (Array.to_list (Array.map (fun v -> (1.0, v)) vars))
-    Model.Eq 2.0;
-  Model.set_objective m
-    (Model.Maximize
-       [ (4.0, vars.(0)); (3.0, vars.(1)); (2.0, vars.(2)); (1.0, vars.(3)) ]);
-  let sols = Milp.solve_all ~max_solutions:6 m in
-  Alcotest.(check int) "C(4,2)=6 solutions" 6 (List.length sols);
-  let objs = List.map snd sols in
-  Alcotest.(check (list (float 1e-6))) "descending objectives"
-    [ 7.0; 6.0; 5.0; 5.0; 4.0; 3.0 ] objs
-
-let test_solve_all_distinct () =
-  let m = Model.create () in
-  let vars =
-    Array.init 3 (fun i ->
-        Model.add_var m ~integer:true ~upper:1.0 (Printf.sprintf "v%d" i))
-  in
-  Model.add_constr m
-    (Array.to_list (Array.map (fun v -> (1.0, v)) vars))
-    Model.Ge 1.0;
-  Model.set_objective m (Model.Maximize []);
-  let sols = Milp.solve_all ~max_solutions:10 m in
-  (* 2^3 - 1 = 7 non-empty subsets *)
-  Alcotest.(check int) "7 solutions" 7 (List.length sols);
-  let keys =
-    List.map
-      (fun (x, _) ->
-        String.concat ""
-          (Array.to_list (Array.map (fun v -> string_of_float (Float.round v)) x)))
-      sols
-  in
-  Alcotest.(check int) "all distinct" 7 (List.length (List.sort_uniq compare keys))
-
 let test_model_validation () =
   let m = Model.create () in
   Alcotest.check_raises "bad bounds"
@@ -507,43 +467,56 @@ let prop_milp_matches_enumeration =
       | Some b, Milp.Optimal -> Float.abs (s.Milp.objective -. b) < 1e-6
       | _ -> false)
 
-(* solve_all adds a no-good row between solves; a warm state carried over
-   would miss it. Its answers must be the best assignments, best first. *)
-let prop_solve_all_ranks_enumeration =
+(* Ranked enumeration through the engine: each answer adds a no-good cut
+   ({!Pb_core.Translate.exclude}) before the next solve, and a warm state
+   carried over would miss it. The answers
+   must be the best packages, best first: the SUM row rejects the empty
+   package, so the enumeration skips it too. *)
+let prop_next_packages_ranks_enumeration =
   QCheck.Test.make ~count:60 ~long_factor:10
-    ~name:"solve_all: successive answers = ranked enumeration"
+    ~name:"next_packages: successive answers = ranked enumeration"
     QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
     (fun seed ->
       let rng = Prng.create seed in
       let n = Prng.int_in rng 3 6 in
-      let m = Model.create () in
-      let vars =
-        Array.init n (fun i ->
-            Model.add_var m ~integer:true ~upper:1.0 (Printf.sprintf "v%d" i))
+      let w = Array.init n (fun _ -> Prng.int_in rng 1 9) in
+      let values = Array.init n (fun _ -> Prng.int_in rng 1 9) in
+      let budget = Prng.int_in rng 5 20 in
+      let db = Pb_sql.Database.create () in
+      let open Pb_relation in
+      Pb_sql.Database.put db "items"
+        (Relation.create
+           (Schema.make
+              [
+                { Schema.name = "id"; ty = Value.T_int };
+                { Schema.name = "v"; ty = Value.T_int };
+                { Schema.name = "w"; ty = Value.T_int };
+              ])
+           (List.init n (fun i -> [| Value.Int (i + 1); Value.Int values.(i); Value.Int w.(i) |])));
+      let query =
+        Pb_paql.Parser.parse
+          (Printf.sprintf
+             "SELECT PACKAGE(i) AS p FROM items i SUCH THAT SUM(p.w) <= %d MAXIMIZE SUM(p.v)"
+             budget)
       in
-      let w = Array.init n (fun _ -> float_of_int (Prng.int_in rng 1 9)) in
-      let budget = float_of_int (Prng.int_in rng 5 20) in
-      Model.add_constr m
-        (Array.to_list (Array.mapi (fun i v -> (w.(i), v)) vars))
-        Model.Le budget;
-      let values = Array.init n (fun _ -> float_of_int (Prng.int_in rng 1 9)) in
-      Model.set_objective m
-        (Model.Maximize (Array.to_list (Array.mapi (fun i v -> (values.(i), v)) vars)));
       let objs = ref [] in
-      for mask = 0 to (1 lsl n) - 1 do
-        let wt = ref 0.0 and v = ref 0.0 in
+      for mask = 1 to (1 lsl n) - 1 do
+        let wt = ref 0 and v = ref 0 in
         for i = 0 to n - 1 do
           if mask land (1 lsl i) <> 0 then begin
-            wt := !wt +. w.(i);
-            v := !v +. values.(i)
+            wt := !wt + w.(i);
+            v := !v + values.(i)
           end
         done;
-        if !wt <= budget then objs := !v :: !objs
+        if !wt <= budget then objs := float_of_int !v :: !objs
       done;
-      let ranked = List.sort (fun a b -> compare b a) !objs in
       let k = 4 in
-      let expect = List.filteri (fun i _ -> i < k) ranked in
-      let got = List.map snd (Milp.solve_all ~max_solutions:k m) in
+      let expect = List.filteri (fun i _ -> i < k) (List.sort (fun a b -> compare b a) !objs) in
+      let got =
+        List.map
+          (fun p -> Option.get (Pb_paql.Semantics.objective_value ~db query p))
+          (Pb_core.Engine.next_packages ~limit:k db query)
+      in
       List.length got = List.length expect
       && List.for_all2 (fun a b -> Float.abs (a -. b) < 1e-6) got expect)
 
@@ -785,8 +758,6 @@ let suite =
     Alcotest.test_case "milp infeasible" `Quick test_milp_infeasible;
     Alcotest.test_case "milp minimize" `Quick test_milp_minimize;
     Alcotest.test_case "milp restores bounds" `Quick test_milp_bounds_restored;
-    Alcotest.test_case "solve_all descending" `Quick test_solve_all_descending;
-    Alcotest.test_case "solve_all distinct" `Quick test_solve_all_distinct;
     Alcotest.test_case "model validation" `Quick test_model_validation;
     Alcotest.test_case "check_feasible" `Quick test_check_feasible;
     Alcotest.test_case "milp cancel mid-search" `Quick
@@ -806,7 +777,7 @@ let suite =
       [
         prop_warm_matches_cold;
         prop_milp_matches_enumeration;
-        prop_solve_all_ranks_enumeration;
+        prop_next_packages_ranks_enumeration;
         prop_dual_certificate;
         prop_rhs_warm_matches_cold;
       ]

@@ -225,7 +225,7 @@ let make_db n =
   db
 
 let test_config =
-  { Server.default_config with port = 0; poll_interval = 0.02 }
+  { Server.default_config with port = 0 }
 
 let paql_line =
   "SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free' SUCH THAT \
@@ -769,6 +769,42 @@ let test_shutdown_idempotent () =
   Server.with_server ~config:test_config (make_db 10) (fun s ->
       Server.shutdown s)
 
+(* The event loop blocks until a descriptor is ready or the self-pipe
+   is written: an idle server does not wake up at all. *)
+let test_idle_server_sleeps () =
+  let wakeups () =
+    Option.value ~default:0.0
+      (List.assoc_opt "pb_net_eventloop_wakeups_total" (Pb_obs.Metrics.snapshot ()))
+  in
+  Server.with_server ~config:test_config (make_db 10) (fun _ ->
+      Thread.delay 0.05;
+      let before = wakeups () in
+      Thread.delay 0.2;
+      Alcotest.(check (float 0.0)) "no wakeups while idle" before (wakeups ()))
+
+(* With every server thread asleep in the kernel, SIGTERM must still
+   reach the handler: the thread blocked in [join] takes it. The signal
+   comes from another process, as in deployment; the watchdog's single
+   long sleep runs no OCaml code meanwhile, so it cannot take it. *)
+let test_sigterm_stops_idle_server () =
+  let s = Server.start ~config:test_config (make_db 10) in
+  let old_int = Sys.signal Sys.sigint Sys.Signal_default in
+  let old_term = Sys.signal Sys.sigterm Sys.Signal_default in
+  Server.install_signal_handlers s;
+  ignore (Thread.create (fun () -> Thread.delay 5.0; Server.request_stop s) ());
+  let killer =
+    Unix.create_process "sh"
+      [| "sh"; "-c"; Printf.sprintf "sleep 0.2; kill -TERM %d" (Unix.getpid ()) |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  let t0 = Unix.gettimeofday () in
+  Server.join s;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  ignore (Unix.waitpid [] killer);
+  Sys.set_signal Sys.sigint old_int;
+  Sys.set_signal Sys.sigterm old_term;
+  if elapsed > 2.0 then Alcotest.failf "SIGTERM took %.2f s to stop an idle server" elapsed
+
 let test_metrics_exposed () =
   Server.with_server ~config:test_config (make_db 20) (fun server ->
       Client.with_connection ~port:(Server.port server) (fun c ->
@@ -991,6 +1027,8 @@ let suite =
     Alcotest.test_case "shutdown drains in-flight requests" `Quick
       test_shutdown_drains;
     Alcotest.test_case "shutdown is idempotent" `Quick test_shutdown_idempotent;
+    Alcotest.test_case "idle server does not wake up" `Quick test_idle_server_sleeps;
+    Alcotest.test_case "SIGTERM stops an idle server" `Quick test_sigterm_stops_idle_server;
     Alcotest.test_case "net metrics exposed" `Quick test_metrics_exposed;
     Alcotest.test_case "trace id propagates client -> server -> tree" `Quick
       test_trace_propagation;

@@ -213,67 +213,6 @@ module Reference = struct
       in
       (groups, centroids)
     end
-
-  (* Prepartitioned build: clean the groups, sub-split each one on its
-     own relabelled features, map back, re-canonicalise. *)
-  let partition_within ~target ~features ~n (pre : int array array) =
-    let seen = Array.make (max n 1) false in
-    let clean =
-      Array.to_list pre
-      |> List.filter_map (fun g ->
-             let members =
-               Array.to_list g
-               |> List.filter_map (fun i ->
-                      if i >= 0 && i < n && not seen.(i) then begin
-                        seen.(i) <- true;
-                        Some i
-                      end
-                      else None)
-             in
-             if members = [] then None else Some (Array.of_list members))
-    in
-    let leftover = List.init n Fun.id |> List.filter (fun i -> not seen.(i)) in
-    let clean =
-      match leftover with [] -> clean | l -> clean @ [ Array.of_list l ]
-    in
-    let total = List.fold_left (fun acc g -> acc + Array.length g) 0 clean in
-    let groups =
-      List.concat_map
-        (fun g ->
-          let m = Array.length g in
-          let sub_target =
-            max 1
-              (int_of_float
-                 (Float.round
-                    (float_of_int (target * m) /. float_of_int (max total 1))))
-          in
-          let sub_features =
-            Array.map (fun f -> Array.map (fun i -> f.(i)) g) features
-          in
-          let sub_groups, _ =
-            build ~target:sub_target ~features:sub_features ~n:m
-          in
-          Array.to_list sub_groups
-          |> List.map (fun sg ->
-                 let mapped = Array.map (fun j -> g.(j)) sg in
-                 Array.sort compare mapped;
-                 mapped))
-        clean
-    in
-    let groups =
-      List.sort (fun a b -> compare a.(0) b.(0)) groups |> Array.of_list
-    in
-    let centroids =
-      Array.map
-        (fun g ->
-          Array.map
-            (fun f ->
-              Array.fold_left (fun acc i -> acc +. f.(i)) 0.0 g
-              /. float_of_int (Array.length g))
-            features)
-        groups
-    in
-    (groups, centroids)
 end
 
 (* Same groups, same order, and centroids equal bit for bit (so NaN
@@ -370,68 +309,6 @@ let prop_group_of_matches_scan =
       List.for_all (fun i -> Partition.group_of t i = scan i) (List.init n Fun.id)
       && rejects (-1) && rejects n)
 
-(* Random shard-style prepartition: each candidate goes to one of a few
-   buckets (or is left out), buckets listed ascending; now and then an
-   out-of-range index or a repeat from an earlier bucket rides along at
-   the end, which cleaning drops without breaking the order. *)
-let gen_prepartition st ~n =
-  let buckets = 1 + Random.State.int st 4 in
-  let lists = Array.make buckets [] in
-  for i = n - 1 downto 0 do
-    let b = Random.State.int st (buckets + 1) in
-    if b < buckets then lists.(b) <- i :: lists.(b)
-  done;
-  Array.mapi
-    (fun b l ->
-      let extra =
-        match Random.State.int st 4 with
-        | 0 -> [ n + 7 ]
-        | 1 when b > 0 && lists.(0) <> [] -> [ List.hd lists.(0) ]
-        | _ -> []
-      in
-      Array.of_list (l @ extra))
-    lists
-
-let prop_within_matches_reference =
-  QCheck.Test.make ~count:200 ~long_factor:20
-    ~name:"partition_within: ascending prepartitions = reference" seed_arb
-    (fun seed ->
-      let st = Random.State.make [| seed |] in
-      let n, features, target = gen_instance st in
-      let pre = gen_prepartition st ~n in
-      same_as_reference
-        (Pb_core.Sketch_refine.partition_within ~target ~features ~n pre)
-        (Reference.partition_within ~target ~features ~n pre))
-
-(* Shuffled groups, duplicates, out-of-range indices: the result is a
-   valid partition and depends only on the groups' member sets. *)
-let prop_within_hostile =
-  QCheck.Test.make ~count:200 ~long_factor:20
-    ~name:"partition_within: hostile prepartitions stay valid" seed_arb
-    (fun seed ->
-      let st = Random.State.make [| seed |] in
-      let n, features, target = gen_instance st in
-      let pre =
-        Array.init (Random.State.int st 4) (fun _ ->
-            Array.init (Random.State.int st (n + 3)) (fun _ ->
-                Random.State.int st (n + 4) - 2))
-      in
-      (* Sorting within a group keeps its member set, and which group
-         claims a repeated index depends only on the order of groups. *)
-      let sorted =
-        Array.map
-          (fun g ->
-            let g = Array.copy g in
-            Array.sort compare g;
-            g)
-          pre
-      in
-      let t = Pb_core.Sketch_refine.partition_within ~target ~features ~n pre in
-      let u =
-        Pb_core.Sketch_refine.partition_within ~target ~features ~n sorted
-      in
-      is_valid t ~n && same_as_reference t (u.groups, u.centroids))
-
 (* ---- sketch-refine strategy: determinism across pool sizes ----------- *)
 
 let mk_db ?(b_range = 100) ~seed n =
@@ -482,7 +359,7 @@ let test_pool_determinism () =
      SUM(P.a) <= 60 MAXIMIZE SUM(P.b)"
   in
   let params =
-    { Pb_core.Sketch_refine.partitions = Some 20; fanout = 4; prepartition = None }
+    { Pb_core.Sketch_refine.partitions = Some 20; fanout = 4 }
   in
   let run pool_size =
     Pool.with_pool pool_size (fun pool ->
@@ -505,6 +382,187 @@ let test_pool_determinism () =
   Alcotest.(check bool) "pipeline found a package" true (Option.is_some p1.best);
   Alcotest.(check bool) "pipeline at pool size 1 and 8 bit-identical" true
     (outcome_fingerprint p1 = outcome_fingerprint p8)
+
+(* ---- golden models: outcome fingerprints pinned at a known revision -- *)
+
+(* Every SketchRefine model (sketches, refine legs, the LP front's
+   reduced ILP) and every no-good cut comes out of {!Pb_core.Translate};
+   a change to how rows become models shows up here as a different B&B
+   tree, hence a different package, objective, pivot count or step count.
+   The expected strings were recorded before the model builders moved
+   into [Translate]. *)
+
+let show_floats = function None -> "-" | Some v -> Printf.sprintf "%.17g" v
+
+let show_mults mults =
+  String.concat ","
+    (List.concat
+       (List.mapi (fun i m -> if m > 0 then [ Printf.sprintf "%d:%d" i m ] else []) mults))
+
+let show_outcome o =
+  let mults, obj, (bound, gap, proven, parts), (steps, refined, stuck, sketch),
+      (front, lp_bound, pivots, kept) =
+    outcome_fingerprint o
+  in
+  Printf.sprintf
+    "[%s] obj=%s bound=%s gap=%s proven=%b parts=%d steps=%d refined=%d \
+     stuck=%d sketch=%s front=%s lp_bound=%s pivots=%d kept=%d"
+    (show_mults mults) (show_floats obj) (show_floats bound) (show_floats gap)
+    proven parts steps refined stuck sketch front (show_floats lp_bound) pivots
+    kept
+
+let show_package c pkg =
+  Printf.sprintf "[%s] obj=%s"
+    (show_mults (Array.to_list (Pb_paql.Package.multiplicities pkg)))
+    (show_floats (Coeffs.objective_of_mult c (Pb_paql.Package.multiplicities pkg)))
+
+let golden_search ?(gov = Gov.unlimited ()) ?(params = Pb_core.Sketch_refine.default_params)
+    db query =
+  Pb_core.Sketch_refine.forget_warm_fronts ();
+  let c = Coeffs.make db (Pb_paql.Parser.parse query) in
+  Pool.with_pool 1 (fun pool -> Pb_core.Sketch_refine.search ~params ~pool ~gov c)
+
+let golden_cases () =
+  let db = mk_db ~seed:7 300 in
+  let window =
+    "SELECT PACKAGE(R) AS P FROM t R SUCH THAT COUNT(*) BETWEEN 1 AND 6 AND \
+     SUM(P.a) <= 60 MAXIMIZE SUM(P.b)"
+  in
+  let certified = golden_search db window in
+  let infeasible =
+    golden_search db
+      "SELECT PACKAGE(R) AS P FROM t R SUCH THAT COUNT(*) BETWEEN 1 AND 6 AND \
+       SUM(P.a) >= 400 MAXIMIZE SUM(P.b)"
+  in
+  let gave_way =
+    (* A correlated knapsack (value = weight + 10,000): the front's
+       reduced ILP finds packages at once but cannot prove one optimal
+       within its half of the node budget, so the pipeline runs on the
+       other half. *)
+    let st = Random.State.make [| 42 |] in
+    let schema =
+      Schema.make
+        [
+          { Schema.name = "id"; ty = Value.T_int };
+          { Schema.name = "a"; ty = Value.T_int };
+          { Schema.name = "b"; ty = Value.T_int };
+        ]
+    in
+    let rows =
+      List.init 1_000 (fun i ->
+          let a = 100_000 + Random.State.int st 900_000 in
+          [| Value.Int (i + 1); Value.Int a; Value.Int (a + 10_000) |])
+    in
+    let db = Pb_sql.Database.create () in
+    Pb_sql.Database.put db "t" (Relation.create schema rows);
+    golden_search ~gov:(Gov.create ~milp_nodes:2_000 ())
+      ~params:{ Pb_core.Sketch_refine.default_params with partitions = Some 6 }
+      db
+      "SELECT PACKAGE(R) AS P FROM t R SUCH THAT COUNT(*) BETWEEN 1 AND 40 \
+       AND SUM(P.a) <= 7777777 MAXIMIZE SUM(P.b)"
+  in
+  let pipeline =
+    let c = Coeffs.make db (Pb_paql.Parser.parse window) in
+    Pool.with_pool 1 (fun pool ->
+        Pb_core.Sketch_refine.pipeline
+          ~params:{ Pb_core.Sketch_refine.default_params with partitions = Some 20 }
+          ~pool ~gov:(Gov.unlimited ()) c)
+  in
+  let pipeline_avg =
+    let q =
+      "SELECT PACKAGE(R) AS P FROM t R SUCH THAT COUNT(*) BETWEEN 2 AND 5 AND \
+       AVG(P.b) > 60 AND SUM(P.a) < 40 MINIMIZE SUM(P.a)"
+    in
+    let c = Coeffs.make db (Pb_paql.Parser.parse q) in
+    Pool.with_pool 1 (fun pool ->
+        Pb_core.Sketch_refine.pipeline
+          ~params:{ Pb_core.Sketch_refine.default_params with partitions = Some 30 }
+          ~pool ~gov:(Gov.create ~milp_nodes:3_000 ()) c)
+  in
+  let ranked =
+    let q = Pb_paql.Parser.parse window in
+    let c = Coeffs.make db q in
+    List.map (show_package c) (Engine.next_packages ~limit:4 db q)
+  in
+  let resampled =
+    let q = Pb_paql.Parser.parse window in
+    let c = Coeffs.make db q in
+    match Pb_explore.Session.start db q with
+    | Error e -> [ "error: " ^ e ]
+    | Ok s ->
+        let s =
+          List.fold_left
+            (fun s _ ->
+              let keep =
+                match Pb_paql.Package.support (Pb_explore.Session.current s) with
+                | i :: _ -> [ i ]
+                | [] -> []
+              in
+              fst (Pb_explore.Session.keep_and_resample s ~keep))
+            s [ 1; 2; 3 ]
+        in
+        List.rev_map (show_package c) (Pb_explore.Session.seen s)
+  in
+  [
+    ("front certified", show_outcome certified);
+    ("front infeasible", show_outcome infeasible);
+    ("front gave way", show_outcome gave_way);
+    ("pipeline, 20 partitions", show_outcome pipeline);
+    ("pipeline, AVG and MINIMIZE", show_outcome pipeline_avg);
+  ]
+  @ List.mapi (fun i s -> (Printf.sprintf "next_packages %d" i, s)) ranked
+  @ List.mapi (fun i s -> (Printf.sprintf "resample %d" i, s)) resampled
+
+let golden_expected =
+  [
+    ( "front certified",
+      "[10:1,104:1,124:1,154:1,225:1,274:1] obj=547 bound=547 gap=0 \
+       proven=true parts=0 steps=0 refined=0 stuck=0 sketch=lp-front \
+       front=certified lp_bound=548 pivots=19 kept=300" );
+    ( "front infeasible",
+      "[] obj=- bound=- gap=- proven=true parts=0 steps=0 refined=0 \
+       stuck=0 sketch=lp-infeasible front=infeasible lp_bound=- pivots=8 \
+       kept=0" );
+    ( "front gave way",
+      "[4:1,8:1,13:1,16:1,17:1,31:1,36:1,79:1,116:1,131:1,180:1,182:1,\
+       228:1,274:1,291:1,308:1,350:1,351:1,372:1,380:1,394:1,406:1,444:1,\
+       453:1,523:1,532:1,584:1,586:1,624:1,631:1,670:1,737:1,751:1,796:1,\
+       834:1,865:1,875:1,957:1,991:1,999:1] obj=8177680 bound=8177777 \
+       gap=1.186155486641688e-05 proven=false parts=6 steps=3 refined=1 \
+       stuck=0 sketch=optimal front=gave-way lp_bound=8177777 pivots=51 \
+       kept=341" );
+    ( "pipeline, 20 partitions",
+      "[10:1,104:1,124:1,154:1,225:1,274:1] obj=547 bound=585 \
+       gap=0.069469835466179158 proven=false parts=20 steps=2 refined=1 \
+       stuck=0 sketch=optimal front=- lp_bound=- pivots=0 kept=0" );
+    ( "pipeline, AVG and MINIMIZE",
+      "[29:1,278:1] obj=3 bound=2 gap=0.33333333333333331 proven=false \
+       parts=30 steps=2 refined=1 stuck=0 sketch=optimal front=- \
+       lp_bound=- pivots=0 kept=0" );
+    ( "next_packages 0",
+      "[10:1,104:1,124:1,154:1,225:1,274:1] obj=547" );
+    ( "next_packages 1",
+      "[10:1,104:1,124:1,154:1,253:1,274:1] obj=546" );
+    ( "next_packages 2",
+      "[10:1,19:1,104:1,124:1,154:1,225:1] obj=546" );
+    ( "next_packages 3",
+      "[10:1,19:1,104:1,124:1,154:1,253:1] obj=545" );
+    ( "resample 0",
+      "[10:1,104:1,124:1,154:1,225:1,274:1] obj=547" );
+    ( "resample 1",
+      "[10:1,19:1,104:1,124:1,154:1,225:1] obj=546" );
+    ( "resample 2",
+      "[10:1,104:1,124:1,154:1,253:1,274:1] obj=546" );
+    ( "resample 3",
+      "[10:1,19:1,104:1,124:1,154:1,253:1] obj=545" );
+  ]
+
+let test_golden_models () =
+  let got = golden_cases () in
+  Alcotest.(check (list string)) "cases" (List.map fst golden_expected) (List.map fst got);
+  List.iter2
+    (fun (name, want) (_, got) -> Alcotest.(check string) name want got)
+    golden_expected got
 
 (* ---- governance: deadline mid-refine -------------------------------- *)
 
@@ -544,7 +602,7 @@ let test_deadline_mid_refine () =
     let out =
       Pb_core.Sketch_refine.pipeline
         ~params:
-          { Pb_core.Sketch_refine.partitions = Some 2000; fanout = 4; prepartition = None }
+          { Pb_core.Sketch_refine.partitions = Some 2000; fanout = 4 }
         ~pool:(Pool.get_default ()) ~gov c
     in
     (out, Gov.refresh gov)
@@ -674,6 +732,7 @@ let suite =
       test_build_deterministic;
     Alcotest.test_case "sketch-refine identical at pool size 1 vs 8" `Quick
       test_pool_determinism;
+    Alcotest.test_case "golden models: outcomes pinned" `Quick test_golden_models;
     Alcotest.test_case "deadline mid-refine yields Feasible incumbent" `Slow
       test_deadline_mid_refine;
     Alcotest.test_case "deadline inside the LP front yields Feasible incumbent" `Slow
@@ -683,6 +742,4 @@ let suite =
       [
         prop_build_matches_reference;
         prop_group_of_matches_scan;
-        prop_within_matches_reference;
-        prop_within_hostile;
       ]

@@ -1,5 +1,5 @@
 (* Property-based tests for the extension subsystems: SQL set operations,
-   the query planner, presolve, SQL candidate generation, annealing,
+   the query planner, MILP node orders, SQL candidate generation, annealing,
    persistence, and the interface helpers. *)
 
 module Gen = QCheck.Gen
@@ -124,7 +124,7 @@ let prop_planner_equivalent =
       in
       canon planned = canon naive)
 
-(* ---- presolve --------------------------------------------------------- *)
+(* ---- MILP node orders ------------------------------------------------ *)
 
 let milp_gen : (int array * int array * int) Gen.t =
   let open Gen in
@@ -144,7 +144,7 @@ let build_knapsack (w, v, budget) =
   Model.add_constr m
     (Array.to_list (Array.mapi (fun i x -> (float_of_int w.(i), x)) vars))
     Model.Le (float_of_int budget);
-  (* Redundant and singleton rows to exercise presolve. *)
+  (* A redundant and a singleton row beside the knapsack row. *)
   Model.add_constr m
     (Array.to_list (Array.map (fun x -> (1.0, x)) vars))
     Model.Le 1000.0;
@@ -153,16 +153,6 @@ let build_knapsack (w, v, budget) =
     (Model.Maximize
        (Array.to_list (Array.mapi (fun i x -> (float_of_int v.(i), x)) vars)));
   m
-
-let prop_presolve_preserves_optimum =
-  QCheck.Test.make ~count:100 ~name:"presolve preserves the MILP optimum"
-    (QCheck.make milp_gen) (fun inst ->
-      let plain = Pb_lp.Milp.solve (build_knapsack inst) in
-      let reduced = Pb_lp.Milp.solve ~presolve:true (build_knapsack inst) in
-      plain.Pb_lp.Milp.status = reduced.Pb_lp.Milp.status
-      && (plain.Pb_lp.Milp.status <> Pb_lp.Milp.Optimal
-         || Float.abs (plain.Pb_lp.Milp.objective -. reduced.Pb_lp.Milp.objective)
-            < 1e-6))
 
 let prop_node_orders_agree =
   QCheck.Test.make ~count:100 ~name:"DFS and best-bound agree"
@@ -372,7 +362,6 @@ let suite =
       prop_intersect_in_both;
       prop_union_all_cardinality;
       prop_planner_equivalent;
-      prop_presolve_preserves_optimum;
       prop_node_orders_agree;
       prop_sql_generation_exact;
       prop_annealing_valid;

@@ -1,8 +1,8 @@
 (* Tests for the shared-nothing shard layer: hash stability (golden
    values — the partitioning contract must never drift), partition
    completeness, partial-aggregate merge planning checked differentially
-   against single-node execution, SketchRefine prepartitioning, and an
-   in-process router-vs-single-node differential over real sockets. *)
+   against single-node execution, and an in-process router-vs-single-node
+   differential over real sockets. *)
 
 module Value = Pb_relation.Value
 module Relation = Pb_relation.Relation
@@ -182,90 +182,13 @@ let test_merge_refusals () =
       "SELECT * FROM t";
     ]
 
-(* ---- SketchRefine prepartition ---------------------------------------- *)
+(* ---- router vs single node over real sockets -------------------------- *)
 
 let paql_line =
   "SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free' SUCH THAT \
    COUNT(*) = 2 AND SUM(P.calories) <= 2600 MAXIMIZE SUM(P.protein)"
 
-let test_prepartition_sound () =
-  let db = Database.create () in
-  Database.put db "recipes" (Pb_workload.Workload.recipes ~seed:11 ~n:40 ());
-  let query = Pb_paql.Parser.parse paql_line in
-  let coeffs = Pb_core.Coeffs.make db query in
-  let rows = Relation.rows coeffs.Pb_core.Coeffs.candidates in
-  let buckets = Array.make 3 [] in
-  Array.iteri
-    (fun i row ->
-      let s = Hash.shard_of_row ~shards:3 row in
-      buckets.(s) <- i :: buckets.(s))
-    rows;
-  let groups =
-    Array.to_list buckets
-    |> List.filter_map (fun b ->
-           match List.rev b with [] -> None | l -> Some (Array.of_list l))
-    |> Array.of_list
-  in
-  let params =
-    { Pb_core.Sketch_refine.default_params with prepartition = Some groups }
-  in
-  let result =
-    Pb_core.Engine.run ~strategy:(Pb_core.Engine.Sketch_refine params) db query
-  in
-  Alcotest.(check string) "strategy" "sketch-refine"
-    result.Pb_core.Engine.strategy_used;
-  (match result.Pb_core.Engine.package with
-  | None -> Alcotest.fail "prepartitioned sketch-refine found nothing"
-  | Some pkg ->
-      Alcotest.(check bool) "package passes Coeffs.check" true
-        (Pb_core.Coeffs.check coeffs pkg));
-  (* the strategy's LP front settles this query before partitioning, so
-     the prepartitioned pipeline is also run on its own *)
-  let out =
-    Pb_core.Sketch_refine.pipeline ~params ~pool:(Pb_par.Pool.get_default ())
-      ~gov:(Pb_util.Gov.create ()) coeffs
-  in
-  match out.Pb_core.Sketch_refine.best with
-  | None -> Alcotest.fail "prepartitioned pipeline found nothing"
-  | Some pkg ->
-      Alcotest.(check bool) "pipeline package passes Coeffs.check" true
-        (Pb_core.Coeffs.check coeffs pkg)
-
-let test_prepartition_tolerates_garbage () =
-  (* duplicate and out-of-range indices are dropped, uncovered indices
-     form an extra group — a hostile prepartition must not crash or
-     produce an invalid package *)
-  let db = Database.create () in
-  Database.put db "recipes" (Pb_workload.Workload.recipes ~seed:11 ~n:30 ());
-  let query = Pb_paql.Parser.parse paql_line in
-  let params =
-    {
-      Pb_core.Sketch_refine.default_params with
-      prepartition = Some [| [| 0; 0; 1; 9999 |]; [| 2; 3; 2 |] |];
-    }
-  in
-  let result =
-    Pb_core.Engine.run ~strategy:(Pb_core.Engine.Sketch_refine params) db query
-  in
-  let coeffs = Pb_core.Coeffs.make db query in
-  (match result.Pb_core.Engine.package with
-  | None -> () (* finding nothing is sound *)
-  | Some pkg ->
-      Alcotest.(check bool) "package passes Coeffs.check" true
-        (Pb_core.Coeffs.check coeffs pkg));
-  let out =
-    Pb_core.Sketch_refine.pipeline ~params ~pool:(Pb_par.Pool.get_default ())
-      ~gov:(Pb_util.Gov.create ()) coeffs
-  in
-  match out.Pb_core.Sketch_refine.best with
-  | None -> ()
-  | Some pkg ->
-      Alcotest.(check bool) "pipeline package passes Coeffs.check" true
-        (Pb_core.Coeffs.check coeffs pkg)
-
-(* ---- router vs single node over real sockets -------------------------- *)
-
-let server_config = { Server.default_config with port = 0; poll_interval = 0.02 }
+let server_config = { Server.default_config with port = 0 }
 
 (* Replay the same inputs through a Repl on the full database and
    through a Router fronting two in-process shard servers; every
@@ -401,10 +324,6 @@ let suite =
       test_merge_differential;
     Alcotest.test_case "merge planner refuses the unmergeable" `Quick
       test_merge_refusals;
-    Alcotest.test_case "prepartitioned sketch-refine is sound" `Quick
-      test_prepartition_sound;
-    Alcotest.test_case "prepartition tolerates hostile groups" `Quick
-      test_prepartition_tolerates_garbage;
     Alcotest.test_case "router matches single node over sockets" `Quick
       test_router_matches_single_node;
   ]
