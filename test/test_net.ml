@@ -1027,8 +1027,6 @@ let suite =
     Alcotest.test_case "shutdown drains in-flight requests" `Quick
       test_shutdown_drains;
     Alcotest.test_case "shutdown is idempotent" `Quick test_shutdown_idempotent;
-    Alcotest.test_case "idle server does not wake up" `Quick test_idle_server_sleeps;
-    Alcotest.test_case "SIGTERM stops an idle server" `Quick test_sigterm_stops_idle_server;
     Alcotest.test_case "net metrics exposed" `Quick test_metrics_exposed;
     Alcotest.test_case "trace id propagates client -> server -> tree" `Quick
       test_trace_propagation;
@@ -1049,4 +1047,6 @@ let suite =
     Alcotest.test_case "connect timeout is bounded" `Quick test_connect_timeout;
     QCheck_alcotest.to_alcotest qcheck_assembler_valid_stream;
     QCheck_alcotest.to_alcotest qcheck_assembler_malformed_stream;
+    Alcotest.test_case "idle server does not wake up" `Quick test_idle_server_sleeps;
+    Alcotest.test_case "SIGTERM stops an idle server" `Quick test_sigterm_stops_idle_server;
   ]
