@@ -774,60 +774,6 @@ let exp_a2 () =
      typically explores no more nodes than DFS. Each node re-solves warm\n\
      from its parent's basis, so pivots/node stays in single digits."
 
-(* ---- A3: heuristic ablation (hill climbing vs annealing) ----------------- *)
-
-let exp_a3 () =
-  header "A3" "heuristic ablation: greedy local search vs simulated annealing"
-    "sec 4.2/5: heuristics trade completeness for speed in different ways";
-  let n = if !quick then 60 else 120 in
-  let seeds = if !quick then [ 1; 2; 3 ] else [ 1; 2; 3; 4; 5; 6 ] in
-  (* An equality-rich query: hill climbing risks stalling on the narrow
-     feasible band, annealing can cross it. *)
-  let src =
-    "SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) = 4 AND \
-     SUM(P.calories) BETWEEN 2400 AND 2600 AND SUM(P.fat) BETWEEN 60 AND 90 \
-     MAXIMIZE SUM(P.protein)"
-  in
-  let query = Pb_paql.Parser.parse src in
-  let rows = ref [] in
-  let run label make_strategy =
-    let found = ref 0 and ratios = ref [] and times = ref [] in
-    List.iter
-      (fun seed ->
-        let db = recipes_db ~seed n in
-        let c = Coeffs.make db query in
-        let exact = Engine.run_coeffs ~strategy:Engine.Ilp db c in
-        let r = Engine.run_coeffs ~strategy:(make_strategy seed) db c in
-        times := r.Engine.elapsed :: !times;
-        match (exact.Engine.objective, r.Engine.objective) with
-        | Some e, Some h when e > 0.0 ->
-            incr found;
-            ratios := (h /. e) :: !ratios
-        | _ -> ())
-      seeds;
-    rows :=
-      [
-        label;
-        Printf.sprintf "%d/%d" !found (List.length seeds);
-        Table.float_cell (Stats.mean !ratios);
-        Table.float_cell (Stats.minimum !ratios);
-        fmt_seconds (Stats.mean !times);
-      ]
-      :: !rows
-  in
-  run "greedy local search (sec 4.2)" (fun seed ->
-      Engine.Local_search { Local_search.default_params with seed });
-  run "simulated annealing" (fun seed ->
-      Engine.Anneal { Pb_core.Annealing.default_params with seed });
-  Table.print
-    ~align:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
-    ~header:[ "heuristic"; "valid found"; "mean ratio"; "worst ratio"; "mean time" ]
-    (List.rev !rows);
-  print_endline
-    "shape check: both heuristics find valid packages on every seed and\n\
-     land within a few percent of the optimum; multi-start greedy search\n\
-     edges out annealing here, and neither carries an optimality proof."
-
 (* ---- P1: parallel evaluation scaling ------------------------------------ *)
 
 let exp_p1 () =
@@ -1829,7 +1775,7 @@ let all_experiments =
   [
     ("T1", exp_t1); ("T2", exp_t2); ("T3", exp_t3); ("T4", exp_t4);
     ("T5", exp_t5); ("T6", exp_t6); ("T7", exp_t7); ("T8", exp_t8);
-    ("T9", exp_t9); ("F1", exp_f1); ("A1", exp_a1); ("A2", exp_a2); ("A3", exp_a3);
+    ("T9", exp_t9); ("F1", exp_f1); ("A1", exp_a1); ("A2", exp_a2);
     ("P1", exp_p1);
   ]
 

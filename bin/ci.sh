@@ -24,6 +24,35 @@ mkdir -p _build/ci
 # background server is still being started; a log left by an earlier
 # run would hand them its stale port.
 rm -f _build/ci/*.log
+# Stop a backgrounded server: SIGTERM, then poll for up to STOP_WAIT_S
+# seconds. A server still running after that fails the stage (and is
+# killed) instead of hanging CI; one that exits must exit 0.
+STOP_WAIT_S=10
+stop_server() {
+  stop_pid=$1
+  stop_label=$2
+  if ! kill -TERM "$stop_pid"; then
+    echo "CI FAIL: $stop_label was no longer running at SIGTERM"
+    exit 1
+  fi
+  stop_ticks=0
+  while kill -0 "$stop_pid" 2>/dev/null; do
+    if [ "$stop_ticks" -ge $((STOP_WAIT_S * 10)) ]; then
+      echo "CI FAIL: $stop_label still running ${STOP_WAIT_S}s after SIGTERM; sent SIGKILL"
+      kill -9 "$stop_pid" 2>/dev/null || true
+      wait "$stop_pid" 2>/dev/null || true
+      exit 1
+    fi
+    sleep 0.1
+    stop_ticks=$((stop_ticks + 1))
+  done
+  stop_exit=0
+  wait "$stop_pid" || stop_exit=$?
+  if [ "$stop_exit" -ne 0 ]; then
+    echo "CI FAIL: $stop_label exited $stop_exit on SIGTERM (expected 0)"
+    exit 1
+  fi
+}
 normalize() {
   sed -e 's/[0-9][0-9]*\.[0-9][0-9]*s/<time>/g' \
       -e "s/run has ID \`[A-Z0-9]*'/run has ID <id>/" "$1"
@@ -211,18 +240,8 @@ if [ -z "$STORE_BYTES" ] || [ "$STORE_BYTES" -lt 1 ]; then
   kill "$ROW_PID" "$COL_PID" 2>/dev/null || true
   exit 1
 fi
-kill -TERM "$ROW_PID" "$COL_PID"
-STORE_EXIT=0
-wait "$ROW_PID" || STORE_EXIT=$?
-if [ "$STORE_EXIT" -ne 0 ]; then
-  echo "CI FAIL: row-store pb_server exited $STORE_EXIT on SIGTERM (expected 0)"
-  exit 1
-fi
-wait "$COL_PID" || STORE_EXIT=$?
-if [ "$STORE_EXIT" -ne 0 ]; then
-  echo "CI FAIL: columnar pb_server exited $STORE_EXIT on SIGTERM (expected 0)"
-  exit 1
-fi
+stop_server "$ROW_PID" "row-store pb_server"
+stop_server "$COL_PID" "columnar pb_server"
 
 # Serving-path smoke test: boot pb_server on an ephemeral port with a
 # fixed synthetic workload, replay a scripted pb_client session, and
@@ -349,13 +368,7 @@ if ! grep -q '"status":"ok"' _build/ci/smoke_health.txt || \
   exit 1
 fi
 
-kill -TERM "$SMOKE_PID"
-SMOKE_EXIT=0
-wait "$SMOKE_PID" || SMOKE_EXIT=$?
-if [ "$SMOKE_EXIT" -ne 0 ]; then
-  echo "CI FAIL: pb_server exited $SMOKE_EXIT on SIGTERM (expected 0)"
-  exit 1
-fi
+stop_server "$SMOKE_PID" "pb_server"
 if ! grep -q "pb_server stopped" "$SMOKE_LOG"; then
   echo "CI FAIL: pb_server did not log a graceful stop"
   exit 1
@@ -420,13 +433,7 @@ if ! grep -q "80" _build/ci/poison_fresh.txt; then
   kill "$POISON_PID" 2>/dev/null || true
   exit 1
 fi
-kill -TERM "$POISON_PID"
-POISON_EXIT=0
-wait "$POISON_PID" || POISON_EXIT=$?
-if [ "$POISON_EXIT" -ne 0 ]; then
-  echo "CI FAIL: saturation pb_server exited $POISON_EXIT on SIGTERM (expected 0)"
-  exit 1
-fi
+stop_server "$POISON_PID" "saturation pb_server"
 
 # SketchRefine serving smoke: a 100k-row server with a 10s request
 # deadline must answer a package query evaluated with the sticky
@@ -475,13 +482,7 @@ if grep -q "(cancelled)" _build/ci/sr_smoke_out.txt; then
   kill "$SR_PID" 2>/dev/null || true
   exit 1
 fi
-kill -TERM "$SR_PID"
-SR_EXIT=0
-wait "$SR_PID" || SR_EXIT=$?
-if [ "$SR_EXIT" -ne 0 ]; then
-  echo "CI FAIL: sketch-refine pb_server exited $SR_EXIT on SIGTERM (expected 0)"
-  exit 1
-fi
+stop_server "$SR_PID" "sketch-refine pb_server"
 
 # Shared-nothing router differential: the same scripted session replayed
 # against a single pb_server and against a pb_router fronting two hash
@@ -563,21 +564,9 @@ if ! grep -q '"status":"ok"' _build/ci/router_health.txt || \
   kill "$RT_PID" "$SH0_PID" "$SH1_PID" "$ONE_PID" 2>/dev/null || true
   exit 1
 fi
-kill -TERM "$RT_PID"
-RT_EXIT=0
-wait "$RT_PID" || RT_EXIT=$?
-if [ "$RT_EXIT" -ne 0 ]; then
-  echo "CI FAIL: pb_router exited $RT_EXIT on SIGTERM (expected 0)"
-  exit 1
-fi
-kill -TERM "$SH0_PID" "$SH1_PID" "$ONE_PID"
+stop_server "$RT_PID" "pb_router"
 for pid in "$SH0_PID" "$SH1_PID" "$ONE_PID"; do
-  SHARD_EXIT=0
-  wait "$pid" || SHARD_EXIT=$?
-  if [ "$SHARD_EXIT" -ne 0 ]; then
-    echo "CI FAIL: router-stage pb_server exited $SHARD_EXIT on SIGTERM"
-    exit 1
-  fi
+  stop_server "$pid" "router-stage pb_server"
 done
 
 echo "CI OK"

@@ -21,10 +21,6 @@ type estimate = {
   note : string;  (** one-line human-readable rationale *)
 }
 
-val estimates : Coeffs.t -> estimate list
-(** One estimate per strategy, in a fixed order:
-    brute-force, brute-force+pruning, ilp, local-search. *)
-
 val proven_infeasible : Coeffs.t -> bool
 (** True when the §4.1 bounds are empty — every strategy may answer "no
     package" immediately. *)

@@ -31,10 +31,6 @@ let m_ls_pairs =
   Metrics.counter ~help:"Local-search replacement moves examined"
     "pb_engine_local_search_pairs_total"
 
-let m_anneal_steps =
-  Metrics.counter ~help:"Simulated-annealing steps taken"
-    "pb_engine_anneal_steps_total"
-
 let m_sqlgen_queries =
   Metrics.counter ~help:"SQL-generation per-cardinality queries issued"
     "pb_engine_sqlgen_queries_total"
@@ -64,7 +60,6 @@ type strategy =
   | Brute_force of { use_pruning : bool }
   | Ilp
   | Local_search of Local_search.params
-  | Anneal of Annealing.params
   | Sql_generation of Sql_generate.params
   | Sketch_refine of Sketch_refine.params
   | Hybrid
@@ -74,7 +69,6 @@ let strategy_name = function
   | Brute_force { use_pruning = false } -> "brute-force"
   | Ilp -> "ilp"
   | Local_search _ -> "local-search"
-  | Anneal _ -> "annealing"
   | Sql_generation _ -> "sql-generation"
   | Sketch_refine _ -> "sketch-refine"
   | Hybrid -> "hybrid"
@@ -254,35 +248,6 @@ let run_local_search ~gov ~params db (c : Coeffs.t) =
               stat_count ~key:"pairs_examined" m_ls_pairs
                 out.stats.pairs_examined;
               ("restarts", string_of_int out.stats.restarts_used);
-            ];
-        })
-  in
-  { report with elapsed }
-
-let run_anneal ~gov ~params db (c : Coeffs.t) =
-  let report, elapsed =
-    Trace.timed ~name:"strategy.annealing"
-      ~attrs:[ ("candidates", string_of_int c.n) ]
-      (fun () ->
-        Metrics.incr m_runs;
-        let out = Annealing.search ~params ~gov c in
-        let objective =
-          match out.Annealing.best with
-          | Some pkg -> objective_of db c pkg
-          | None -> None
-        in
-        {
-          package = out.Annealing.best;
-          objective;
-          proven_optimal = false;
-          strategy_used = "annealing";
-          elapsed = 0.0;
-          anytime = false;
-          stats =
-            [
-              stat_count ~key:"steps" m_anneal_steps out.Annealing.steps_taken;
-              ("accepted", string_of_int out.Annealing.accepted);
-              ("valid_visits", string_of_int out.Annealing.valid_visits);
             ];
         })
   in
@@ -474,7 +439,6 @@ let run_with ?pool ?gov ?(strategy = Hybrid) db make_coeffs =
                   run_brute_force ~pool ~gov ~use_pruning c
               | Ilp -> run_ilp ~gov db c
               | Local_search params -> run_local_search ~gov ~params db c
-              | Anneal params -> run_anneal ~gov ~params db c
               | Sql_generation params -> run_sql_generation ~gov ~params db c
               | Sketch_refine params ->
                   run_sketch_refine ~pool ~gov ~params db c

@@ -28,8 +28,6 @@ type strategy =
   | Brute_force of { use_pruning : bool }
   | Ilp
   | Local_search of Local_search.params
-  | Anneal of Annealing.params
-      (** simulated annealing (ablation alternative to local search) *)
   | Sql_generation of Sql_generate.params
       (** §4 option (i): enumerate candidate packages with SQL self-joins;
           exact but only applicable for narrow cardinality bounds *)

@@ -4,13 +4,6 @@ type t = {
   owner : int array;
 }
 
-let group_count t = Array.length t.groups
-
-let group_of t i =
-  if i < 0 || i >= Array.length t.owner then
-    invalid_arg "Partition.group_of: index out of range";
-  t.owner.(i)
-
 (* A group under construction is the segment [perm.(lo) .. perm.(lo +
    len - 1)] of the shared permutation, in no particular order; [least]
    is its smallest member. *)

@@ -46,9 +46,3 @@ val build : target:int -> features:float array array -> n:int -> t
 (** [build ~target ~features ~n] partitions candidates [0, n) using
     [features] (each a per-candidate value array of length [n]).
     [target] is clamped to [1, n]; [n = 0] yields zero groups. *)
-
-val group_count : t -> int
-
-val group_of : t -> int -> int
-(** [group_of t i] = the partition holding candidate [i], in O(1).
-    @raise Invalid_argument if [i] is outside [0, n). *)

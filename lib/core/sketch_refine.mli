@@ -36,7 +36,7 @@
     ≤ 1e-9). Otherwise the result is feasible-with-reported-gap:
     [bound]/[gap] tell the caller how far the answer can be from the
     true optimum ([|bound - objective| / max(1, |objective|)], the
-    {!Pb_obs.Progress.gap_of} formula).
+    formula of {!Pb_obs.Progress.event.gap}).
 
     Applicability: conjunctions of linear atoms (COUNT/SUM comparisons,
     AVG folded to linear form). MIN/MAX atoms, disjunctions, opaque

@@ -9,6 +9,8 @@ let jaccard_distance a b =
   if union = 0 then 0.0
   else 1.0 -. (float_of_int (IS.cardinal (IS.inter sa sb)) /. float_of_int union)
 
+(* Greedy max-min pick of [k] packages, seeded with the pool's best
+   package under the query's objective. *)
 let select ~k query pool =
   match pool with
   | [] -> []

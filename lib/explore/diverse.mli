@@ -12,17 +12,13 @@ val jaccard_distance : Pb_paql.Package.t -> Pb_paql.Package.t -> float
 (** 1 − |A∩B| / |A∪B| over supports; two empty packages are at distance
     0. *)
 
-val select :
-  k:int -> Pb_paql.Ast.t -> Pb_paql.Package.t list -> Pb_paql.Package.t list
-(** Greedy max-min pick of [k] packages from a pool, seeded with the pool's
-    best package under the query's objective. Returns fewer when the pool
-    is smaller. *)
-
 val diverse_packages :
   ?pool_size:int ->
   ?k:int ->
   Pb_sql.Database.t ->
   Pb_paql.Ast.t ->
   Pb_paql.Package.t list
-(** Enumerate up to [pool_size] (default 2000) valid packages, then
-    {!select} [k] (default 5) diverse ones. *)
+(** Enumerate up to [pool_size] (default 2000) valid packages, then pick
+    [k] (default 5) diverse ones, greedy max-min seeded with the pool's
+    best package under the query's objective; fewer when the pool is
+    smaller. *)

@@ -16,7 +16,6 @@ type t = {
   rng : Prng.t;
   current : Package.t;
   history : Package.t list;  (* most recent first, includes current *)
-  rounds : int;
 }
 
 let start ?(seed = 11) db query =
@@ -33,12 +32,9 @@ let start ?(seed = 11) db query =
           rng = Prng.create seed;
           current = pkg;
           history = [ pkg ];
-          rounds = 0;
         }
 
 let current t = t.current
-let rounds t = t.rounds
-let seen t = t.history
 
 (* Solver-based resample: pin kept tuples via lower bounds, exclude every
    package in the history with a no-good cut, re-solve. Binary queries
@@ -108,15 +104,8 @@ let keep_and_resample t ~keep =
     else resample_random t ~keep
   in
   match fresh with
-  | Some pkg ->
-      ( {
-          t with
-          current = pkg;
-          history = pkg :: t.history;
-          rounds = t.rounds + 1;
-        },
-        `Fresh )
-  | None -> ({ t with rounds = t.rounds + 1 }, `Exhausted)
+  | Some pkg -> ({ t with current = pkg; history = pkg :: t.history }, `Fresh)
+  | None -> (t, `Exhausted)
 
 let base_name name =
   match String.rindex_opt name '.' with

@@ -18,11 +18,6 @@ val start : ?seed:int -> Pb_sql.Database.t -> Pb_paql.Ast.t -> (t, string) resul
     no valid package. *)
 
 val current : t -> Pb_paql.Package.t
-val rounds : t -> int
-(** Resampling rounds performed. *)
-
-val seen : t -> Pb_paql.Package.t list
-(** All samples shown, most recent first. *)
 
 val keep_and_resample : t -> keep:int list -> t * [ `Fresh | `Exhausted ]
 (** [keep] lists candidate indices (from the current sample's support) the

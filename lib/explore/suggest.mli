@@ -44,10 +44,3 @@ val suggest :
 
 val apply_base : Pb_paql.Ast.t -> Pb_sql.Ast.expr -> Pb_paql.Ast.t
 (** AND a predicate onto the WHERE clause. *)
-
-val apply_global : Pb_paql.Ast.t -> Pb_sql.Ast.expr -> Pb_paql.Ast.t
-(** AND a predicate onto the SUCH THAT clause. *)
-
-val apply_objective :
-  Pb_paql.Ast.t -> Pb_paql.Ast.direction * Pb_sql.Ast.expr -> Pb_paql.Ast.t
-(** Replace the objective. *)

@@ -16,13 +16,6 @@ type axis = {
   expr : Pb_sql.Ast.expr;  (** aggregate evaluated per package *)
 }
 
-val pick_axes : Pb_paql.Ast.t -> axis * axis
-(** Choose the two display dimensions from the query: the objective
-    aggregate (when present) on the y-axis and the first SUM-style global
-    constraint on the x-axis; falls back to COUNT and the first numeric
-    aggregate mentioned anywhere, or COUNT twice for constraint-free
-    queries. *)
-
 type t = {
   axes : axis * axis;
   points : (float * float) list;  (** one point per package found *)
@@ -37,7 +30,11 @@ val build :
   Pb_paql.Ast.t ->
   t
 (** Enumerate (up to [max_packages], default 2000) valid packages with
-    pruned exhaustive search and project them on the chosen axes. *)
+    pruned exhaustive search and project them on two display dimensions
+    chosen from the query: the objective aggregate (when present) on the
+    y-axis and the first SUM-style global constraint on the x-axis;
+    falls back to COUNT and the first numeric aggregate mentioned
+    anywhere, or COUNT twice for constraint-free queries. *)
 
 val render : ?width:int -> ?height:int -> t -> string
 (** ASCII scatter plot (default 64×16) with axis ranges in the footer. *)

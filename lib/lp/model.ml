@@ -122,27 +122,3 @@ let check_integral ?(eps = 1e-6) t x =
     then ok := false
   done;
   !ok
-
-let pp ppf t =
-  let linear_to_string terms =
-    String.concat " + "
-      (List.map
-         (fun (c, v) -> Printf.sprintf "%g*%s" c t.vars.(v).vname)
-         terms)
-  in
-  (match t.obj with
-  | Maximize terms -> Format.fprintf ppf "maximize %s@." (linear_to_string terms)
-  | Minimize terms -> Format.fprintf ppf "minimize %s@." (linear_to_string terms));
-  Format.fprintf ppf "subject to@.";
-  List.iter
-    (fun c ->
-      let op = match c.sense with Le -> "<=" | Ge -> ">=" | Eq -> "=" in
-      Format.fprintf ppf "  %s: %s %s %g@." c.name (linear_to_string c.terms)
-        op c.rhs)
-    (constraints t);
-  Format.fprintf ppf "bounds@.";
-  for i = 0 to t.nvars - 1 do
-    let v = t.vars.(i) in
-    Format.fprintf ppf "  %g <= %s <= %g%s@." v.lower v.vname v.upper
-      (if v.vinteger then " (int)" else "")
-  done

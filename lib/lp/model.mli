@@ -51,6 +51,3 @@ val check_feasible : ?eps:float -> t -> float array -> bool
     Integrality is {e not} checked here; see {!check_integral}. *)
 
 val check_integral : ?eps:float -> t -> float array -> bool
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable LP-format-style dump. *)

@@ -55,7 +55,8 @@ type state = {
   cost : float array;         (* current phase's cost vector *)
   reduced : float array;      (* reduced costs *)
   resid : float array;        (* m, refactor scratch *)
-  in_snapshot : bool array;   (* refactor scratch *)
+  snap_slack : bool array;    (* m, refactor scratch: slacks the
+                                 snapshot keeps basic *)
   x : float array;            (* extracted structural values *)
   mutable loaded : bool;      (* the tableau holds a basis of the model *)
   mutable n_warm : int;
@@ -135,7 +136,7 @@ let make ?max_iterations ~src ~a0 ~rhs ~senses ~obj ~obj_sign n =
     cost = Array.make ncols_max 0.0;
     reduced = Array.make ncols_max 0.0;
     resid = Array.make m 0.0;
-    in_snapshot = Array.make ncols_max false;
+    snap_slack = Array.make m false;
     x = Array.make n 0.0;
     loaded = false;
     n_warm = 0;
@@ -644,7 +645,7 @@ let refactor t (snap : basis) =
     row.(n + i) <- 1.0;
     t.basis.(i) <- n + i
   done;
-  Array.fill t.in_snapshot 0 base_cols false;
+  Array.fill t.snap_slack 0 m false;
   for j = 0 to base_cols - 1 do
     t.is_basic.(j) <- j >= n;
     t.at_upper.(j) <-
@@ -652,7 +653,7 @@ let refactor t (snap : basis) =
       && Char.code (Bytes.get snap.upper (j / 8)) land (1 lsl (j land 7)) <> 0
   done;
   Array.iter
-    (fun c -> if c < base_cols then t.in_snapshot.(c) <- true)
+    (fun c -> if c >= n && c < base_cols then t.snap_slack.(c - n) <- true)
     snap.cols;
   let pivots = ref 0 and singular = ref false in
   for s = 0 to Array.length snap.cols - 1 do
@@ -661,7 +662,7 @@ let refactor t (snap : basis) =
       let r = ref (-1) and best = ref eps_refactor in
       for i = 0 to m - 1 do
         let b = t.basis.(i) in
-        if b >= n && not t.in_snapshot.(b) then begin
+        if b >= n && not t.snap_slack.(b - n) then begin
           let v = Float.abs t.a.(i).(j) in
           if v > !best then begin
             best := v;

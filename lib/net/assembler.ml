@@ -76,6 +76,3 @@ let next t =
   match Queue.take_opt t.ready with
   | Some frame -> `Frame frame
   | None -> ( match t.state with Broken msg -> `Bad msg | _ -> `Awaiting)
-
-let buffered t =
-  match t.state with Payload { buf; _ } -> Buffer.length buf | _ -> 0

@@ -28,6 +28,3 @@ val next : t -> [ `Frame of string | `Awaiting | `Bad of string ]
     needed; [`Bad msg] reports a framing error (sticky). Complete frames
     queue up, so call [next] until [`Awaiting] after each [feed]. *)
 
-val buffered : t -> int
-(** Bytes held for a frame still being assembled (diagnostics; does not
-    count already-complete undrained frames). *)

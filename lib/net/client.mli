@@ -37,7 +37,7 @@ val request :
 (** Send one REPL input line and wait for the response. [deadline] is a
     per-request wall-clock budget in seconds, enforced server-side by
     cooperative cancellation. [trace] is a client-generated trace id
-    ({!Protocol.valid_trace_id}, see {!Protocol.fresh_trace_id}); the
+    (32 lowercase hex characters, see {!Protocol.fresh_trace_id}); the
     server adopts it as the root of the request's span tree, which stays
     retrievable by that id afterwards ([\traces <id>]). [data] requests
     the machine-readable single-SQL-statement mode (the body then decodes

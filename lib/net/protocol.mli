@@ -64,15 +64,13 @@ val max_header_digits : int
 val version : int
 (** Protocol version spoken by this build (2). *)
 
-val magic : string
-(** Payload-header magic, ["PB2"]. *)
-
 type request = {
   text : string;  (** the REPL input line (PaQL, SQL, or \ command) *)
   deadline : float option;
       (** per-request wall-clock budget in seconds; [None] = server default *)
   trace : string option;
-      (** client-generated trace id ({!valid_trace_id}); [None] lets the
+      (** client-generated trace id (32 lowercase hex characters);
+          [None] lets the
           server generate one *)
   data : bool;
       (** [mode=data] header field: [text] is one SQL statement, executed
@@ -81,9 +79,6 @@ type request = {
           to pull rows and partial aggregates. Omitted on the wire when
           false, so plain clients are unchanged. *)
 }
-
-val valid_trace_id : string -> bool
-(** 32 lowercase hex characters (16 bytes), nothing else. *)
 
 val fresh_trace_id : unit -> string
 (** A new random trace id. Thread-safe; self-seeded on first use. *)
@@ -106,7 +101,6 @@ type client_frame =
   | Req of request
 
 val status_to_string : status -> string
-val status_of_string : string -> status option
 
 val is_error : status -> bool
 (** Everything but {!Ok}. *)

@@ -39,7 +39,7 @@
     evaluation's best partial output. Cancelled requests are counted by
     [pb_net_cancelled_total].
 
-    The server-level [\healthz] command is answered with {!health_json}
+    The server-level [\healthz] command is answered with the health JSON
     {e before} admission, so a saturated or draining server still
     reports its state over the query wire — the shard router's health
     aggregation relies on this.
@@ -104,16 +104,13 @@ val start :
 val port : t -> int
 (** The actual bound port — useful with [config.port = 0]. *)
 
-val health_json : t -> string
-(** One-line JSON health summary: admission-queue depth and in-flight
-    count against their limits, live connections against theirs, and an
-    overall [status] of [ok], [saturated] (a limit is reached) or
-    [draining] (shutdown in progress). *)
-
 val http_handler : t -> string -> Pb_obs.Http.response option
 (** Route table for the metrics endpoint ({!Pb_obs.Http.start}):
     [/metrics] answers the Prometheus text exposition of the default
-    registry, [/healthz] answers {!health_json}, [/traces] lists
+    registry, [/healthz] answers a one-line JSON health summary
+    (admission-queue depth and in-flight count against their limits,
+    live connections against theirs, and a [status] of [ok],
+    [saturated] or [draining]), [/traces] lists
     retained trace ids and [/traces/<id>] answers that trace's span tree
     and progress events as JSON. Anything else is [None] (404). *)
 

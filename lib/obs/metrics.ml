@@ -85,9 +85,7 @@ let incr ?(by = 1) c =
   if by < 0 then invalid_arg "Metrics.incr: negative increment";
   ignore (Atomic.fetch_and_add c.count by)
 
-let counter_value c = Atomic.get c.count
 let set g v = Atomic.set g.value v
-let gauge_value g = Atomic.get g.value
 
 let observe h v =
   Mutex.lock h.h_mu;
@@ -109,21 +107,6 @@ let histogram_sum h =
   let s = h.sum in
   Mutex.unlock h.h_mu;
   s
-
-let bucket_counts h =
-  Mutex.lock h.h_mu;
-  let out =
-    Array.to_list
-      (Array.mapi
-         (fun i count ->
-           let bound =
-             if i < Array.length h.bounds then h.bounds.(i) else infinity
-           in
-           (bound, count))
-         h.buckets)
-  in
-  Mutex.unlock h.h_mu;
-  out
 
 let in_order registry =
   locked registry (fun () ->
@@ -212,18 +195,3 @@ let dump ?(registry = default) () =
           Mutex.unlock h.h_mu)
     (in_order registry);
   Buffer.contents buf
-
-let reset ?(registry = default) () =
-  locked registry (fun () ->
-      Hashtbl.iter
-        (fun _ m ->
-          match m with
-          | Counter c -> Atomic.set c.count 0
-          | Gauge g -> Atomic.set g.value 0.0
-          | Histogram h ->
-              Mutex.lock h.h_mu;
-              Array.fill h.buckets 0 (Array.length h.buckets) 0;
-              h.sum <- 0.0;
-              h.observations <- 0;
-              Mutex.unlock h.h_mu)
-        registry.tbl)

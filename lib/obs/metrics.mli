@@ -3,7 +3,7 @@
     Instruments are registered once by name (repeat registration with the
     same name and kind returns the existing instrument) and updated with
     O(1) hot-path operations — a counter bump is one atomic fetch-and-add,
-    no hashing. A process-global {!default} registry backs the engine's
+    no hashing. A process-global default registry backs the engine's
     instrumentation; tests create private registries.
 
     All operations are safe under concurrent use from multiple domains
@@ -22,7 +22,6 @@ type gauge
 type histogram
 
 val create : unit -> registry
-val default : registry
 
 val counter : ?registry:registry -> ?help:string -> string -> counter
 (** Register (or look up) a monotonically increasing counter.
@@ -41,20 +40,10 @@ val incr : ?by:int -> counter -> unit
 (** Add [by] (default 1) to the counter. Raises [Invalid_argument] on a
     negative increment. *)
 
-val counter_value : counter -> int
-
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val observe : histogram -> float -> unit
 (** Record one observation into its bucket (first bound [>= v]). *)
-
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
-
-val bucket_counts : histogram -> (float * int) list
-(** Per-bucket (upper-bound, count) pairs — {e non}-cumulative, the
-    [+Inf] bucket last as [(infinity, n)]. *)
 
 val snapshot : ?registry:registry -> unit -> (string * float) list
 (** Flat name→value view in registration order: counters and gauges by
@@ -74,6 +63,3 @@ val dump : ?registry:registry -> unit -> string
     series (the [+Inf] bucket always present and equal to [name_count])
     plus [name_sum] and [name_count]. HELP text and label values are
     escaped per the format ({!escape_help}, {!escape_label}). *)
-
-val reset : ?registry:registry -> unit -> unit
-(** Zero every instrument's value (registrations are kept). *)

@@ -128,9 +128,6 @@ let event_to_string ev =
     (match ev.gap with Some g -> Printf.sprintf " gap=%.4f" g | None -> "")
     ev.nodes
 
-let render evs =
-  String.concat "" (List.map (fun ev -> event_to_string ev ^ "\n") evs)
-
 let event_to_json ev =
   let opt = function Some v -> Printf.sprintf "%.9g" v | None -> "null" in
   Printf.sprintf

@@ -47,14 +47,8 @@ val incumbent :
     Non-finite bounds are recorded as no bound. Safe from any thread or
     domain. *)
 
-val gap_of : objective:float -> float option -> float option
-(** The gap formula used for {!event.gap}, exposed for tests. *)
-
 val event_to_string : event -> string
 (** One line: ["#seq +1.234s strategy obj=… bound=… gap=… nodes=…"]. *)
-
-val render : event list -> string
-(** {!event_to_string} per line. *)
 
 val to_json : event list -> string
 (** JSON array of event objects ([bound]/[gap] are [null] when absent). *)

@@ -1,4 +1,4 @@
-type entry = { query : string; elapsed : float; at : float }
+type entry = { query : string; elapsed : float }
 
 let capacity = 100
 let threshold_ref : float option ref = ref None
@@ -14,7 +14,7 @@ let truncate k xs =
 let observe ~query ~elapsed =
   match !threshold_ref with
   | Some t when elapsed >= t ->
-      log := { query; elapsed; at = Clock.now () } :: !log;
+      log := { query; elapsed } :: !log;
       incr count;
       if !count > capacity then begin
         log := truncate capacity !log;
@@ -22,8 +22,6 @@ let observe ~query ~elapsed =
       end;
       true
   | Some _ | None -> false
-
-let entries () = !log
 
 let clear () =
   log := [];

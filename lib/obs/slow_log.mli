@@ -2,17 +2,8 @@
     configurable wall-clock threshold.
 
     Off by default ([threshold () = None]). The log is a bounded
-    in-memory buffer (most recent {!val-capacity} entries); surfaces like
+    in-memory buffer (the most recent 100 entries); surfaces like
     the REPL's [\slowlog] command render it. *)
-
-type entry = {
-  query : string;
-  elapsed : float;  (** wall-clock seconds *)
-  at : float;  (** completion time, seconds since epoch *)
-}
-
-val capacity : int
-(** Maximum retained entries (oldest dropped first). *)
 
 val set_threshold : float option -> unit
 (** [Some seconds] enables the log; [None] (the default) disables it. *)
@@ -23,11 +14,8 @@ val observe : query:string -> elapsed:float -> bool
 (** Record the query if the log is enabled and [elapsed] meets the
     threshold; returns whether it was logged. *)
 
-val entries : unit -> entry list
-(** Logged entries, most recent first. *)
-
 val clear : unit -> unit
 (** Drop all entries (the threshold is kept). *)
 
 val render : unit -> string
-(** Human-readable listing of {!entries}, most recent first. *)
+(** Human-readable listing of the logged entries, most recent first. *)

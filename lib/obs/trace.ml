@@ -317,4 +317,3 @@ let span_to_json ?id_name sp =
         obj_of (List.map (fun (k, v) -> (k, string_of_int v)) sp.counters) );
     ]
 
-let to_json_lines () = String.concat "\n" (List.map span_to_json (spans ()))

@@ -79,12 +79,6 @@ val with_context : trace_id:string -> (unit -> 'a) -> 'a * span list
 val current_trace_id : unit -> string option
 (** Trace id of the context installed on the calling thread, if any. *)
 
-val spans : unit -> span list
-(** Completed spans surviving in the ring, in open order. *)
-
-val dropped : unit -> int
-(** Completed spans overwritten because the ring was full. *)
-
 val render_spans : ?dropped:int -> span list -> string
 (** Indented tree of the given spans (open order expected): name,
     attributes, elapsed time, counters. Spans whose parent is not in the
@@ -97,11 +91,7 @@ val json_escape : string -> string
 (** JSON string-body escaping (quotes, backslashes, control chars). *)
 
 val span_to_json : ?id_name:(int -> string) -> span -> string
-(** One span as a JSON object. [id_name] substitutes an external name
+(** One span as a JSON object: [{"id":…,"parent":…,"name":…,"start":…,
+    "elapsed_s":…,"attrs":{…},"counters":{…}}]. [id_name] substitutes an external name
     for span ids — the trace store maps a request's root span id to its
     wire trace id; with it, a root's [-1] parent becomes [null]. *)
-
-val to_json_lines : unit -> string
-(** One JSON object per completed span in the ring, newline-separated,
-    in open order: [{"id":…,"parent":…,"name":…,"start":…,
-    "elapsed_s":…,"attrs":{…},"counters":{…}}]. *)

@@ -28,7 +28,6 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let capacity t = locked t (fun () -> t.cap)
 
 let evict_to t cap =
   while Queue.length t.order > cap do
@@ -63,13 +62,6 @@ let find t id = locked t (fun () -> Hashtbl.find_opt t.tbl id)
 
 let ids t =
   locked t (fun () -> List.rev (Queue.fold (fun acc id -> id :: acc) [] t.order))
-
-let length t = locked t (fun () -> Queue.length t.order)
-
-let clear t =
-  locked t (fun () ->
-      Hashtbl.reset t.tbl;
-      Queue.clear t.order)
 
 (* ---- rendering ------------------------------------------------------- *)
 

@@ -29,7 +29,6 @@ val default : t
 (** The process-global store shared by {!Pb_net.Server}, the shell's
     [\traces] command and the HTTP trace endpoint. *)
 
-val capacity : t -> int
 val set_capacity : t -> int -> unit
 (** Shrinking evicts oldest entries immediately; [<= 0] disables. *)
 
@@ -40,9 +39,6 @@ val add : t -> entry -> unit
 val find : t -> string -> entry option
 val ids : t -> string list
 (** Stored ids, oldest first. *)
-
-val length : t -> int
-val clear : t -> unit
 
 val render : entry -> string
 (** Header line, indented span tree, and the progress trajectory —

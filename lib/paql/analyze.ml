@@ -19,35 +19,6 @@ type formula =
 
 let cmp_to_string = function Le -> "<=" | Ge -> ">=" | Lt -> "<" | Gt -> ">"
 
-let term_to_string = function
-  | Count_term -> "COUNT(*)"
-  | Sum_term e -> "SUM(" ^ Sql.expr_to_string e ^ ")"
-
-let atom_to_string = function
-  | Linear { terms; cmp; rhs } ->
-      let part (c, t) =
-        if c = 1.0 then term_to_string t
-        else Printf.sprintf "%g*%s" c (term_to_string t)
-      in
-      Printf.sprintf "%s %s %g"
-        (String.concat " + " (List.map part terms))
-        (cmp_to_string cmp) rhs
-  | Avg_atom { arg; cmp; rhs } ->
-      Printf.sprintf "AVG(%s) %s %g" (Sql.expr_to_string arg)
-        (cmp_to_string cmp) rhs
-  | Extremum { maximum; arg; cmp; rhs } ->
-      Printf.sprintf "%s(%s) %s %g"
-        (if maximum then "MAX" else "MIN")
-        (Sql.expr_to_string arg) (cmp_to_string cmp) rhs
-
-let rec formula_to_string = function
-  | True -> "TRUE"
-  | False -> "FALSE"
-  | Atom a -> atom_to_string a
-  | And fs ->
-      "(" ^ String.concat " AND " (List.map formula_to_string fs) ^ ")"
-  | Or fs -> "(" ^ String.concat " OR " (List.map formula_to_string fs) ^ ")"
-
 let eval_cmp cmp lhs rhs =
   match cmp with
   | Le -> lhs <= rhs

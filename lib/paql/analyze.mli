@@ -38,8 +38,6 @@ type formula =
   | Or of formula list
 
 val cmp_to_string : cmp -> string
-val atom_to_string : atom -> string
-val formula_to_string : formula -> string
 
 val eval_cmp : cmp -> float -> float -> bool
 (** [eval_cmp c lhs rhs] applies the comparison. *)
@@ -52,13 +50,6 @@ val linearize : Pb_sql.Ast.expr -> (formula, string) result
 val linearize_objective :
   Pb_sql.Ast.expr -> ((float * term) list, string) result
 (** Objectives must be a linear combination of COUNT/SUM aggregates. *)
-
-val check_base_constraint : Ast.t -> (unit, string) result
-(** WHERE must be aggregate-free and reference only the input alias. *)
-
-val check_global_constraint : Ast.t -> (unit, string) result
-(** Column references inside SUCH THAT / objective aggregates must resolve
-    against the package alias (or be unqualified). *)
 
 val validate_query : Ast.t -> (unit, string) result
 (** Both checks. *)

@@ -34,5 +34,3 @@ let to_string q =
       Buffer.add_string buf (" MINIMIZE " ^ Pb_sql.Ast.expr_to_string e)
   | None -> ());
   Buffer.contents buf
-
-let pp ppf q = Format.pp_print_string ppf (to_string q)

@@ -36,5 +36,3 @@ val max_multiplicity : t -> int
 
 val to_string : t -> string
 (** Pretty-print in PaQL concrete syntax; parses back to an equal query. *)
-
-val pp : Format.formatter -> t -> unit

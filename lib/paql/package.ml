@@ -8,9 +8,6 @@ type t = {
   cardinality : int;  (* cached sum of mult *)
 }
 
-let create base ~alias =
-  { base; alias; mult = Array.make (Relation.cardinality base) 0; cardinality = 0 }
-
 let of_multiplicities base ~alias mult =
   if Array.length mult <> Relation.cardinality base then
     invalid_arg "Package.of_multiplicities: length mismatch";
@@ -35,7 +32,6 @@ let of_indices base ~alias idxs =
   { base; alias; mult; cardinality = List.length idxs }
 
 let base t = t.base
-let alias t = t.alias
 let multiplicity t i = t.mult.(i)
 let multiplicities t = Array.copy t.mult
 let cardinality t = t.cardinality
@@ -55,24 +51,6 @@ let indices t =
     done
   done;
   !out
-
-let is_empty t = t.cardinality = 0
-
-let add t i =
-  let mult = Array.copy t.mult in
-  mult.(i) <- mult.(i) + 1;
-  { t with mult; cardinality = t.cardinality + 1 }
-
-let remove t i =
-  if t.mult.(i) <= 0 then invalid_arg "Package.remove: tuple not in package";
-  let mult = Array.copy t.mult in
-  mult.(i) <- mult.(i) - 1;
-  { t with mult; cardinality = t.cardinality - 1 }
-
-let replace t ~out_index ~in_index = add (remove t out_index) in_index
-
-let equal a b = a.alias = b.alias && a.mult = b.mult
-let compare_packages a b = compare (a.alias, a.mult) (b.alias, b.mult)
 
 let materialize t =
   let schema = Pb_relation.Schema.qualify t.alias (Relation.schema t.base) in

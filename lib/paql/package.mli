@@ -10,9 +10,6 @@
 
 type t
 
-val create : Pb_relation.Relation.t -> alias:string -> t
-(** Empty package over a candidate relation. *)
-
 val of_multiplicities : Pb_relation.Relation.t -> alias:string -> int array -> t
 (** Raises [Invalid_argument] on negative multiplicities or length
     mismatch. *)
@@ -21,7 +18,6 @@ val of_indices : Pb_relation.Relation.t -> alias:string -> int list -> t
 (** Multiset given as a list of candidate row indices (repetitions allowed). *)
 
 val base : t -> Pb_relation.Relation.t
-val alias : t -> string
 val multiplicity : t -> int -> int
 val multiplicities : t -> int array
 (** A copy. *)
@@ -34,19 +30,6 @@ val support : t -> int list
 
 val indices : t -> int list
 (** Candidate indices with repetitions, ascending. *)
-
-val is_empty : t -> bool
-
-val add : t -> int -> t
-val remove : t -> int -> t
-(** Functional single-tuple updates; [remove] raises [Invalid_argument]
-    if the index is not in the package. *)
-
-val replace : t -> out_index:int -> in_index:int -> t
-(** The §4.2 single-tuple replacement move. *)
-
-val equal : t -> t -> bool
-val compare_packages : t -> t -> int
 
 val materialize : t -> Pb_relation.Relation.t
 (** Rows with repetitions, schema qualified by the package alias. *)

@@ -15,12 +15,6 @@
 
     Names are restricted to [[a-z0-9_]] (lower-cased on save). *)
 
-val metadata_table : string
-(** ["__pb_packages"]. *)
-
-val data_table : string -> string
-(** [data_table name] = ["pkg_" ^ name]. *)
-
 val save :
   Pb_sql.Database.t -> name:string -> query:Ast.t -> Package.t -> unit
 (** Save (or overwrite) a package under [name]. Raises [Failure] on
@@ -35,9 +29,6 @@ type entry = {
 
 val list_saved : Pb_sql.Database.t -> entry list
 (** Saved packages sorted by name; empty when none were ever saved. *)
-
-val load : Pb_sql.Database.t -> name:string -> (entry * Pb_relation.Relation.t) option
-(** Metadata plus the stored rows (including the [pkg_pos] column). *)
 
 val delete : Pb_sql.Database.t -> name:string -> bool
 (** True when something was deleted. *)

@@ -76,8 +76,3 @@ let parse src =
   | Sql_parser.Parse_error msg -> raise (Parse_error msg)
   | Lexer.Lex_error (msg, pos) ->
       raise (Parse_error (Printf.sprintf "%s at offset %d" msg pos))
-
-let parse_opt src =
-  match parse src with
-  | q -> Ok q
-  | exception Parse_error msg -> Error msg

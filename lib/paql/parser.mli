@@ -10,5 +10,3 @@ val parse : string -> Ast.t
 (** Parse one PaQL query. Raises {!Parse_error} on malformed input, on a
     FROM clause with more than one relation, or when the PACKAGE argument
     does not match the FROM alias. *)
-
-val parse_opt : string -> (Ast.t, string) result

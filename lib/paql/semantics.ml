@@ -122,9 +122,6 @@ let candidates db (q : Ast.t) =
           in
           Relation.filter pred_fn qualified)
 
-let empty_package db (q : Ast.t) =
-  Package.create (candidates db q) ~alias:q.package_alias
-
 let respects_multiplicity (q : Ast.t) pkg =
   let cap = Ast.max_multiplicity q in
   List.for_all (fun i -> Package.multiplicity pkg i <= cap) (Package.support pkg)
@@ -138,6 +135,8 @@ let eval_over_package ?db (q : Ast.t) pkg expr =
     ?select:(Option.map (fun db -> Executor.select db) db)
     (Relation.schema materialized) expr (Relation.rows materialized)
 
+(* A NULL-valued constraint (SUM over an empty package) is not satisfied,
+   following SQL filter semantics. *)
 let satisfies_global ?db (q : Ast.t) pkg =
   match q.such_that with
   | None -> true

@@ -51,17 +51,6 @@ val batch_values :
     table). NULLs map to 0 like the row path; [None] when the expression
     doesn't compile or is string-valued (the row path owns its warning). *)
 
-val empty_package : Pb_sql.Database.t -> Ast.t -> Package.t
-(** Empty package over [candidates]. *)
-
-val respects_multiplicity : Ast.t -> Package.t -> bool
-(** Every multiplicity is at most {!Ast.max_multiplicity}. *)
-
-val satisfies_global : ?db:Pb_sql.Database.t -> Ast.t -> Package.t -> bool
-(** SUCH THAT holds (vacuously true when absent). NULL-valued constraints
-    (e.g. SUM over an empty package) count as not satisfied, following SQL
-    filter semantics. [db] is needed only for subqueries. *)
-
 val is_valid : ?db:Pb_sql.Database.t -> Ast.t -> Package.t -> bool
 (** Multiplicity bound + global constraints. Base constraints hold by
     construction for packages built over [candidates]. *)

@@ -268,9 +268,6 @@ let map_chunks pool ?chunk_size ~n f =
     |> List.map (function Some v -> v | None -> assert false)
   end
 
-let map_reduce pool ?chunk_size ~n ~map ~reduce init =
-  List.fold_left reduce init (map_chunks pool ?chunk_size ~n map)
-
 let parallel_for pool ?chunk_size ?(should_stop = fun () -> false) n f =
   map_chunks pool ?chunk_size ~n (fun ~lo ~hi ->
       (* One poll per chunk: queued chunks of an already-stopped region

@@ -10,19 +10,15 @@
     inline, so the sequential code path is untouched when parallelism is
     off.
 
-    Determinism contract: [map_chunks] / [map_reduce] split the index
-    range [0, n) into contiguous chunks and deliver (or reduce) the
-    chunk results in ascending chunk order, regardless of which domain
-    finished first.  Any fold whose merge is insensitive to chunk
+    Determinism contract: [map_chunks] splits the index range [0, n)
+    into contiguous chunks and delivers the chunk results in ascending
+    chunk order, regardless of which domain finished first.  Any fold
+    over those results whose merge is insensitive to chunk
     granularity — order-preserving concatenation, "first best wins"
     selection over an ordered walk — therefore produces bit-identical
     results at every pool size. *)
 
 type t
-
-val create : int -> t
-(** [create k] makes a pool of size [max k 1].  It spawns no domain;
-    regions do, on demand. *)
 
 val size : t -> int
 
@@ -30,14 +26,12 @@ val live_workers : t -> int
 (** Worker domains currently running or parked: at most [size - 1],
     and 0 once the pool has been idle for two major collections. *)
 
-val shutdown : t -> unit
-(** Signal the workers to exit and wait until every one has.
-    Idempotent.  Submitting work to a pool after [shutdown] runs it
-    inline on the caller. *)
-
 val with_pool : int -> (t -> 'a) -> 'a
-(** [with_pool k f] runs [f] with a fresh pool and always shuts it
-    down, even if [f] raises. *)
+(** [with_pool k f] runs [f] with a fresh pool of size [max k 1] and
+    always shuts it down, even if [f] raises: the workers are signalled
+    to exit and waited for. Work submitted to the pool after that runs
+    inline on the caller. The pool spawns no domain up front; regions
+    do, on demand. *)
 
 (** {1 Default pool}
 
@@ -46,7 +40,6 @@ val with_pool : int -> (t -> 'a) -> 'a
     created lazily on first use.  [set_default_size] replaces it, which
     is how the bench driver implements [--domains N]. *)
 
-val env_size : unit -> int
 val get_default : unit -> t
 val set_default_size : int -> unit
 
@@ -70,16 +63,3 @@ val map_chunks : t -> ?chunk_size:int -> n:int -> (lo:int -> hi:int -> 'a) -> 'a
     [lo, hi) and returns the chunk results in ascending chunk order.
     With pool size 1 (or [n] = 0 handled as []), a single chunk
     [f ~lo:0 ~hi:n] is used. *)
-
-val map_reduce :
-  t ->
-  ?chunk_size:int ->
-  n:int ->
-  map:(lo:int -> hi:int -> 'a) ->
-  reduce:('a -> 'a -> 'a) ->
-  'a ->
-  'a
-(** [map_reduce pool ~n ~map ~reduce init]: chunked map over [0, n)
-    followed by a left fold of [reduce], seeded with [init], over the
-    chunk results in ascending chunk order — deterministic whenever the
-    fold is insensitive to where the chunk boundaries fall. *)

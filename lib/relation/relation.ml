@@ -110,5 +110,3 @@ let to_table ?max_rows t =
   let base = Pb_util.Table.render ~header:names rows in
   if elided > 0 then base ^ Printf.sprintf "... (%d more rows)\n" elided
   else base
-
-let pp ppf t = Format.pp_print_string ppf (to_table t)

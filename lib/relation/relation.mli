@@ -53,7 +53,4 @@ val column_stats : t -> string -> (float * float * float) option
     cardinality-pruning bounds of §4.1 are derived from these statistics,
     mirroring how PackageBuilder asks the DBMS for MIN/MAX aggregates. *)
 
-val pp : Format.formatter -> t -> unit
-(** Render as an ASCII table (header + all rows). *)
-
 val to_table : ?max_rows:int -> t -> string

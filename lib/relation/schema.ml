@@ -96,10 +96,3 @@ let concat a b = make (columns a @ columns b)
 let equal a b =
   arity a = arity b
   && Array.for_all2 (fun x y -> x.name = y.name && x.ty = y.ty) a.cols b.cols
-
-let pp ppf t =
-  Format.fprintf ppf "(%s)"
-    (String.concat ", "
-       (List.map
-          (fun c -> c.name ^ ":" ^ Value.ty_to_string c.ty)
-          (columns t)))

@@ -36,4 +36,3 @@ val concat : t -> t -> t
 (** Schema of a product/join; raises on clashes. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -86,8 +86,6 @@ let to_string = function
       else Printf.sprintf "%g" f
   | Str s -> s
 
-let pp ppf v = Format.pp_print_string ppf (to_string v)
-
 let to_float = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f

@@ -47,8 +47,6 @@ val to_string : t -> string
 (** Display form: NULL prints as the empty-marker ["NULL"], floats drop a
     trailing [.] when integral. *)
 
-val pp : Format.formatter -> t -> unit
-
 val to_float : t -> float option
 (** Numeric view of Int/Float/Bool(as 0/1); [None] otherwise. *)
 

@@ -42,6 +42,4 @@ type plan = {
   final : Pb_sql.Ast.select;  (** merging query over [scratch] *)
 }
 
-val scratch_name : string
-
 val plan : table:string -> Pb_sql.Ast.select -> plan option

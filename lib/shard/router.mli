@@ -51,13 +51,11 @@ val create :
 val session_factory : t -> Pb_net.Server.t -> Pb_net.Server.session_handler
 (** Plug into {!Pb_net.Server.start}'s [?session_factory]: sessions are
     stateless closures over the shared router, so any number of
-    concurrent clients share the per-shard connection pool. *)
-
-val handle : t -> gov:Pb_util.Gov.t -> string -> Pb_shell.Repl.reaction
-(** One REPL input line (SQL script, PaQL query, or [\ ] command),
-    rendered exactly like the single-node REPL. Never raises: errors
-    become output (["sql error: ..."], ["paql error: ..."],
-    ["shard error: ..."], ["cancelled: ..."]). *)
+    concurrent clients share the per-shard connection pool. A session
+    answers one REPL input line (SQL script, PaQL query, or [\ ]
+    command) rendered exactly like the single-node REPL, and never
+    raises: errors become output (["sql error: ..."],
+    ["paql error: ..."], ["shard error: ..."], ["cancelled: ..."]). *)
 
 val health_json : t -> string
 (** Aggregated health for the router's [/healthz] endpoint:

@@ -77,7 +77,6 @@ let strategies =
     ("brute-force", Pb_core.Engine.Brute_force { use_pruning = false });
     ("brute-force+pruning", Pb_core.Engine.Brute_force { use_pruning = true });
     ("local-search", Pb_core.Engine.Local_search Pb_core.Local_search.default_params);
-    ("annealing", Pb_core.Engine.Anneal Pb_core.Annealing.default_params);
     ("sql-generation", Pb_core.Engine.Sql_generation Pb_core.Sql_generate.default_params);
     ("sketch-refine", Pb_core.Engine.Sketch_refine Pb_core.Sketch_refine.default_params);
   ]

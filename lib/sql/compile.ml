@@ -77,9 +77,6 @@ let scalar_function_lc lname args =
       | _ -> Value.Null)
   | name, args -> err "unknown function %s/%d" name (List.length args)
 
-let scalar_function name args =
-  scalar_function_lc (String.lowercase_ascii name) args
-
 let binop_value op a b =
   match op with
   | Add -> Value.add a b
@@ -296,12 +293,6 @@ module Memo = struct
   }
 
   let create () = { mu = Mutex.create (); tbl = Hashtbl.create 32 }
-
-  let size t =
-    Mutex.lock t.mu;
-    let n = Hashtbl.length t.tbl in
-    Mutex.unlock t.mu;
-    n
 
   let expr t ?select schema e =
     let key = (e, Schema.columns schema) in

@@ -36,14 +36,6 @@ val compile_like : string -> like_pattern
 val like_match_compiled : like_pattern -> string -> bool
 (** SQL LIKE with [%] (any sequence) and [_] (any one character). *)
 
-val scalar_function :
-  string -> Pb_relation.Value.t list -> Pb_relation.Value.t
-(** Scalar function dispatch (abs, lower, upper, length, round, floor,
-    ceil, coalesce, sqrt); raises {!Eval_error} on unknown names. *)
-
-val binop_value :
-  Ast.binop -> Pb_relation.Value.t -> Pb_relation.Value.t -> Pb_relation.Value.t
-
 type select = Ast.select -> Pb_relation.Relation.t
 (** Subquery evaluation for [IN (SELECT …)] and [EXISTS], normally
     [Executor.select] over the caller's database. Without one, those
@@ -90,7 +82,6 @@ module Memo : sig
   type t
 
   val create : unit -> t
-  val size : t -> int
 
   val expr :
     t ->

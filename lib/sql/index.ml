@@ -25,8 +25,6 @@ let build rel col =
     positions = Array.map snd entries;
   }
 
-let cardinality t = Array.length t.keys
-
 (* First position whose key is >= (or > when [strict]) the probe. *)
 let lower_bound t probe ~strict =
   let n = Array.length t.keys in
@@ -56,5 +54,3 @@ let range ?lo ?hi t =
     out := t.positions.(i) :: !out
   done;
   !out
-
-let lookup t v = range ~lo:(v, true) ~hi:(v, true) t

@@ -15,15 +15,9 @@ val build : Pb_relation.Relation.t -> string -> t
 (** [build rel col] indexes column [col]; raises [Failure] on unknown
     columns. *)
 
-val cardinality : t -> int
-(** Indexed (non-NULL) entries. *)
-
 type bound = Pb_relation.Value.t * bool
 (** Key and whether the bound is inclusive. *)
 
 val range : ?lo:bound -> ?hi:bound -> t -> int list
 (** Row positions with key within the bounds (either side may be open),
     in ascending key order. *)
-
-val lookup : t -> Pb_relation.Value.t -> int list
-(** Row positions with key equal to the value. *)

@@ -31,9 +31,6 @@ type token =
 exception Lex_error of string * int
 (** Message and byte offset. *)
 
-val keywords : string list
-(** The reserved words, upper-cased. *)
-
 val tokenize : string -> token list
 (** Full tokenization; the list always ends with [Eof].
     ['--'] starts a comment to end of line. Raises {!Lex_error}. *)

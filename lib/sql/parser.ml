@@ -461,12 +461,6 @@ let finish st =
   ignore (accept st Lexer.Semicolon);
   if peek st <> Lexer.Eof then fail st "trailing input"
 
-let parse_expr src =
-  let st = state_of_tokens (Lexer.tokenize src) in
-  let e = parse_expr_state st in
-  finish st;
-  e
-
 let parse_select src =
   let st = state_of_tokens (Lexer.tokenize src) in
   let q = parse_select_state st in

@@ -20,18 +20,12 @@ val peek : state -> Lexer.token
 val advance : state -> Lexer.token
 val expect_keyword : state -> string -> unit
 val accept_keyword : state -> string -> bool
-val at_keyword : state -> string -> bool
 val expect : state -> Lexer.token -> unit
 val accept : state -> Lexer.token -> bool
 val fail : state -> string -> 'a
 
 val parse_expr_state : state -> Ast.expr
-val parse_select_state : state -> Ast.select
 val parse_identifier : state -> string
-
-val parse_expr : string -> Ast.expr
-(** Parse a standalone expression; raises {!Parse_error} on trailing
-    input. *)
 
 val parse_select : string -> Ast.select
 val parse_statement : string -> Ast.statement

@@ -8,8 +8,6 @@ let m_misses =
   Metrics.counter ~help:"Prepared-plan cache misses (first sight or invalidated)"
     "pb_sql_plan_cache_misses_total"
 
-let hits () = Metrics.counter_value m_hits
-let misses () = Metrics.counter_value m_misses
 
 type entry = {
   statements : Ast.statement list;
@@ -111,5 +109,4 @@ let lookup t db ~parse text =
       in
       (entry.statements, entry.memo)
 
-let size t = locked t (fun () -> Hashtbl.length t.tbl)
 let clear t = locked t (fun () -> Hashtbl.reset t.tbl)

@@ -29,12 +29,6 @@ val create : ?capacity:int -> unit -> t
     parses) — the benchmark baseline. Negative capacities are rejected
     with [Invalid_argument]. *)
 
-val normalize : string -> string
-(** Cache key normalization: surrounding whitespace and trailing [;]
-    stripped, nothing else — whitespace inside the text may be load-bearing
-    (string literals), so ["SELECT 1"] and ["  SELECT 1; "] share an entry
-    but ["SELECT  1"] does not. *)
-
 val lookup :
   t ->
   Database.t ->
@@ -45,9 +39,4 @@ val lookup :
     valid, otherwise parsed via [parse], cached and returned. Parse errors
     propagate to the caller and are not cached. *)
 
-val size : t -> int
 val clear : t -> unit
-
-val hits : unit -> int
-val misses : unit -> int
-(** Process-wide counter values (exposed for tests and the bench). *)

@@ -2,11 +2,7 @@
     ({!Executor}) and the columnar fast path ({!Columnar}) so both derive
     the exact same result schema from a query. *)
 
-val contains_agg : Ast.expr -> bool
-
 val infer_item_name : int -> Ast.select_item -> string
-
-val infer_expr_ty : Pb_relation.Schema.t -> Ast.expr -> Pb_relation.Value.ty
 
 val expand_items :
   Pb_relation.Schema.t -> Ast.select_item list -> Ast.select_item list

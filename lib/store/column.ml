@@ -26,13 +26,6 @@ type t =
   | Strs of { dict : string array; codes : int array; memo : like_memo }
   | Mixed of Value.t array
 
-let length = function
-  | Ints { data; _ } -> Bigarray.Array1.dim data
-  | Floats { data; _ } -> Bigarray.Array1.dim data
-  | Bools { data; _ } -> Bytes.length data
-  | Strs { codes; _ } -> Array.length codes
-  | Mixed a -> Array.length a
-
 let of_values (values : Value.t array) =
   let n = Array.length values in
   let ints = ref true

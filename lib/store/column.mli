@@ -25,8 +25,6 @@ val get : t -> int -> Pb_relation.Value.t
 (** Exact reconstruction of the stored value (including the Int/Float
     distinction). *)
 
-val length : t -> int
-
 val is_null : Bytes.t option -> int -> bool
 (** Read a null side map ([None] = no nulls). *)
 

@@ -6,7 +6,6 @@
 
 type t = Row | Columnar
 
-val of_string : string -> t option
 val to_string : t -> string
 
 val current : unit -> t

@@ -11,7 +11,6 @@ module Metrics = Pb_obs.Metrics
    [None] means the relation had no duplicates and the mapping is the
    identity (the common case: it costs nothing). *)
 type t = {
-  schema : Schema.t;
   total : int;  (* original (expanded) row count *)
   nrows : int;  (* distinct row count *)
   cols : Column.t array;
@@ -71,7 +70,6 @@ module Row_tbl = Hashtbl.Make (struct
       17 row
 end)
 
-let schema t = t.schema
 let total t = t.total
 let distinct t = t.nrows
 let multiplicity t id = t.mult.(id)
@@ -119,15 +117,6 @@ let of_relation rel =
     + (match order with Some o -> 8 * Array.length o | None -> 0)
   in
   Metrics.incr m_built;
-  { schema; total; nrows; cols; mult; order; bytes }
+  { total; nrows; cols; mult; order; bytes }
 
 let get_row t id = Array.init (arity t) (fun j -> Column.get t.cols.(j) id)
-
-(* Each distinct row is materialized once and duplicates share its
-   array (relations never mutate rows in place, so sharing is safe). *)
-let to_relation t =
-  let rows = Array.init t.nrows (get_row t) in
-  Relation.of_rows_unchecked t.schema
-    (match t.order with
-    | None -> rows
-    | Some order -> Array.map (Array.get rows) order)

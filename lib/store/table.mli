@@ -1,5 +1,5 @@
 (** A relation stored column-wise with duplicate tuples collapsed into a
-    multiplicity column. Reconstruction ({!to_relation}, {!get_row}) is
+    multiplicity column. Reconstruction ({!get_row} through {!order}) is
     exact — values, Int/Float tags, and original row order all survive the
     round trip, which is what lets the columnar engine stay bit-identical
     to the row engine. *)
@@ -7,9 +7,6 @@
 type t
 
 val of_relation : Pb_relation.Relation.t -> t
-val to_relation : t -> Pb_relation.Relation.t
-
-val schema : t -> Pb_relation.Schema.t
 
 val total : t -> int
 (** Original (expanded) row count. *)
@@ -28,7 +25,6 @@ val compressed : t -> bool
 (** [order t <> None]. *)
 
 val col : t -> int -> Column.t
-val arity : t -> int
 
 val get_row : t -> int -> Pb_relation.Value.t array
 (** Materialize distinct row [id]. *)

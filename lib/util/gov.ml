@@ -183,8 +183,6 @@ let spend t r n =
       (fun (ci, _, spent) -> if ci = i then ignore (Atomic.fetch_and_add spent n))
       t.caps
 
-let spent t r = Atomic.get t.spent_counters.(idx r)
-
 let budget_left t r =
   let i = idx r in
   let family =

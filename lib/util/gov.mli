@@ -40,7 +40,7 @@ type reason =
   | Budget of resource  (** that resource's budget is exhausted *)
 
 exception Interrupted of reason
-(** Raised by {!tick} (and by SQL evaluation loops) when the token says
+(** Raised by {!tick_opt} (and by SQL evaluation loops) when the token says
     stop. Strategies with a meaningful best-so-far catch it or use
     {!check} instead. *)
 
@@ -89,9 +89,6 @@ val family_id : t -> int
 val cancel : t -> unit
 (** Flip the cancellation flag. Thread/domain/signal-safe; idempotent. *)
 
-val cancelled : t -> bool
-(** True once this token or any ancestor has been cancelled. *)
-
 val check : ?resource:resource -> t -> reason option
 (** The fast-path poll: [None] = keep going. Cancellation and deadline
     are request-global, so the first observation is latched and every
@@ -101,12 +98,10 @@ val check : ?resource:resource -> t -> reason option
     loops sharing the token — each strategy polls its own meter. (Budget
     answers stay sticky regardless, because spend counters only grow.) *)
 
-val tick : ?resource:resource -> t -> unit
-(** [check] then raise {!Interrupted} on a stop reason. *)
-
 val tick_opt : ?resource:resource -> t option -> unit
-(** [tick] when the token is present; no-op on [None] — for plumbing
-    through optional [?gov] parameters without a branch at each site. *)
+(** [check] then raise {!Interrupted} on a stop reason, when the token
+    is present; no-op on [None] — for plumbing through optional [?gov]
+    parameters without a branch at each site. *)
 
 val fate : t -> reason option
 (** The latched stop reason — [Cancelled] or [Deadline] — if any poll
@@ -127,7 +122,6 @@ val spend : t -> resource -> int -> unit
 (** Record consumption. Counters are shared across the whole token
     family (atomic; safe from worker domains). *)
 
-val spent : t -> resource -> int
 val budget_left : t -> resource -> int option
 (** Remaining budget, [None] = unlimited, under the tighter of the
     family budget and any {!capped} limit. Never negative. *)

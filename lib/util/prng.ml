@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64 finalizer: Steele, Lea & Flood, OOPSLA 2014. *)
 let mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
@@ -15,10 +13,6 @@ let mix z =
 let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
-
-let split t =
-  let seed = bits64 t in
-  { state = mix seed }
 
 let int t n =
   assert (n > 0);
@@ -33,8 +27,6 @@ let float t x =
   (* 53 uniform bits mapped into [0, 1). *)
   let u = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   x *. (u /. 9007199254740992.0)
-
-let float_in t lo hi = lo +. float t (hi -. lo)
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
@@ -59,16 +51,3 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let sample_without_replacement t k n =
-  assert (0 <= k && k <= n);
-  (* Floyd's algorithm: k iterations, set-based. *)
-  let module IS = Set.Make (Int) in
-  let rec loop j acc =
-    if j >= n then acc
-    else
-      let r = int t (j + 1) in
-      let acc = if IS.mem r acc then IS.add j acc else IS.add r acc in
-      loop (j + 1) acc
-  in
-  IS.elements (loop (n - k) IS.empty)

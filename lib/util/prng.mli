@@ -11,16 +11,6 @@ type t
 val create : int -> t
 (** [create seed] builds a generator; equal seeds yield equal streams. *)
 
-val copy : t -> t
-(** Independent copy of the current state. *)
-
-val split : t -> t
-(** [split t] advances [t] and returns a new generator whose stream is
-    statistically independent of [t]'s subsequent output. *)
-
-val bits64 : t -> int64
-(** Next raw 64 random bits. *)
-
 val int : t -> int -> int
 (** [int t n] is uniform in [0, n); requires [n > 0]. *)
 
@@ -29,9 +19,6 @@ val int_in : t -> int -> int -> int
 
 val float : t -> float -> float
 (** [float t x] is uniform in [0, x). *)
-
-val float_in : t -> float -> float -> float
-(** [float_in t lo hi] is uniform in [lo, hi). *)
 
 val bool : t -> bool
 (** Fair coin flip. *)
@@ -44,7 +31,3 @@ val choice : t -> 'a array -> 'a
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val sample_without_replacement : t -> int -> int -> int list
-(** [sample_without_replacement t k n] draws [k] distinct indices from
-    [0, n); requires [0 <= k <= n]. Result is sorted. *)

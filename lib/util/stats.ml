@@ -2,14 +2,6 @@ let mean = function
   | [] -> 0.0
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-      let m = mean xs in
-      let var = mean (List.map (fun x -> (x -. m) ** 2.0) xs) in
-      sqrt var
-
 let median = function
   | [] -> 0.0
   | xs ->

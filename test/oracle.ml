@@ -14,6 +14,13 @@ module Executor = Pb_sql.Executor
 
 let err fmt = Printf.ksprintf (fun s -> raise (Compile.Eval_error s)) fmt
 
+(* Leaf value semantics (binary operators, scalar functions) are the
+   engine's own: [Compile.expr] over literal operands evaluates exactly
+   one such node. The oracle checks the tree walk around them. *)
+let leaf e = Compile.expr (Schema.make []) e [||]
+let binop_value op a b = leaf (Binop (op, Lit a, Lit b))
+let scalar_function name args = leaf (Func (name, List.map (fun v -> Lit v) args))
+
 (* LIKE with % (any sequence) and _ (any char), by two-pointer
    backtracking on the last %. *)
 let like_match ~pattern s =
@@ -55,7 +62,7 @@ let rec eval_expr ?db ?gov schema row e =
   | Col name -> row.(Schema.index_of_exn schema name)
   | Unary_minus e -> Value.neg (ev e)
   | Not e -> Value.logical_not (ev e)
-  | Binop (op, a, b) -> Compile.binop_value op (ev a) (ev b)
+  | Binop (op, a, b) -> binop_value op (ev a) (ev b)
   | Between (e, lo, hi) ->
       let v = ev e in
       Value.logical_and
@@ -84,7 +91,7 @@ let rec eval_expr ?db ?gov schema row e =
           Value.Bool (if neg then not hit else hit)
       | v -> err "LIKE on non-string value %s" (Value.to_string v))
   | Agg (f, _) -> err "aggregate %s outside GROUP context" (agg_to_string f)
-  | Func (name, args) -> Compile.scalar_function name (List.map ev args)
+  | Func (name, args) -> scalar_function name (List.map ev args)
   | Case (branches, default) -> eval_case ev branches default
 
 (* Aggregate nodes reduce the whole group; other column references
@@ -104,7 +111,7 @@ let eval_agg_expr ?db ?gov schema group e =
     | Col name -> representative.(Schema.index_of_exn schema name)
     | Unary_minus e -> Value.neg (ev e)
     | Not e -> Value.logical_not (ev e)
-    | Binop (op, a, b) -> Compile.binop_value op (ev a) (ev b)
+    | Binop (op, a, b) -> binop_value op (ev a) (ev b)
     | Between (e, lo, hi) ->
         let v = ev e in
         Value.logical_and
@@ -133,7 +140,7 @@ let eval_agg_expr ?db ?gov schema group e =
             let hit = like_match ~pattern s in
             Value.Bool (if neg then not hit else hit)
         | v -> err "LIKE on non-string value %s" (Value.to_string v))
-    | Func (name, args) -> Compile.scalar_function name (List.map ev args)
+    | Func (name, args) -> scalar_function name (List.map ev args)
     | Case (branches, default) -> eval_case ev branches default
   and reduce f arg =
     let values =

@@ -542,7 +542,8 @@ let session_coeffs s =
   (db, List.map (fun step -> Pb_core.Coeffs.make db (Parser.parse (session_query s step))) s.steps)
 
 let front_warm_total () =
-  Pb_obs.Metrics.counter_value (Pb_obs.Metrics.counter "pb_engine_lp_front_warm_total")
+  int_of_float
+    (List.assoc "pb_engine_lp_front_warm_total" (Pb_obs.Metrics.snapshot ()))
 
 let sr_default db c =
   Engine.run_coeffs ~gov:(Pb_util.Gov.unlimited ())

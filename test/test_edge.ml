@@ -29,8 +29,8 @@ let all_strategies =
     Engine.Brute_force { use_pruning = false };
     Engine.Ilp;
     Engine.Local_search Pb_core.Local_search.default_params;
-    Engine.Anneal Pb_core.Annealing.default_params;
     Engine.Sql_generation Pb_core.Sql_generate.default_params;
+    Engine.Sketch_refine Pb_core.Sketch_refine.default_params;
     Engine.Hybrid;
   ]
 
@@ -69,7 +69,10 @@ let test_single_row_table () =
           (* heuristics are allowed to miss, exact strategies are not *)
           if
             List.mem (Engine.strategy_name strategy)
-              [ "brute-force"; "brute-force+pruning"; "ilp"; "sql-generation"; "hybrid" ]
+              [
+                "brute-force"; "brute-force+pruning"; "ilp"; "sql-generation";
+                "sketch-refine"; "hybrid";
+              ]
           then Alcotest.fail (Engine.strategy_name strategy ^ " missed"))
     all_strategies
 

@@ -158,7 +158,7 @@ let test_template_refine_keeps_sample_on_failure () =
 
 let test_summary_axes () =
   let q = Parser.parse paper_query in
-  let x, y = Summary.pick_axes q in
+  let x, y = (Summary.build ~max_packages:1 (demo_db ()) q).Summary.axes in
   Alcotest.(check string) "y is objective" "SUM(p.protein)" y.Summary.label;
   Alcotest.(check string) "x is sum constraint" "SUM(p.calories)" x.Summary.label
 
@@ -166,7 +166,7 @@ let test_summary_axes_no_objective () =
   let q =
     Parser.parse "SELECT PACKAGE(r) AS p FROM recipes r SUCH THAT COUNT(*) = 2"
   in
-  let x, y = Summary.pick_axes q in
+  let x, y = (Summary.build ~max_packages:1 (demo_db ()) q).Summary.axes in
   Alcotest.(check string) "y count" "COUNT(*)" y.Summary.label;
   Alcotest.(check string) "x count" "COUNT(*)" x.Summary.label
 
@@ -204,11 +204,11 @@ let test_session_resample_progress () =
         match Package.support first with i :: _ -> [ i ] | [] -> []
       in
       let session2, status = Session.keep_and_resample session ~keep in
-      (match status with
+      match status with
       | `Fresh ->
           let second = Session.current session2 in
           Alcotest.(check bool) "different package" false
-            (Package.equal first second);
+            (Package.multiplicities first = Package.multiplicities second);
           (* kept tuple still present *)
           List.iter
             (fun i ->
@@ -217,8 +217,7 @@ let test_session_resample_progress () =
             keep;
           Alcotest.(check bool) "still valid" true
             (Semantics.is_valid ~db q second)
-      | `Exhausted -> Alcotest.fail "expected a fresh package");
-      Alcotest.(check int) "round counted" 1 (Session.rounds session2)
+      | `Exhausted -> Alcotest.fail "expected a fresh package"
 
 let test_session_exhaustion () =
   (* A query with exactly one valid package exhausts immediately. *)

@@ -1,53 +1,16 @@
-(* Tests for the optimization extensions: LP-format export, best-bound
-   node order, the §5 cost model, and simulated annealing. *)
+(* Tests for the optimization extensions: best-bound node order and the
+   §5 cost model. *)
 
 module Model = Pb_lp.Model
 module Milp = Pb_lp.Milp
-module Lp_format = Pb_lp.Lp_format
 module Parser = Pb_paql.Parser
 module Coeffs = Pb_core.Coeffs
 module Cost_model = Pb_core.Cost_model
-module Annealing = Pb_core.Annealing
-module Engine = Pb_core.Engine
-module Semantics = Pb_paql.Semantics
 
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
-
-(* ---- lp format -------------------------------------------------------- *)
-
-let knapsack () =
-  let m = Model.create () in
-  let vars =
-    Array.init 4 (fun i ->
-        Model.add_var m ~integer:true ~upper:1.0 (Printf.sprintf "v%d" i))
-  in
-  Model.add_constr m
-    (Array.to_list (Array.mapi (fun i v -> (float_of_int (i + 1), v)) vars))
-    Model.Le 6.0;
-  Model.set_objective m
-    (Model.Maximize (Array.to_list (Array.map (fun v -> (1.0, v)) vars)));
-  (m, vars)
-
-
-let test_lp_format_sections () =
-  let m, _ = knapsack () in
-  let text = Lp_format.to_string m in
-  List.iter
-    (fun section ->
-      Alcotest.(check bool) section true (contains text section))
-    [ "Maximize"; "Subject To"; "Bounds"; "Generals"; "End" ]
-
-let test_lp_format_sanitizes () =
-  let m = Model.create () in
-  let _ = Model.add_var m "weird name!" in
-  let _ = Model.add_var m "weird name?" in
-  let text = Lp_format.to_string m in
-  Alcotest.(check bool) "sanitized" true (contains text "weird_name_");
-  (* the second one must be uniquified *)
-  Alcotest.(check bool) "uniquified" true (contains text "weird_name__1")
 
 (* ---- node order -------------------------------------------------------- *)
 
@@ -88,18 +51,40 @@ let meal_query =
    COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 MAXIMIZE \
    SUM(P.protein)"
 
+(* The estimates as the EXPLAIN table shows them: per strategy, whether
+   it applies, whether it is exact, and log10 of its cost. *)
+type shown = { label : string; applicable : bool; exact : bool; log_cost : float }
+
+let estimates c =
+  match String.split_on_char '\n' (String.trim (Cost_model.to_table c)) with
+  | _header :: _rule :: rows ->
+      List.map
+        (fun row ->
+          match List.map String.trim (String.split_on_char '|' row) with
+          | label :: applicable :: exact :: cost :: _ ->
+              {
+                label;
+                applicable = applicable = "yes";
+                exact = exact = "yes";
+                log_cost =
+                  (if cost = "inf" then infinity
+                   else float_of_string (String.sub cost 3 (String.length cost - 3)));
+              }
+          | _ -> Alcotest.fail ("unparseable cost-model row: " ^ row))
+        rows
+  | _ -> Alcotest.fail "cost-model table without rows"
+
 let test_cost_model_estimates () =
   let db = items_db 100 in
   let c = Coeffs.make db (Parser.parse meal_query) in
-  let es = Cost_model.estimates c in
+  let es = estimates c in
   Alcotest.(check int) "four strategies" 4 (List.length es);
-  let by_label label = List.find (fun e -> e.Cost_model.strategy_label = label) es in
-  Alcotest.(check bool) "bf is exact" true (by_label "brute-force").Cost_model.exact;
-  Alcotest.(check bool) "ls not exact" false
-    (by_label "local-search").Cost_model.exact;
+  let by_label label = List.find (fun e -> e.label = label) es in
+  Alcotest.(check bool) "bf is exact" true (by_label "brute-force").exact;
+  Alcotest.(check bool) "ls not exact" false (by_label "local-search").exact;
   Alcotest.(check bool) "pruning cheaper than plain bf" true
-    ((by_label "brute-force+pruning").Cost_model.cost
-    <= (by_label "brute-force").Cost_model.cost)
+    ((by_label "brute-force+pruning").log_cost
+    <= (by_label "brute-force").log_cost)
 
 let test_cost_model_pick_prefers_exact () =
   let db = items_db 20 in
@@ -115,9 +100,8 @@ let test_cost_model_opaque_query () =
          "SELECT PACKAGE(r) AS p FROM recipes r SUCH THAT SUM(p.calories) IN \
           (SELECT calories FROM recipes) MAXIMIZE SUM(p.protein)")
   in
-  let es = Cost_model.estimates c in
-  let ilp = List.find (fun e -> e.Cost_model.strategy_label = "ilp") es in
-  Alcotest.(check bool) "ilp inapplicable" false ilp.Cost_model.applicable
+  let ilp = List.find (fun e -> e.label = "ilp") (estimates c) in
+  Alcotest.(check bool) "ilp inapplicable" false ilp.applicable
 
 let test_cost_model_infeasible () =
   let db = items_db 4 in
@@ -133,59 +117,8 @@ let test_cost_model_table_renders () =
   Alcotest.(check bool) "has header" true
     (contains (Cost_model.to_table c) "strategy")
 
-(* ---- annealing ----------------------------------------------------------- *)
-
-let test_annealing_finds_valid () =
-  let db = items_db 60 in
-  let query = Parser.parse meal_query in
-  let r =
-    Engine.run ~strategy:(Engine.Anneal Annealing.default_params) db query
-  in
-  match r.Engine.package with
-  | Some pkg ->
-      Alcotest.(check bool) "oracle-valid" true (Semantics.is_valid ~db query pkg)
-  | None -> Alcotest.fail "annealing found nothing"
-
-let test_annealing_near_optimal () =
-  let db = items_db 60 in
-  let query = Parser.parse meal_query in
-  let exact = Engine.run ~strategy:Engine.Ilp db query in
-  let anneal =
-    Engine.run ~strategy:(Engine.Anneal Annealing.default_params) db query
-  in
-  match (exact.Engine.objective, anneal.Engine.objective) with
-  | Some e, Some a ->
-      Alcotest.(check bool)
-        (Printf.sprintf "within 20%% (%g vs %g)" a e)
-        true
-        (a >= 0.8 *. e)
-  | _ -> Alcotest.fail "expected objectives from both"
-
-let test_annealing_empty_candidates () =
-  let db = items_db 10 in
-  let query =
-    Parser.parse
-      "SELECT PACKAGE(r) AS p FROM recipes r WHERE r.calories > 100000 SUCH \
-       THAT COUNT(*) = 1"
-  in
-  let r =
-    Engine.run ~strategy:(Engine.Anneal Annealing.default_params) db query
-  in
-  Alcotest.(check bool) "no package" true (r.Engine.package = None)
-
-let test_annealing_deterministic () =
-  let db = items_db 40 in
-  let query = Parser.parse meal_query in
-  let run () =
-    (Engine.run ~strategy:(Engine.Anneal Annealing.default_params) db query)
-      .Engine.objective
-  in
-  Alcotest.(check (option (float 1e-9))) "same seed, same answer" (run ()) (run ())
-
 let suite =
   [
-    Alcotest.test_case "lp format sections" `Quick test_lp_format_sections;
-    Alcotest.test_case "lp format sanitizes names" `Quick test_lp_format_sanitizes;
     Alcotest.test_case "best-bound = dfs answers" `Quick
       test_best_bound_same_answer;
     Alcotest.test_case "cost model estimates" `Quick test_cost_model_estimates;
@@ -194,9 +127,4 @@ let suite =
     Alcotest.test_case "cost model opaque query" `Quick test_cost_model_opaque_query;
     Alcotest.test_case "cost model infeasible" `Quick test_cost_model_infeasible;
     Alcotest.test_case "cost model table" `Quick test_cost_model_table_renders;
-    Alcotest.test_case "annealing finds valid" `Quick test_annealing_finds_valid;
-    Alcotest.test_case "annealing near optimal" `Quick test_annealing_near_optimal;
-    Alcotest.test_case "annealing empty candidates" `Quick
-      test_annealing_empty_candidates;
-    Alcotest.test_case "annealing deterministic" `Quick test_annealing_deterministic;
   ]

@@ -249,14 +249,15 @@ let hard_knapsack n =
 
 let test_milp_cancel_mid_search () =
   let m = hard_knapsack 24 in
-  let gov = Gov.create () in
+  let gov = Gov.create ~milp_nodes:200_000 () in
   let finished = Atomic.make false in
   (* cancel from another thread once the search is demonstrably deep *)
   let canceller =
     Thread.create
       (fun () ->
         while
-          (not (Atomic.get finished)) && Gov.spent gov Gov.Milp_nodes < 200
+          (not (Atomic.get finished))
+          && Gov.budget_left gov Gov.Milp_nodes > Some (200_000 - 200)
         do
           Thread.yield ()
         done;
@@ -334,7 +335,7 @@ let random_lp rng =
     Array.init ncols (fun j ->
         let lo = float_of_int (Prng.int_in rng (-2) 1) in
         let hi = lo +. float_of_int (Prng.int_in rng 1 4) in
-        point.(j) <- Prng.float_in rng lo hi;
+        point.(j) <- lo +. Prng.float rng (hi -. lo);
         Model.add_var m ~integer:true ~lower:lo ~upper:hi (Printf.sprintf "x%d" j))
   in
   for _ = 1 to nrows do
@@ -521,7 +522,7 @@ let prop_next_packages_ranks_enumeration =
       && List.for_all2 (fun a b -> Float.abs (a -. b) < 1e-6) got expect)
 
 let test_warm_start_counters () =
-  let value name = Metrics.counter_value (Metrics.counter name) in
+  let value name = int_of_float (List.assoc name (Metrics.snapshot ())) in
   let names =
     [
       "pb_lp_warm_solves_total";
@@ -705,7 +706,7 @@ let prop_rhs_warm_matches_cold =
       (* Right-hand sides around the row's value at a random point of the
          box, pushed past the row's reach now and then. *)
       let draw_rhs () =
-        let point = Array.init n (fun _ -> Prng.float_in rng 0.0 k) in
+        let point = Array.init n (fun _ -> Prng.float rng k) in
         Array.map
           (fun row ->
             let v = ref 0.0 in

@@ -37,6 +37,12 @@ let read_frames_of_string s =
 
 let frame_of_string s = read_frames_of_string s ()
 
+(* A trace id is well-formed when a request header carrying it decodes. *)
+let valid_trace_id id =
+  match Protocol.decode_client_frame ("PB2 REQ trace=" ^ id ^ "\nx") with
+  | Ok (Protocol.Req { Protocol.trace = Some t; _ }) -> t = id
+  | Ok _ | Error _ -> false
+
 let write_frame oc payload =
   output_string oc (Protocol.encode_frame payload);
   flush oc
@@ -161,7 +167,7 @@ let test_request_codec () =
   | Ok _ -> Alcotest.fail "duplicate trace field accepted");
   (* fresh ids are valid and effectively unique *)
   let a = Protocol.fresh_trace_id () and b = Protocol.fresh_trace_id () in
-  Alcotest.(check bool) "fresh id valid" true (Protocol.valid_trace_id a);
+  Alcotest.(check bool) "fresh id valid" true (valid_trace_id a);
   Alcotest.(check bool) "fresh ids differ" true (a <> b);
   (match Protocol.decode_client_frame "NOPE\nx" with
   | Error _ -> ()
@@ -830,7 +836,8 @@ let test_metrics_exposed () =
    tree is retrievable under that exact id — over the wire (\traces) and
    over HTTP (/traces/<id>). *)
 let test_trace_propagation () =
-  Pb_obs.Trace_store.clear Pb_obs.Trace_store.default;
+  (* the server restores the store's capacity from its config *)
+  Pb_obs.Trace_store.set_capacity Pb_obs.Trace_store.default 0;
   Server.with_server ~config:test_config (make_db 40) (fun server ->
       Client.with_connection ~port:(Server.port server) (fun c ->
           let id = Protocol.fresh_trace_id () in
@@ -862,7 +869,7 @@ let test_trace_propagation () =
 (* Backward compatibility within v2: a request with no trace= field is
    still traced, under a server-generated id. *)
 let test_trace_server_generated_id () =
-  Pb_obs.Trace_store.clear Pb_obs.Trace_store.default;
+  Pb_obs.Trace_store.set_capacity Pb_obs.Trace_store.default 0;
   Server.with_server ~config:test_config (make_db 20) (fun server ->
       Client.with_connection ~port:(Server.port server) (fun c ->
           ignore (ok_or_fail (Client.request c "SELECT COUNT(*) FROM recipes"));
@@ -871,7 +878,7 @@ let test_trace_server_generated_id () =
             (List.length ids >= 1);
           let gen = List.hd ids in
           Alcotest.(check bool) "server-generated id is well-formed" true
-            (Protocol.valid_trace_id gen);
+            (valid_trace_id gen);
           let shown = ok_or_fail (Client.request c ("\\traces " ^ gen)) in
           Alcotest.(check bool) "retrievable under the generated id" true
             (contains shown ("trace " ^ gen));
@@ -883,14 +890,14 @@ let test_trace_server_generated_id () =
 (* trace_capacity = 0 is the documented zero-overhead baseline: nothing
    is retained and \traces says so. *)
 let test_trace_disabled () =
-  Pb_obs.Trace_store.clear Pb_obs.Trace_store.default;
+  Pb_obs.Trace_store.set_capacity Pb_obs.Trace_store.default 0;
   let config = { test_config with trace_capacity = 0 } in
   Server.with_server ~config (make_db 20) (fun server ->
       Client.with_connection ~port:(Server.port server) (fun c ->
           let id = Protocol.fresh_trace_id () in
           ignore (ok_or_fail (Client.request ~trace:id c "\\tables"));
           Alcotest.(check int) "nothing retained" 0
-            (Pb_obs.Trace_store.length Pb_obs.Trace_store.default);
+            (List.length (Pb_obs.Trace_store.ids Pb_obs.Trace_store.default));
           let shown = ok_or_fail (Client.request c ("\\traces " ^ id)) in
           Alcotest.(check bool) "\\traces reports no such trace" true
             (contains shown "no retained trace")))

@@ -28,6 +28,20 @@ let with_tracing f =
 
 (* ---- tracing --------------------------------------------------------- *)
 
+(* The global ring as [Trace.render_tree] shows it: one
+   (depth, name, fields) per span in open order, where the fields are
+   the elapsed time and the attribute and counter [k=v] pairs. *)
+let ring () =
+  String.split_on_char '\n' (Trace.render_tree ())
+  |> List.filter (fun l -> l <> "" && l.[0] <> '(')
+  |> List.map (fun l ->
+         let rec indent i = if l.[i] = ' ' then indent (i + 1) else i in
+         match List.filter (( <> ) "") (String.split_on_char ' ' l) with
+         | name :: fields -> (indent 0 / 2, name, fields)
+         | [] -> assert false)
+
+let ring_names () = List.map (fun (_, name, _) -> name) (ring ())
+
 let test_span_nesting () =
   with_tracing (fun () ->
       let v =
@@ -37,29 +51,25 @@ let test_span_nesting () =
             41 + 1)
       in
       Alcotest.(check int) "value threaded through" 42 v;
-      match Trace.spans () with
-      | [ outer; first; second ] ->
-          Alcotest.(check string) "open order" "outer" outer.Trace.name;
-          Alcotest.(check string) "first child" "first" first.Trace.name;
-          Alcotest.(check string) "second child" "second" second.Trace.name;
-          Alcotest.(check int) "root parent" (-1) outer.Trace.parent;
-          Alcotest.(check int) "first nests" outer.Trace.id first.Trace.parent;
-          Alcotest.(check int) "second nests" outer.Trace.id second.Trace.parent;
-          Alcotest.(check (list (pair string string)))
-            "attrs kept" [ ("k", "v") ] outer.Trace.attrs;
-          Alcotest.(check (list (pair string int)))
-            "counter on innermost span" [ ("hits", 2) ] second.Trace.counters
-      | spans ->
-          Alcotest.fail (Printf.sprintf "expected 3 spans, got %d" (List.length spans)))
+      match ring () with
+      | [
+       (0, "outer", _ :: outer); (1, "first", [ _ ]); (1, "second", _ :: second);
+      ] ->
+          Alcotest.(check (list string)) "attrs kept" [ "k=v" ] outer;
+          Alcotest.(check (list string))
+            "counter on innermost span" [ "hits=2" ] second
+      | _ ->
+          Alcotest.fail
+            ("expected outer > first, second:\n" ^ Trace.render_tree ()))
 
 let test_span_timing () =
   with_fake_clock ~step:0.5 (fun () ->
       with_tracing (fun () ->
           Trace.with_span ~name:"a" (fun () -> ());
-          match Trace.spans () with
-          | [ sp ] ->
+          match ring () with
+          | [ (0, "a", [ elapsed ]) ] ->
               (* open reads the clock once, close once: 0.5s apart *)
-              Alcotest.(check (float 1e-9)) "elapsed" 0.5 sp.Trace.elapsed
+              Alcotest.(check string) "elapsed" "500.00ms" elapsed
           | _ -> Alcotest.fail "expected one span"))
 
 let test_disabled_is_noop () =
@@ -68,7 +78,7 @@ let test_disabled_is_noop () =
   let v = Trace.with_span ~name:"ghost" (fun () -> 7) in
   Alcotest.(check int) "thunk still runs" 7 v;
   Trace.add_count "ignored" 3;
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.spans ()))
+  Alcotest.(check string) "nothing recorded" "" (Trace.render_tree ())
 
 let test_timed_measures_when_disabled () =
   with_fake_clock ~step:0.25 (fun () ->
@@ -77,7 +87,7 @@ let test_timed_measures_when_disabled () =
       let v, elapsed = Trace.timed ~name:"t" (fun () -> "x") in
       Alcotest.(check string) "value" "x" v;
       Alcotest.(check (float 1e-9)) "elapsed without spans" 0.25 elapsed;
-      Alcotest.(check int) "no span recorded" 0 (List.length (Trace.spans ())))
+      Alcotest.(check string) "no span recorded" "" (Trace.render_tree ()))
 
 let test_span_survives_exception () =
   with_tracing (fun () ->
@@ -86,14 +96,14 @@ let test_span_survives_exception () =
              Trace.with_span ~name:"boom" (fun () -> failwith "kaboom"))
        with Failure _ -> ());
       (* both spans recorded, and the stack is clean for the next span *)
-      Alcotest.(check (list string))
-        "both recorded" [ "outer"; "boom" ]
-        (List.map (fun sp -> sp.Trace.name) (Trace.spans ()));
+      Alcotest.(check (list (pair int string)))
+        "both recorded" [ (0, "outer"); (1, "boom") ]
+        (List.map (fun (depth, name, _) -> (depth, name)) (ring ()));
       Trace.with_span ~name:"after" (fun () -> ());
-      let after =
-        List.find (fun sp -> sp.Trace.name = "after") (Trace.spans ())
-      in
-      Alcotest.(check int) "clean stack afterwards" (-1) after.Trace.parent)
+      Alcotest.(check bool) "clean stack afterwards" true
+        (List.exists
+           (fun (depth, name, _) -> depth = 0 && name = "after")
+           (ring ())))
 
 let test_ring_overwrites_oldest () =
   with_tracing (fun () ->
@@ -101,10 +111,11 @@ let test_ring_overwrites_oldest () =
       for i = 1 to 6 do
         Trace.with_span ~name:(Printf.sprintf "s%d" i) (fun () -> ())
       done;
-      Alcotest.(check int) "dropped count" 2 (Trace.dropped ());
+      Alcotest.(check bool) "dropped count" true
+        (String.ends_with ~suffix:"(2 older span(s) dropped)\n"
+           (Trace.render_tree ()));
       Alcotest.(check (list string))
-        "newest survive" [ "s3"; "s4"; "s5"; "s6" ]
-        (List.map (fun sp -> sp.Trace.name) (Trace.spans ()));
+        "newest survive" [ "s3"; "s4"; "s5"; "s6" ] (ring_names ());
       Trace.reset ~capacity:4096 ())
 
 let test_render_tree () =
@@ -138,29 +149,36 @@ let test_render_tree () =
 
 let test_json_lines () =
   with_fake_clock (fun () ->
-      with_tracing (fun () ->
-          Trace.with_span ~name:"a\"b" (fun () -> ());
-          let json = Trace.to_json_lines () in
-          let contains needle hay =
-            let n = String.length needle and h = String.length hay in
-            let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-            go 0
-          in
-          Alcotest.(check bool)
-            "name escaped" true (contains "\"name\":\"a\\\"b\"" json);
-          Alcotest.(check bool) "parent field" true (contains "\"parent\":-1" json)))
+      let (), spans =
+        Trace.with_context ~trace_id:(String.make 32 'c') (fun () ->
+            Trace.with_span ~name:"a\"b" (fun () -> ()))
+      in
+      let json = String.concat "\n" (List.map Trace.span_to_json spans) in
+      let contains needle hay =
+        let n = String.length needle and h = String.length hay in
+        let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool)
+        "name escaped" true (contains "\"name\":\"a\\\"b\"" json);
+      Alcotest.(check bool) "parent field" true (contains "\"parent\":-1" json))
 
 (* ---- metrics --------------------------------------------------------- *)
+
+(* A counter's value as the registry's snapshot reports it. *)
+let counter_value r name =
+  int_of_float (List.assoc name (Metrics.snapshot ~registry:r ()))
 
 let test_counter_basics () =
   let r = Metrics.create () in
   let c = Metrics.counter ~registry:r "pb_test_ops_total" in
   Metrics.incr c;
   Metrics.incr ~by:4 c;
-  Alcotest.(check int) "accumulates" 5 (Metrics.counter_value c);
+  Alcotest.(check int) "accumulates" 5 (counter_value r "pb_test_ops_total");
   let again = Metrics.counter ~registry:r "pb_test_ops_total" in
   Metrics.incr again;
-  Alcotest.(check int) "same instrument by name" 6 (Metrics.counter_value c);
+  Alcotest.(check int) "same instrument by name" 6
+    (counter_value r "pb_test_ops_total");
   Alcotest.check_raises "negative increment"
     (Invalid_argument "Metrics.incr: negative increment") (fun () ->
       Metrics.incr ~by:(-1) c);
@@ -168,23 +186,6 @@ let test_counter_basics () =
     (Invalid_argument
        "Metrics: pb_test_ops_total is already registered as another kind")
     (fun () -> ignore (Metrics.gauge ~registry:r "pb_test_ops_total"))
-
-let test_histogram_buckets () =
-  let r = Metrics.create () in
-  let h =
-    Metrics.histogram ~registry:r ~buckets:[ 0.1; 1.0; 10.0 ] "pb_test_seconds"
-  in
-  (* le-inclusive: an observation exactly on a bound lands in that bucket *)
-  List.iter (Metrics.observe h) [ 0.05; 0.1; 0.5; 1.0; 2.0; 99.0 ];
-  Alcotest.(check (list (pair (float 0.0) int)))
-    "bucket boundaries"
-    [ (0.1, 2); (1.0, 2); (10.0, 1); (infinity, 1) ]
-    (Metrics.bucket_counts h);
-  Alcotest.(check int) "count" 6 (Metrics.histogram_count h);
-  Alcotest.(check (float 1e-9)) "sum" 102.65 (Metrics.histogram_sum h);
-  Alcotest.check_raises "empty buckets"
-    (Invalid_argument "Metrics.histogram: empty bucket list") (fun () ->
-      ignore (Metrics.histogram ~registry:r ~buckets:[] "pb_test_empty"))
 
 (* Parse the exposition text back into (name-with-labels, value) samples;
    '#' comment lines are skipped. *)
@@ -203,6 +204,26 @@ let parse_exposition text =
             | Some v -> Some (name, v)
             | None -> Alcotest.fail ("unparseable value: " ^ line)))
     (String.split_on_char '\n' text)
+
+let test_histogram_buckets () =
+  let r = Metrics.create () in
+  let h =
+    Metrics.histogram ~registry:r ~buckets:[ 0.1; 1.0; 10.0 ] "pb_test_seconds"
+  in
+  (* le-inclusive: an observation exactly on a bound lands in that bucket *)
+  List.iter (Metrics.observe h) [ 0.05; 0.1; 0.5; 1.0; 2.0; 99.0 ];
+  let parsed = parse_exposition (Metrics.dump ~registry:r ()) in
+  let series name = List.assoc name parsed in
+  Alcotest.(check (list (float 0.0)))
+    "bucket boundaries, cumulative" [ 2.0; 4.0; 5.0; 6.0 ]
+    (List.map
+       (fun le -> series ("pb_test_seconds_bucket{le=\"" ^ le ^ "\"}"))
+       [ "0.1"; "1"; "10"; "+Inf" ]);
+  Alcotest.(check (float 0.0)) "count" 6.0 (series "pb_test_seconds_count");
+  Alcotest.(check (float 1e-9)) "sum" 102.65 (series "pb_test_seconds_sum");
+  Alcotest.check_raises "empty buckets"
+    (Invalid_argument "Metrics.histogram: empty bucket list") (fun () ->
+      ignore (Metrics.histogram ~registry:r ~buckets:[] "pb_test_empty"))
 
 let test_dump_round_trip () =
   let r = Metrics.create () in
@@ -247,17 +268,6 @@ let test_dump_round_trip () =
       "# TYPE pb_test_latency histogram";
     ]
 
-let test_reset_keeps_registrations () =
-  let r = Metrics.create () in
-  let c = Metrics.counter ~registry:r "pb_test_ops_total" in
-  Metrics.incr ~by:9 c;
-  Metrics.reset ~registry:r ();
-  Alcotest.(check int) "zeroed" 0 (Metrics.counter_value c);
-  Alcotest.(check (list (pair string (float 0.0))))
-    "still registered"
-    [ ("pb_test_ops_total", 0.0) ]
-    (Metrics.snapshot ~registry:r ())
-
 (* ---- slow-query log -------------------------------------------------- *)
 
 let test_slow_log () =
@@ -282,9 +292,12 @@ let test_slow_log () =
         (Slow_log.observe ~query:"slow2" ~elapsed:0.9);
       Alcotest.(check (list string))
         "most recent first" [ "slow2"; "slow1" ]
-        (List.map (fun e -> e.Slow_log.query) (Slow_log.entries ()));
+        (List.map
+           (fun line -> List.hd (List.rev (String.split_on_char ' ' line)))
+           (String.split_on_char '\n' (Slow_log.render ())));
       Slow_log.clear ();
-      Alcotest.(check int) "cleared" 0 (List.length (Slow_log.entries ())))
+      Alcotest.(check string) "cleared" "(slow-query log is empty)"
+        (Slow_log.render ()))
 
 (* ---- EXPLAIN ANALYZE through the REPL -------------------------------- *)
 
@@ -502,8 +515,7 @@ let test_with_context () =
       Alcotest.fail
         (Printf.sprintf "expected 3 spans, got %d" (List.length spans)));
   (* context spans bypass the global ring while tracing is disabled *)
-  Alcotest.(check int) "global ring untouched" 0
-    (List.length (Trace.spans ()))
+  Alcotest.(check string) "global ring untouched" "" (Trace.render_tree ())
 
 let test_with_context_reentrant () =
   Trace.reset ();
@@ -555,7 +567,7 @@ let test_trace_store_fifo () =
   Trace_store.add s (mk_entry "id1");
   Trace_store.add s (mk_entry "id2");
   Trace_store.add s (mk_entry "id3");
-  Alcotest.(check int) "capped" 2 (Trace_store.length s);
+  Alcotest.(check int) "capped" 2 (List.length (Trace_store.ids s));
   Alcotest.(check (list string))
     "oldest evicted, oldest first" [ "id2"; "id3" ]
     (Trace_store.ids s);
@@ -563,7 +575,7 @@ let test_trace_store_fifo () =
     (Trace_store.find s "id1" = None);
   (* re-adding an id replaces its entry in place *)
   Trace_store.add s (mk_entry ~status:"deadline" "id3");
-  Alcotest.(check int) "replace does not grow" 2 (Trace_store.length s);
+  Alcotest.(check int) "replace does not grow" 2 (List.length (Trace_store.ids s));
   (match Trace_store.find s "id3" with
   | Some e -> Alcotest.(check string) "replaced" "deadline" e.Trace_store.status
   | None -> Alcotest.fail "replaced entry vanished");
@@ -572,11 +584,10 @@ let test_trace_store_fifo () =
   Alcotest.(check (list string)) "shrunk to newest" [ "id3" ] (Trace_store.ids s);
   Trace_store.set_capacity s 0;
   Trace_store.add s (mk_entry "id4");
-  Alcotest.(check int) "capacity 0 stores nothing" 0 (Trace_store.length s);
+  Alcotest.(check int) "capacity 0 stores nothing" 0 (List.length (Trace_store.ids s));
   Trace_store.set_capacity s 4;
   Trace_store.add s (mk_entry "id5");
-  Trace_store.clear s;
-  Alcotest.(check int) "clear empties" 0 (Trace_store.length s)
+  Alcotest.(check (list string)) "re-enabled" [ "id5" ] (Trace_store.ids s)
 
 let test_trace_store_json_root_id () =
   let root =
@@ -678,12 +689,19 @@ let test_progress_capacity_and_nesting () =
   Alcotest.(check int) "outer recorder heard it too" 1 (List.length outer)
 
 let test_progress_rendering () =
+  let gap_of ~objective bound =
+    let (), events =
+      Progress.with_recorder ~key:6 (fun () ->
+          Progress.incumbent ~key:6 ~strategy:"t" ~bound ~nodes:0 objective)
+    in
+    (List.hd events).Progress.gap
+  in
   Alcotest.(check (option (float 1e-9)))
-    "gap_of clamps small objectives" (Some 0.5)
-    (Progress.gap_of ~objective:0.5 (Some 1.0));
+    "gap clamps small objectives" (Some 0.5)
+    (gap_of ~objective:0.5 1.0);
   Alcotest.(check (option (float 1e-9)))
-    "gap_of on negatives" (Some 0.25)
-    (Progress.gap_of ~objective:(-8.0) (Some (-10.0)));
+    "gap on negatives" (Some 0.25)
+    (gap_of ~objective:(-8.0) (-10.0));
   let ev =
     {
       Progress.seq = 3;
@@ -784,7 +802,6 @@ let suite =
     ("counter basics and kind clash.", `Quick, test_counter_basics);
     ("histogram bucket boundaries.", `Quick, test_histogram_buckets);
     ("dump round-trips the snapshot.", `Quick, test_dump_round_trip);
-    ("reset keeps registrations.", `Quick, test_reset_keeps_registrations);
     ("slow log thresholds and ordering.", `Quick, test_slow_log);
     ("EXPLAIN ANALYZE prints tree and counters.", `Quick, test_explain_analyze);
     ("EXPLAIN ANALYZE shows the SketchRefine LP front.", `Quick, test_explain_analyze_front);

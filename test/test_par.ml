@@ -13,11 +13,12 @@ module Parser = Pb_paql.Parser
 let pool_sizes = [ 1; 2; 8 ]
 
 (* Route code that reads the default pool (the SQL operators) through a
-   specific size, restoring the PB_DOMAINS-derived default afterwards so
+   specific size, restoring the previous default's size afterwards so
    later suites see the environment's configuration. *)
 let with_default_size k f =
+  let previous = Pool.size (Pool.get_default ()) in
   Pool.set_default_size k;
-  Fun.protect ~finally:(fun () -> Pool.set_default_size (Pool.env_size ())) f
+  Fun.protect ~finally:(fun () -> Pool.set_default_size previous) f
 
 (* ---- pool primitives ------------------------------------------------- *)
 
@@ -27,14 +28,13 @@ let test_map_reduce () =
       Pool.with_pool size (fun pool ->
           let n = 10_001 in
           let total =
-            Pool.map_reduce pool ~n
-              ~map:(fun ~lo ~hi ->
+            Pool.map_chunks pool ~n (fun ~lo ~hi ->
                 let s = ref 0 in
                 for i = lo to hi - 1 do
                   s := !s + i
                 done;
                 !s)
-              ~reduce:( + ) 0
+            |> List.fold_left ( + ) 0
           in
           Alcotest.(check int)
             (Printf.sprintf "sum 0..%d at pool size %d" (n - 1) size)
@@ -87,12 +87,11 @@ let test_idle_pool_holds_no_domain () =
       let region label =
         let at_first_chunk = ref (-1) in
         let total =
-          Pool.map_reduce pool ~chunk_size:1 ~n:32
-            ~map:(fun ~lo ~hi:_ ->
+          Pool.map_chunks pool ~chunk_size:1 ~n:32 (fun ~lo ~hi:_ ->
               if lo = 0 then at_first_chunk := Pool.live_workers pool;
               Unix.sleepf 0.001;
               lo)
-            ~reduce:( + ) 0
+          |> List.fold_left ( + ) 0
         in
         Alcotest.(check int) (label ^ ": sum") (32 * 31 / 2) total;
         Alcotest.(check int) (label ^ ": workers during the region") 3 !at_first_chunk;
@@ -205,8 +204,20 @@ let test_hybrid_full_budget_deterministic () =
 
 (* Hybrid runs one path at every pool size: local search only follows an
    exact leg that stopped on its own budget without a proof. *)
-let ls_rounds = Metrics.counter "pb_engine_local_search_rounds_total"
-let ls_pairs = Metrics.counter "pb_engine_local_search_pairs_total"
+let counter_value ?registry name =
+  int_of_float (List.assoc name (Metrics.snapshot ?registry ()))
+
+let ls_rounds = "pb_engine_local_search_rounds_total"
+let ls_pairs = "pb_engine_local_search_pairs_total"
+
+(* The global trace ring as [Trace.render_tree] shows it: each span's
+   name and its [k=v] fields. *)
+let ring () =
+  String.split_on_char '\n' (Trace.render_tree ())
+  |> List.filter_map (fun l ->
+         match List.filter (( <> ) "") (String.split_on_char ' ' l) with
+         | name :: fields when name.[0] <> '(' -> Some (name, fields)
+         | _ -> None)
 
 (* Run [f] with tracing on; return its value, the names of the spans it
    recorded, and how far the local-search counters moved. *)
@@ -218,13 +229,13 @@ let traced_ls f =
       Trace.set_enabled false;
       Trace.reset ())
     (fun () ->
-      let rounds = Metrics.counter_value ls_rounds
-      and pairs = Metrics.counter_value ls_pairs in
+      let rounds = counter_value ls_rounds
+      and pairs = counter_value ls_pairs in
       let v = f () in
       ( v,
-        List.map (fun (sp : Trace.span) -> sp.name) (Trace.spans ()),
-        Metrics.counter_value ls_rounds - rounds,
-        Metrics.counter_value ls_pairs - pairs ))
+        List.map fst (ring ()),
+        counter_value ls_rounds - rounds,
+        counter_value ls_pairs - pairs ))
 
 let check_no_local_search label (_, spans, rounds, pairs) =
   Alcotest.(check bool)
@@ -346,11 +357,12 @@ let test_metrics_hammer () =
   Alcotest.(check int)
     "counter total exact"
     (hammer_domains * hammer_per_domain)
-    (Metrics.counter_value c);
+    (counter_value ~registry "hammer_total");
   Alcotest.(check int)
     "histogram count exact"
     (hammer_domains * (hammer_per_domain / 1024))
-    (Metrics.histogram_count h)
+    (int_of_float
+       (List.assoc "hammer_hist_count" (Metrics.snapshot ~registry ())))
 
 let test_trace_add_count_hammer () =
   Trace.reset ();
@@ -368,11 +380,16 @@ let test_trace_add_count_hammer () =
                   done)));
       let total =
         List.fold_left
-          (fun acc (sp : Trace.span) ->
-            if sp.name = "hammer" then
-              acc + Option.value (List.assoc_opt "ticks" sp.counters) ~default:0
-            else acc)
-          0 (Trace.spans ())
+          (fun acc (name, fields) ->
+            if name <> "hammer" then acc
+            else
+              List.fold_left
+                (fun acc field ->
+                  match String.split_on_char '=' field with
+                  | [ "ticks"; n ] -> acc + int_of_string n
+                  | _ -> acc)
+                acc fields)
+          0 (ring ())
       in
       Alcotest.(check int)
         "span tick totals exact"

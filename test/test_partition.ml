@@ -88,15 +88,14 @@ let test_invariants_random () =
       let name = Printf.sprintf "n=%d d=%d target=%d" n d target in
       check_invariants name t ~n ~target;
       check_centroids name t ~features;
-      (* group_of must agree with the groups arrays *)
+      (* the owner map must agree with the groups arrays *)
       Array.iteri
         (fun gi g ->
           Array.iter
             (fun idx ->
               Alcotest.(check int)
-                (name ^ ": group_of agrees")
-                gi
-                (Partition.group_of t idx))
+                (name ^ ": owner agrees")
+                gi t.Partition.owner.(idx))
             g)
         t.Partition.groups)
     [ (500, 2, 23, 1); (64, 1, 8, 2); (100, 3, 100, 3); (17, 2, 5, 4) ]
@@ -105,29 +104,29 @@ let test_degenerate () =
   (* one row *)
   let t = Partition.build ~target:4 ~features:[| [| 3.0 |] |] ~n:1 in
   check_invariants "n=1" t ~n:1 ~target:4;
-  Alcotest.(check int) "n=1: one group" 1 (Partition.group_count t);
+  Alcotest.(check int) "n=1: one group" 1 (Array.length t.Partition.groups);
   (* empty input *)
   let t0 = Partition.build ~target:4 ~features:[| [||] |] ~n:0 in
-  Alcotest.(check int) "n=0: no groups" 0 (Partition.group_count t0);
+  Alcotest.(check int) "n=0: no groups" 0 (Array.length t0.Partition.groups);
   (* all rows identical: nothing to split on, one group *)
   let const = Array.make 40 7.5 in
   let tc = Partition.build ~target:8 ~features:[| const; const |] ~n:40 in
   check_invariants "all-identical" tc ~n:40 ~target:8;
-  Alcotest.(check int) "all-identical: one group" 1 (Partition.group_count tc);
+  Alcotest.(check int) "all-identical: one group" 1 (Array.length tc.Partition.groups);
   (* no features at all (objective-less COUNT-only query): one group *)
   let tf = Partition.build ~target:5 ~features:[||] ~n:10 in
   check_invariants "no features" tf ~n:10 ~target:5;
-  Alcotest.(check int) "no features: one group" 1 (Partition.group_count tf);
+  Alcotest.(check int) "no features: one group" 1 (Array.length tf.Partition.groups);
   (* fewer rows than requested partitions: clamps to n singleton groups *)
   let distinct = Array.init 5 float_of_int in
   let ts = Partition.build ~target:50 ~features:[| distinct |] ~n:5 in
   check_invariants "target>n" ts ~n:5 ~target:50;
   Alcotest.(check int) "target>n: n singleton groups" 5
-    (Partition.group_count ts);
+    (Array.length ts.Partition.groups);
   (* nonpositive target clamps to one group *)
   let tz = Partition.build ~target:0 ~features:[| distinct |] ~n:5 in
   check_invariants "target=0" tz ~n:5 ~target:1;
-  Alcotest.(check int) "target=0: one group" 1 (Partition.group_count tz)
+  Alcotest.(check int) "target=0: one group" 1 (Array.length tz.Partition.groups)
 
 let test_build_deterministic () =
   let features = random_features ~seed:9 ~n:300 ~d:2 in
@@ -301,13 +300,8 @@ let prop_group_of_matches_scan =
           t.Partition.groups;
         !found
       in
-      let rejects i =
-        match Partition.group_of t i with
-        | _ -> false
-        | exception Invalid_argument _ -> true
-      in
-      List.for_all (fun i -> Partition.group_of t i = scan i) (List.init n Fun.id)
-      && rejects (-1) && rejects n)
+      List.for_all (fun i -> t.Partition.owner.(i) = scan i) (List.init n Fun.id)
+      && Array.length t.Partition.owner = n)
 
 (* ---- sketch-refine strategy: determinism across pool sizes ----------- *)
 
@@ -490,18 +484,22 @@ let golden_cases () =
     match Pb_explore.Session.start db q with
     | Error e -> [ "error: " ^ e ]
     | Ok s ->
-        let s =
+        (* every sample shown, oldest first *)
+        let _, shown =
           List.fold_left
-            (fun s _ ->
+            (fun (s, shown) _ ->
               let keep =
                 match Pb_paql.Package.support (Pb_explore.Session.current s) with
                 | i :: _ -> [ i ]
                 | [] -> []
               in
-              fst (Pb_explore.Session.keep_and_resample s ~keep))
-            s [ 1; 2; 3 ]
+              match Pb_explore.Session.keep_and_resample s ~keep with
+              | s, `Fresh -> (s, Pb_explore.Session.current s :: shown)
+              | s, `Exhausted -> (s, shown))
+            (s, [ Pb_explore.Session.current s ])
+            [ 1; 2; 3 ]
         in
-        List.rev_map (show_package c) (Pb_explore.Session.seen s)
+        List.rev_map (show_package c) shown
   in
   [
     ("front certified", show_outcome certified);

@@ -1,5 +1,5 @@
 (* Property-based tests for the extension subsystems: SQL set operations,
-   the query planner, MILP node orders, SQL candidate generation, annealing,
+   the query planner, MILP node orders, SQL candidate generation,
    persistence, and the interface helpers. *)
 
 module Gen = QCheck.Gen
@@ -211,20 +211,6 @@ let prop_sql_generation_exact =
           gen.Pb_core.Sql_generate.best = None = (bf.Pb_core.Brute_force.best = None)
       | _ -> false)
 
-let prop_annealing_valid =
-  QCheck.Test.make ~count:50 ~name:"annealing answers are oracle-valid"
-    (QCheck.make pkg_gen) (fun inst ->
-      let db = pkg_db inst in
-      let query = pkg_query inst in
-      let r =
-        Pb_core.Engine.run
-          ~strategy:(Pb_core.Engine.Anneal Pb_core.Annealing.default_params)
-          db query
-      in
-      match r.Pb_core.Engine.package with
-      | Some pkg -> Pb_paql.Semantics.is_valid ~db query pkg
-      | None -> true)
-
 (* ---- persistence -------------------------------------------------------- *)
 
 let prop_persist_roundtrip =
@@ -364,7 +350,6 @@ let suite =
       prop_planner_equivalent;
       prop_node_orders_agree;
       prop_sql_generation_exact;
-      prop_annealing_valid;
       prop_persist_roundtrip;
       prop_persist_float_bits;
       prop_describe_total;

@@ -218,6 +218,9 @@ let test_router_matches_single_node () =
             ~finally:(fun () -> Router.close router)
             (fun () ->
               let repl = Pb_shell.Repl.create full in
+              (* a router session, as a router server would host it; the
+                 session does not depend on the hosting server *)
+              let session = Router.session_factory router s0 in
               let inputs =
                 [
                   "\\tables";
@@ -265,7 +268,7 @@ let test_router_matches_single_node () =
               List.iter
                 (fun line ->
                   let expected = Pb_shell.Repl.handle repl line in
-                  let got = Router.handle router ~gov:(gov ()) line in
+                  let got = session ~gov:(gov ()) line in
                   Alcotest.(check string) line expected.Pb_shell.Repl.output
                     got.Pb_shell.Repl.output)
                 inputs;
@@ -289,7 +292,7 @@ let test_router_matches_single_node () =
                        | _ -> None)
               in
               let expected = Pb_shell.Repl.handle repl paql_line in
-              let got = Router.handle router ~gov:(gov ()) paql_line in
+              let got = session ~gov:(gov ()) paql_line in
               (match
                  ( objective_of expected.Pb_shell.Repl.output,
                    objective_of got.Pb_shell.Repl.output )

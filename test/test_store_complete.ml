@@ -67,11 +67,11 @@ let test_load_and_delete () =
   let db = demo_db () in
   let query, pkg = solved db in
   Store.save db ~name:"trip" ~query pkg;
-  (match Store.load db ~name:"trip" with
-  | Some (entry, rows) ->
+  (match (Store.list_saved db, Pb_sql.Database.find db "pkg_trip") with
+  | [ entry ], Some rows ->
       Alcotest.(check int) "rows = cardinality" entry.Store.cardinality
         (Relation.cardinality rows)
-  | None -> Alcotest.fail "expected load to succeed");
+  | _ -> Alcotest.fail "expected the saved package and its data table");
   Alcotest.(check bool) "deleted" true (Store.delete db ~name:"trip");
   Alcotest.(check bool) "second delete is false" false (Store.delete db ~name:"trip");
   Alcotest.(check bool) "data table gone" true

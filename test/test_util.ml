@@ -11,14 +11,14 @@ let check_float = Alcotest.(check (float 1e-9))
 let test_prng_deterministic () =
   let a = Prng.create 123 and b = Prng.create 123 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Prng.bits64 a) (Prng.bits64 b)
+    Alcotest.(check int) "same stream" (Prng.int a max_int) (Prng.int b max_int)
   done
 
 let test_prng_different_seeds () =
   let a = Prng.create 1 and b = Prng.create 2 in
   let same = ref 0 in
   for _ = 1 to 64 do
-    if Prng.bits64 a = Prng.bits64 b then incr same
+    if Prng.int a max_int = Prng.int b max_int then incr same
   done;
   Alcotest.(check bool) "streams differ" true (!same < 4)
 
@@ -47,17 +47,12 @@ let test_prng_float_range () =
     Alcotest.(check bool) "in [0,2.5)" true (v >= 0.0 && v < 2.5)
   done
 
-let test_prng_split_independent () =
-  let a = Prng.create 42 in
-  let b = Prng.split a in
-  Alcotest.(check bool) "split streams differ" true
-    (Prng.bits64 a <> Prng.bits64 b)
-
 let test_prng_gaussian_moments () =
   let rng = Prng.create 10 in
   let n = 20_000 in
   let xs = List.init n (fun _ -> Prng.gaussian rng ~mean:5.0 ~stddev:2.0) in
-  let m = Stats.mean xs and sd = Stats.stddev xs in
+  let m = Stats.mean xs in
+  let sd = sqrt (Stats.mean (List.map (fun x -> (x -. m) ** 2.0) xs)) in
   Alcotest.(check bool) "mean near 5" true (Float.abs (m -. 5.0) < 0.1);
   Alcotest.(check bool) "stddev near 2" true (Float.abs (sd -. 2.0) < 0.1)
 
@@ -69,27 +64,11 @@ let test_prng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "same multiset" (Array.init 50 Fun.id) sorted
 
-let test_prng_sample_without_replacement () =
-  let rng = Prng.create 12 in
-  for _ = 1 to 50 do
-    let sample = Prng.sample_without_replacement rng 5 20 in
-    Alcotest.(check int) "size" 5 (List.length sample);
-    Alcotest.(check int) "distinct" 5
-      (List.length (List.sort_uniq compare sample));
-    List.iter
-      (fun i -> Alcotest.(check bool) "range" true (i >= 0 && i < 20))
-      sample
-  done
-
 let test_mean_median () =
   check_float "mean" 2.5 (Stats.mean [ 1.0; 2.0; 3.0; 4.0 ]);
   check_float "median even" 2.5 (Stats.median [ 1.0; 2.0; 3.0; 4.0 ]);
   check_float "median odd" 3.0 (Stats.median [ 5.0; 1.0; 3.0 ]);
   check_float "mean empty" 0.0 (Stats.mean [])
-
-let test_stddev () =
-  check_float "constant" 0.0 (Stats.stddev [ 2.0; 2.0; 2.0 ]);
-  check_float "simple" 2.0 (Stats.stddev [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ])
 
 let test_percentile () =
   let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
@@ -148,6 +127,15 @@ let test_table_ragged_rows () =
   let s = Table.render ~header:[ "a"; "b"; "c" ] [ [ "1" ] ] in
   Alcotest.(check bool) "padded" true (String.length s > 0)
 
+(* CSV text through a file, the way the loader reads it. *)
+let parse_csv text =
+  let path = Filename.temp_file "pb_csv" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Csv.parse_file path)
+
 let test_csv_roundtrip () =
   let rows =
     [
@@ -155,20 +143,23 @@ let test_csv_roundtrip () =
       [ "multi\nline"; ""; "end" ];
     ]
   in
-  let parsed = Csv.parse_string (Csv.to_string rows) in
+  let path = Filename.temp_file "pb_csv" ".csv" in
+  Csv.write_file path rows;
+  let parsed = Csv.parse_file path in
+  Sys.remove path;
   Alcotest.(check (list (list string))) "roundtrip" rows parsed
 
 let test_csv_crlf () =
-  let parsed = Csv.parse_string "a,b\r\nc,d\r\n" in
+  let parsed = parse_csv "a,b\r\nc,d\r\n" in
   Alcotest.(check (list (list string))) "crlf" [ [ "a"; "b" ]; [ "c"; "d" ] ] parsed
 
 let test_csv_quoted () =
-  let parsed = Csv.parse_string "\"a,b\",\"say \"\"hi\"\"\"\n" in
+  let parsed = parse_csv "\"a,b\",\"say \"\"hi\"\"\"\n" in
   Alcotest.(check (list (list string))) "quoted" [ [ "a,b"; "say \"hi\"" ] ] parsed
 
 let test_csv_unclosed_quote () =
   Alcotest.check_raises "unclosed" (Failure "Csv.parse_string: unclosed quote")
-    (fun () -> ignore (Csv.parse_string "\"oops"))
+    (fun () -> ignore (parse_csv "\"oops"))
 
 let test_timeit () =
   let (value : int), elapsed = Stats.timeit (fun () -> 41 + 1) in
@@ -195,12 +186,11 @@ let test_gov_cancel_latches () =
   Alcotest.(check bool) "starts clean" true (Gov.check g = None);
   Gov.cancel g;
   Gov.cancel g (* idempotent *);
-  Alcotest.(check bool) "cancelled" true (Gov.cancelled g);
   Alcotest.(check bool) "check reports it" true
     (Gov.check g = Some Gov.Cancelled);
   Alcotest.(check bool) "fate latched" true (Gov.fate g = Some Gov.Cancelled);
   Alcotest.check_raises "tick raises" (Gov.Interrupted Gov.Cancelled) (fun () ->
-      Gov.tick g)
+      Gov.tick_opt (Some g))
 
 let test_gov_budget_not_latched () =
   let g = Gov.create ~milp_nodes:10 ~bf_candidates:5 () in
@@ -213,7 +203,6 @@ let test_gov_budget_not_latched () =
   Alcotest.(check bool) "plain poll unaffected" true (Gov.check g = None);
   (* budget exhaustion is a strategy-local outcome, not a request fate *)
   Alcotest.(check bool) "no fate from budgets" true (Gov.fate g = None);
-  Alcotest.(check int) "spend recorded" 10 (Gov.spent g Gov.Milp_nodes);
   Alcotest.(check bool) "nothing left" true
     (Gov.budget_left g Gov.Milp_nodes = Some 0);
   Alcotest.(check bool) "others still budgeted" true
@@ -224,19 +213,20 @@ let test_gov_child_cancellation () =
   let a = Gov.child parent and b = Gov.child parent in
   (* cancelling one leg leaves the sibling and the parent running *)
   Gov.cancel a;
-  Alcotest.(check bool) "a stopped" true (Gov.cancelled a);
-  Alcotest.(check bool) "b unaffected" false (Gov.cancelled b);
-  Alcotest.(check bool) "parent unaffected" false (Gov.cancelled parent);
+  Alcotest.(check bool) "a stopped" true (Gov.check a = Some Gov.Cancelled);
+  Alcotest.(check bool) "b unaffected" true (Gov.check b = None);
+  Alcotest.(check bool) "parent unaffected" true (Gov.check parent = None);
   (* cancelling the parent stops every descendant *)
   Gov.cancel parent;
-  Alcotest.(check bool) "b sees ancestor cancel" true (Gov.cancelled b);
-  Alcotest.(check bool) "check agrees" true (Gov.check b = Some Gov.Cancelled)
+  Alcotest.(check bool) "b sees ancestor cancel" true
+    (Gov.check b = Some Gov.Cancelled)
 
 let test_gov_shared_spend () =
   let parent = Gov.create ~bf_candidates:100 () in
   let a = Gov.child parent and b = Gov.child parent in
   Gov.spend a Gov.Bf_candidates 60;
-  Alcotest.(check int) "family total" 60 (Gov.spent parent Gov.Bf_candidates);
+  Alcotest.(check bool) "family total" true
+    (Gov.budget_left parent Gov.Bf_candidates = Some 40);
   Alcotest.(check bool) "b shares the meter" true
     (Gov.budget_left b Gov.Bf_candidates = Some 40);
   Gov.spend b Gov.Bf_candidates 40;
@@ -314,13 +304,9 @@ let suite =
     Alcotest.test_case "prng int range" `Quick test_prng_int_range;
     Alcotest.test_case "prng int_in inclusive" `Quick test_prng_int_in_inclusive;
     Alcotest.test_case "prng float range" `Quick test_prng_float_range;
-    Alcotest.test_case "prng split" `Quick test_prng_split_independent;
     Alcotest.test_case "prng gaussian moments" `Quick test_prng_gaussian_moments;
     Alcotest.test_case "prng shuffle permutation" `Quick test_prng_shuffle_permutation;
-    Alcotest.test_case "prng sample w/o replacement" `Quick
-      test_prng_sample_without_replacement;
     Alcotest.test_case "mean/median" `Quick test_mean_median;
-    Alcotest.test_case "stddev" `Quick test_stddev;
     Alcotest.test_case "percentile" `Quick test_percentile;
     Alcotest.test_case "log_binomial" `Quick test_log_binomial;
     Alcotest.test_case "binomial_range_log" `Quick test_binomial_range;

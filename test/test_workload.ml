@@ -8,6 +8,14 @@ module Value = Pb_relation.Value
 
 let float_of v = Option.get (Value.to_float v)
 
+(* One table as [Workload.install] generates it; [install] seeds
+   travel_items, stocks and courses with seed + 1, + 2 and + 3. *)
+let installed name ~seed ?(destinations = 8) ?(stocks_n = 200)
+    ?(electives = 40) () =
+  let db = Pb_sql.Database.create () in
+  Workload.install ~seed ~recipes_n:1 ~destinations ~stocks_n ~electives db;
+  Pb_sql.Database.find_exn db name
+
 let test_recipes_deterministic () =
   let a = Workload.recipes ~seed:9 ~n:50 () in
   let b = Workload.recipes ~seed:9 ~n:50 () in
@@ -58,7 +66,7 @@ let test_recipes_gluten_mix () =
   Alcotest.(check bool) "both classes present" true (!free > 30 && !free < 270)
 
 let test_travel_structure () =
-  let r = Workload.travel_items ~seed:3 ~n_destinations:4 () in
+  let r = installed "travel_items" ~seed:2 ~destinations:4 () in
   let kinds = Hashtbl.create 4 in
   let destinations = Hashtbl.create 8 in
   for i = 0 to Relation.cardinality r - 1 do
@@ -87,7 +95,7 @@ let test_travel_structure () =
     [ "flight"; "hotel"; "car" ]
 
 let test_travel_beach_price_anticorrelation () =
-  let r = Workload.travel_items ~seed:4 ~n_destinations:6 () in
+  let r = installed "travel_items" ~seed:3 ~destinations:6 () in
   (* average price of hotels within 2km vs beyond 6km *)
   let near = ref [] and far = ref [] in
   for i = 0 to Relation.cardinality r - 1 do
@@ -103,7 +111,7 @@ let test_travel_beach_price_anticorrelation () =
       (Pb_util.Stats.mean !near > Pb_util.Stats.mean !far)
 
 let test_stocks_structure () =
-  let r = Workload.stocks ~seed:5 ~n:150 () in
+  let r = installed "stocks" ~seed:3 ~stocks_n:150 () in
   Alcotest.(check int) "size" 150 (Relation.cardinality r);
   let tech = ref 0 in
   for i = 0 to 149 do
@@ -127,7 +135,7 @@ let test_stocks_structure () =
   Alcotest.(check bool) "tech present" true (!tech > 5)
 
 let test_courses_structure () =
-  let r = Workload.courses ~seed:5 ~n_electives:20 () in
+  let r = installed "courses" ~seed:2 ~electives:20 () in
   Alcotest.(check int) "chain + electives" 24 (Relation.cardinality r);
   (* chain indicator columns are one-hot on the chain, zero elsewhere *)
   let chain = [ "cs101"; "cs201"; "cs301"; "cs401" ] in
@@ -147,7 +155,7 @@ let test_courses_prerequisites_enforced () =
   (* The §6 claim: a prerequisite is one linear global constraint, and the
      exact path honours it. *)
   let db = Pb_sql.Database.create () in
-  Pb_sql.Database.put db "courses" (Workload.courses ~seed:6 ~n_electives:15 ());
+  Pb_sql.Database.put db "courses" (installed "courses" ~seed:3 ~electives:15 ());
   let query =
     Pb_paql.Parser.parse
       "SELECT PACKAGE(C) AS S FROM courses C SUCH THAT COUNT(*) = 4 AND \
