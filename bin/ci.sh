@@ -181,6 +181,52 @@ if [ "$BENCH_EXIT" -ne 2 ] || ! grep -q '^usage:' _build/ci/bench_badflag.txt; t
   exit 1
 fi
 
+# Front-end identity: run, next, explain, sql and complete answer the
+# shell line they stand for, so each must print what `main.exe shell`
+# prints when fed those lines. The shell's banner and prompts, run's
+# plain-English description header, and wall-clock figures (footers,
+# span trees, progress) are dropped before the diff.
+echo "== CLI = shell (run/next/explain/sql/complete vs the same shell lines) =="
+MAIN=./_build/default/bin/main.exe
+CLI_Q="SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free' SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 MAXIMIZE SUM(P.protein)"
+CLI_S="SELECT id FROM recipes"
+CLI_P="SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT "
+drop_times() {
+  sed -E -e 's/ *[0-9]+(\.[0-9]+)?(us|ms|s)\b/ <time>/g' -e '/^$/d'
+}
+# cli_vs_shell LABEL SKIP_HEADER SHELL_LINE... -- MAIN_ARG...
+cli_vs_shell() {
+  cvs_label=$1
+  cvs_skip=$2
+  shift 2
+  : >"_build/ci/cli_$cvs_label.in"
+  while [ "$1" != "--" ]; do
+    printf '%s\n' "$1" >>"_build/ci/cli_$cvs_label.in"
+    shift
+  done
+  shift
+  "$MAIN" "$@" --size 60 >"_build/ci/cli_$cvs_label.raw"
+  if [ "$cvs_skip" = yes ]; then
+    sed '1,/^$/d' "_build/ci/cli_$cvs_label.raw"
+  else
+    cat "_build/ci/cli_$cvs_label.raw"
+  fi | drop_times >"_build/ci/cli_$cvs_label.out"
+  "$MAIN" shell --size 60 <"_build/ci/cli_$cvs_label.in" |
+    sed -e 1d -e 's/^\(pb> \)*//' |
+    drop_times >"_build/ci/shell_$cvs_label.out"
+  if ! diff -u "_build/ci/shell_$cvs_label.out" "_build/ci/cli_$cvs_label.out"; then
+    echo "CI FAIL: main.exe $1 differs from the shell's answer"
+    exit 1
+  fi
+}
+cli_vs_shell run yes "\\strategy brute-force" "$CLI_Q" -- \
+  run --strategy brute-force "$CLI_Q"
+cli_vs_shell next no "\\next 3 $CLI_Q" -- next -k 3 "$CLI_Q"
+cli_vs_shell explain no "\\explain $CLI_Q" "\\explain analyze $CLI_Q" -- \
+  explain "$CLI_Q"
+cli_vs_shell sql no "$CLI_S" -- sql "$CLI_S"
+cli_vs_shell complete no "\\complete $CLI_P" -- complete "$CLI_P"
+
 # Storage-engine differential gate: the same scripted session (DDL, DML,
 # duplicate rows, NULLs, scans, joins, grouped aggregates) replayed
 # against a PB_STORE=row server and a PB_STORE=columnar server must

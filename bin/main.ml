@@ -3,16 +3,21 @@
    Subcommands:
      run       evaluate a PaQL query and print the best package
      next      print the k best packages in order
-     explain   show the evaluation plan: candidates, linearization,
-               pruning bounds, search-space size, neighbourhood SQL
+     explain   show the evaluation plan (candidates, linearization,
+               pruning bounds, cost model), then run the query traced
      template  render the package-template view (§3.1), optionally with
                the visual summary (§3.2)
      explore   run a scripted adaptive-exploration session (§3.3)
      sql       run plain SQL against the loaded data
+     complete  auto-suggest the next PaQL tokens
+     shell     interactive PaQL/SQL shell
      generate  write the synthetic workload tables to CSV files
 
-   Data comes from the built-in synthetic workload (default) or CSV files
-   passed as --table name=path. *)
+   run, next, explain, sql and complete answer the shell line they stand
+   for (\strategy S then the query, \next K Q, \explain Q then
+   \explain analyze Q, the script, \complete P), so each prints what the
+   shell prints. Data comes from the built-in synthetic workload
+   (default) or CSV files passed as --table name=path. *)
 
 open Cmdliner
 
@@ -39,80 +44,40 @@ let query_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc)
 
 let strategy_arg =
-  let strategies =
-    [
-      ("hybrid", `Hybrid);
-      ("ilp", `Ilp);
-      ("brute-force", `Bf);
-      ("brute-force-nopruning", `Bf_noprune);
-      ("local-search", `Ls);
-    ]
-  in
-  let doc =
-    Printf.sprintf "Evaluation strategy: %s."
-      (String.concat ", " (List.map fst strategies))
-  in
+  let names = List.map fst Pb_shell.Repl.strategies in
+  let doc = Printf.sprintf "Evaluation strategy: %s." (String.concat ", " names) in
   Arg.(
     value
-    & opt (enum strategies) `Hybrid
+    & opt (enum (List.map (fun n -> (n, n)) names)) "hybrid"
     & info [ "strategy"; "s" ] ~docv:"STRATEGY" ~doc)
 
-let to_engine_strategy = function
-  | `Hybrid -> Pb_core.Engine.Hybrid
-  | `Ilp -> Pb_core.Engine.Ilp
-  | `Bf -> Pb_core.Engine.Brute_force { use_pruning = true }
-  | `Bf_noprune -> Pb_core.Engine.Brute_force { use_pruning = false }
-  | `Ls -> Pb_core.Engine.Local_search Pb_core.Local_search.default_params
+let read_text text =
+  if String.length text > 1 && text.[0] = '@' then (
+    let path = String.sub text 1 (String.length text - 1) in
+    let ic = open_in path in
+    let len = in_channel_length ic in
+    let s = really_input_string ic len in
+    close_in ic;
+    s)
+  else text
 
-let load_db tables size seed =
-  let db = Pb_sql.Database.create () in
-  if tables = [] then
-    Pb_workload.Workload.install ~seed ~recipes_n:size
-      ~destinations:(max 2 (size / 60))
-      ~stocks_n:(max 20 (size / 2))
-      db
-  else
-    List.iter
-      (fun spec ->
-        match String.index_opt spec '=' with
-        | Some i ->
-            let name = String.sub spec 0 i in
-            let path = String.sub spec (i + 1) (String.length spec - i - 1) in
-            Pb_sql.Database.load_csv db ~name path
-        | None ->
-            failwith
-              (Printf.sprintf "--table expects NAME=PATH, got %S" spec))
-      tables;
-  db
-
-let read_query text =
-  let src =
-    if String.length text > 1 && text.[0] = '@' then (
-      let path = String.sub text 1 (String.length text - 1) in
-      let ic = open_in path in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      s)
-    else text
-  in
-  Pb_paql.Parser.parse src
-
-let print_result (r : Pb_core.Engine.result) =
-  print_endline (Pb_shell.Repl.render_paql_result r);
-  List.iter (fun (k, v) -> Printf.printf "  %s = %s\n" k v) r.stats
+(* Answer [lines] as the shell would, in one session over [db]. *)
+let print_shell db lines =
+  let state = Pb_shell.Repl.create db in
+  List.iter
+    (fun line ->
+      let output = (Pb_shell.Repl.handle state line).Pb_shell.Repl.output in
+      if output <> "" then print_endline output)
+    lines
 
 (* ---- run -------------------------------------------------------------- *)
 
 let run_cmd =
   let action tables size seed strategy query_text =
-    let db = load_db tables size seed in
-    let query = read_query query_text in
-    print_endline (Pb_explore.Describe.describe_query query);
-    let result =
-      Pb_core.Engine.run ~strategy:(to_engine_strategy strategy) db query
-    in
-    print_result result
+    let db = Pb_workload.Workload.load ~tables ~size ~seed () in
+    let text = read_text query_text in
+    print_endline (Pb_explore.Describe.describe_query (Pb_paql.Parser.parse text));
+    print_shell db [ "\\strategy " ^ strategy; text ]
   in
   let term =
     Term.(const action $ tables_arg $ size_arg $ seed_arg $ strategy_arg $ query_arg)
@@ -126,19 +91,8 @@ let next_cmd =
     Arg.(value & opt int 5 & info [ "k" ] ~docv:"K" ~doc:"How many packages.")
   in
   let action tables size seed k query_text =
-    let db = load_db tables size seed in
-    let query = read_query query_text in
-    let packages = Pb_core.Engine.next_packages ~limit:k db query in
-    if packages = [] then print_endline "no valid package"
-    else
-      List.iteri
-        (fun i pkg ->
-          Printf.printf "-- package %d%s --\n" (i + 1)
-            (match Pb_paql.Semantics.objective_value ~db query pkg with
-            | Some v -> Printf.sprintf " (objective %g)" v
-            | None -> "");
-          print_string (Pb_paql.Package.to_string pkg))
-        packages
+    print_shell (Pb_workload.Workload.load ~tables ~size ~seed ())
+      [ Printf.sprintf "\\next %d %s" k (read_text query_text) ]
   in
   let term =
     Term.(const action $ tables_arg $ size_arg $ seed_arg $ k_arg $ query_arg)
@@ -152,37 +106,9 @@ let next_cmd =
 
 let explain_cmd =
   let action tables size seed query_text =
-    let db = load_db tables size seed in
-    let query = read_query query_text in
-    let c = Pb_core.Coeffs.make db query in
-    Printf.printf "query: %s\n\n" (Pb_paql.Ast.to_string query);
-    Printf.printf "candidate tuples (after base constraints): %d\n" c.Pb_core.Coeffs.n;
-    Printf.printf "multiplicity cap: %d\n" c.Pb_core.Coeffs.max_mult;
-    (match c.Pb_core.Coeffs.formula with
-    | Ok _ -> print_endline "global constraints: linearizable (ILP-ready)"
-    | Error reason -> Printf.printf "global constraints: opaque (%s) — search strategies only\n" reason);
-    (match c.Pb_core.Coeffs.objective with
-    | None -> print_endline "objective: none"
-    | Some (Some _) -> print_endline "objective: linear"
-    | Some None -> print_endline "objective: non-linear — search strategies only");
-    let b = Pb_core.Pruning.cardinality_bounds c in
-    Printf.printf "cardinality bounds (sec 4.1): %s\n"
-      (Pb_core.Pruning.bounds_to_string b);
-    Printf.printf "search space: 2^%.1f unpruned -> 2^%.1f pruned (10^%.1f x reduction)\n"
-      (Pb_core.Pruning.log2_unpruned c)
-      (Pb_core.Pruning.log2_pruned c b)
-      (Pb_core.Pruning.reduction_factor_log10 c b);
-    print_endline "\ncost model (sec 5 'optimizing PaQL queries'):";
-    print_string (Pb_core.Cost_model.to_table c);
-    (* neighbourhood SQL for the current best package, if any *)
-    let result = Pb_core.Engine.run db query in
-    (match result.Pb_core.Engine.package with
-    | Some pkg when Pb_paql.Package.cardinality pkg >= 1 ->
-        let _, sql = Pb_core.Local_search.sql_replacements db c pkg ~k:1 in
-        Printf.printf "\nlocal-search neighbourhood query (k=1, sec 4.2):\n%s\n" sql
-    | _ -> ());
-    print_endline "";
-    print_result result
+    let text = read_text query_text in
+    print_shell (Pb_workload.Workload.load ~tables ~size ~seed ())
+      [ "\\explain " ^ text; "\\explain analyze " ^ text ]
   in
   let term = Term.(const action $ tables_arg $ size_arg $ seed_arg $ query_arg) in
   Cmd.v
@@ -196,8 +122,8 @@ let template_cmd =
     Arg.(value & flag & info [ "summary" ] ~doc:"Include the visual summary (§3.2).")
   in
   let action tables size seed summary query_text =
-    let db = load_db tables size seed in
-    let query = read_query query_text in
+    let db = Pb_workload.Workload.load ~tables ~size ~seed () in
+    let query = Pb_paql.Parser.parse (read_text query_text) in
     let t = Pb_explore.Template.create db query in
     print_string (Pb_explore.Template.render ~show_summary:summary db t)
   in
@@ -218,8 +144,8 @@ let explore_cmd =
       & info [ "keep" ] ~docv:"K" ~doc:"Tuples kept from each sample (the first K).")
   in
   let action tables size seed rounds keep query_text =
-    let db = load_db tables size seed in
-    let query = read_query query_text in
+    let db = Pb_workload.Workload.load ~tables ~size ~seed () in
+    let query = Pb_paql.Parser.parse (read_text query_text) in
     match Pb_explore.Session.start db query with
     | Error e -> Printf.printf "cannot start session: %s\n" e
     | Ok session ->
@@ -261,15 +187,7 @@ let explore_cmd =
 
 let sql_cmd =
   let action tables size seed sql_text =
-    let db = load_db tables size seed in
-    List.iter
-      (fun stmt ->
-        match Pb_sql.Executor.execute db stmt with
-        | Pb_sql.Executor.Rows rel ->
-            print_string (Pb_relation.Relation.to_table ~max_rows:50 rel)
-        | Pb_sql.Executor.Affected n -> Printf.printf "%d row(s) affected\n" n
-        | Pb_sql.Executor.Created -> print_endline "ok")
-      (Pb_sql.Parser.parse_script sql_text)
+    print_shell (Pb_workload.Workload.load ~tables ~size ~seed ()) [ sql_text ]
   in
   let sql_arg =
     Arg.(
@@ -283,10 +201,9 @@ let sql_cmd =
 
 let complete_cmd =
   let action tables size seed prefix =
-    let db = load_db tables size seed in
-    match Pb_explore.Complete.suggest db prefix with
-    | [] -> print_endline "(no suggestions)"
-    | suggestions -> List.iter print_endline suggestions
+    print_shell
+      (Pb_workload.Workload.load ~tables ~size ~seed ())
+      [ "\\complete " ^ prefix ]
   in
   let prefix_arg =
     Arg.(
@@ -314,12 +231,7 @@ let shell_cmd =
              written back on \\quit. Saved packages survive across sessions.")
   in
   let action tables size seed db_dir =
-    let db =
-      match db_dir with
-      | Some dir when Sys.file_exists (Filename.concat dir "manifest.txt") ->
-          Pb_sql.Persist.load_dir dir
-      | _ -> load_db tables size seed
-    in
+    let db = Pb_workload.Workload.load ?db_dir ~tables ~size ~seed () in
     let state = Pb_shell.Repl.create db in
     print_endline
       "packagebuilder shell — PaQL + SQL + \\commands (\\help, \\quit)";
@@ -355,7 +267,7 @@ let generate_cmd =
     Arg.(value & opt string "." & info [ "out" ] ~docv:"DIR" ~doc:"Output directory.")
   in
   let action size seed out =
-    let db = load_db [] size seed in
+    let db = Pb_workload.Workload.load ~tables:[] ~size ~seed () in
     List.iter
       (fun name ->
         let rel = Pb_sql.Database.find_exn db name in

@@ -6,8 +6,8 @@
 
    Speaks wire v2 on both sides: clients connect exactly as they would
    to a pb_server; SQL fans out with partial-aggregate merge where the
-   query allows it, PaQL runs as router-level sketch + shard-grouped
-   refine. --metrics-port serves /metrics plus a /healthz that
+   query allows it, PaQL pulls its input table and runs SketchRefine at
+   the router. --metrics-port serves /metrics plus a /healthz that
    aggregates per-shard health. *)
 
 open Cmdliner
@@ -104,7 +104,6 @@ let serve host port shards max_conns max_inflight max_queue deadline
       max_inflight;
       max_queue;
       default_deadline = (if deadline > 0.0 then Some deadline else None);
-      plan_cache_capacity = 0;
     }
   in
   let server =

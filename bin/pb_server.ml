@@ -85,15 +85,6 @@ let slowlog_arg =
     & info [ "slowlog" ] ~docv:"SECONDS"
         ~doc:"Log requests slower than this to the slow-query log. 0 = off.")
 
-let plan_cache_arg =
-  Arg.(
-    value & opt int 128
-    & info [ "plan-cache" ] ~docv:"N"
-        ~doc:
-          "Prepared-plan cache capacity (entries), shared by all \
-           connections. 0 disables caching: every request re-parses — \
-           the benchmark baseline.")
-
 let metrics_port_arg =
   Arg.(
     value & opt (some int) None
@@ -124,32 +115,6 @@ let trace_capacity_arg =
            /traces/<id>, evicted FIFO. 0 disables request tracing \
            entirely (the zero-overhead baseline).")
 
-let load_db tables size seed db_dir =
-  match db_dir with
-  | Some dir when Sys.file_exists (Filename.concat dir "manifest.txt") ->
-      Pb_sql.Persist.load_dir dir
-  | _ ->
-      let db = Pb_sql.Database.create () in
-      if tables = [] then
-        Pb_workload.Workload.install ~seed ~recipes_n:size
-          ~destinations:(max 2 (size / 60))
-          ~stocks_n:(max 20 (size / 2))
-          db
-      else
-        List.iter
-          (fun spec ->
-            match String.index_opt spec '=' with
-            | Some i ->
-                let name = String.sub spec 0 i in
-                let path =
-                  String.sub spec (i + 1) (String.length spec - i - 1)
-                in
-                Pb_sql.Database.load_csv db ~name path
-            | None ->
-                failwith (Printf.sprintf "--table expects NAME=PATH, got %S" spec))
-          tables;
-      db
-
 let parse_shard_spec spec =
   match String.index_opt spec '/' with
   | Some i -> (
@@ -171,9 +136,8 @@ let apply_shard db (shard, shards) =
     (Pb_sql.Database.table_names db)
 
 let serve host port max_conns max_inflight max_queue deadline tables size
-    seed db_dir slowlog plan_cache metrics_port shard_spec
-    trace_capacity =
-  let db = load_db tables size seed db_dir in
+    seed db_dir slowlog metrics_port shard_spec trace_capacity =
+  let db = Pb_workload.Workload.load ?db_dir ~tables ~size ~seed () in
   let shard = Option.map parse_shard_spec shard_spec in
   Option.iter (apply_shard db) shard;
   if slowlog > 0.0 then Pb_obs.Slow_log.set_threshold (Some slowlog);
@@ -185,7 +149,6 @@ let serve host port max_conns max_inflight max_queue deadline tables size
       max_inflight;
       max_queue;
       default_deadline = (if deadline > 0.0 then Some deadline else None);
-      plan_cache_capacity = max 0 plan_cache;
       trace_capacity = max 0 trace_capacity;
     }
   in
@@ -229,7 +192,7 @@ let cmd =
     Term.(
       const serve $ host_arg $ port_arg $ max_conns_arg $ max_inflight_arg
       $ max_queue_arg $ deadline_arg $ tables_arg $ size_arg $ seed_arg
-      $ db_dir_arg $ slowlog_arg $ plan_cache_arg $ metrics_port_arg
+      $ db_dir_arg $ slowlog_arg $ metrics_port_arg
       $ shard_arg $ trace_capacity_arg)
   in
   Cmd.v

@@ -14,7 +14,6 @@ type params = {
   restarts : int;
   max_rounds : int;
   replacement_k : int;
-  use_sql_neighborhood : bool;
   sample_cap : int;
 }
 
@@ -24,7 +23,6 @@ let default_params =
     restarts = 3;
     max_rounds = 200;
     replacement_k = 1;
-    use_sql_neighborhood = true;
     sample_cap = 4096;
   }
 
@@ -309,9 +307,14 @@ let sql_replacements ?gov _db (c : Coeffs.t) pkg ~k =
   (* One trial vector for every returned row, moved and moved back: a
      fresh copy per row was most of this function's allocation. *)
   let trial = Array.copy mult in
+  let checked = ref 0 in
   let moves =
     List.filter_map
       (fun row ->
+        (* Re-validation is most of a large neighbourhood's cost: poll
+           the token every 256 rows, as the query's operators do. *)
+        incr checked;
+        if !checked land 255 = 0 then Gov.tick_opt gov;
         let int_at idx =
           match Value.to_int row.(idx) with Some v -> v | None -> assert false
         in
@@ -602,25 +605,12 @@ let search ?(params = default_params) ?gov db (c : Coeffs.t) =
           st.total_rounds <- st.total_rounds + 1;
           improving := false;
           let replacement_moves =
-            if params.use_sql_neighborhood && st.card >= params.replacement_k
-            then begin
+            if st.card >= params.replacement_k then begin
               st.sql_queries <- st.sql_queries + 1;
               let pkg = Coeffs.package_of_mult c st.mult in
-              let moves, _ =
-                sql_replacements ?gov db c pkg ~k:params.replacement_k
-              in
-              moves
+              fst (sql_replacements ?gov db c pkg ~k:params.replacement_k)
             end
-            else
-              List.filter
-                (fun (outs, ins) ->
-                  poll_move ();
-                  outs <> [] && ins <> []
-                  && move_ok st ~outs ~ins
-                  &&
-                  let v, _ = move_score st None ~outs ~ins in
-                  v <= 1e-12)
-                (candidate_moves st rng ~bounds ~sample_cap:params.sample_cap)
+            else []
           in
           (* Also consider growing/shrinking the package when the COUNT
              constraints leave slack — the paper notes the neighbourhood

@@ -28,10 +28,6 @@ type params = {
   restarts : int;  (** independent random starts (default 3) *)
   max_rounds : int;  (** move applications per phase per start (default 200) *)
   replacement_k : int;  (** neighbourhood size, 1..3 (default 1) *)
-  use_sql_neighborhood : bool;
-      (** route neighbourhood generation through SQL (default true); when
-          false an equivalent in-process scan is used — experiment T3
-          compares the two *)
   sample_cap : int;
       (** at most this many (out, in) pairs are scored per repair round
           (default 4096) to keep rounds cheap on large inputs *)
@@ -77,10 +73,10 @@ val sql_replacements :
 (** [sql_replacements db coeffs pkg ~k] builds the 2k-way-join
     neighbourhood query for the current package, executes it, and returns
     the validated moves as (candidate indices leaving, candidate indices
-    entering) plus the SQL text issued (shown by the CLI's EXPLAIN and
-    exercised directly by experiment T3). The temporary tables (named
-    [__pb_p0] and [__pb_cand]) carry every per-tuple value the query
-    needs, so they are installed in a private scratch database and the
-    query runs there — [db] is never written, allowing the hybrid
+    entering) plus the SQL text issued (shown by the shell's
+    [\explain analyze] and exercised directly by experiment T3). The
+    temporary tables (named [__pb_p0] and [__pb_cand]) carry every
+    per-tuple value the query needs, so they are installed in a private
+    scratch database and the query runs there — [db] is never written, allowing the hybrid
     strategy to run local search concurrently with strategies reading
     [db]. Requires [1 <= k <= 3] and a package of cardinality >= k. *)

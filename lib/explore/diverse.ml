@@ -1,6 +1,8 @@
 module Package = Pb_paql.Package
 module Semantics = Pb_paql.Semantics
 
+(* 1 − |A∩B| / |A∪B| over supports; two empty packages are at distance
+   0. *)
 let jaccard_distance a b =
   let sa = Package.support a and sb = Package.support b in
   let module IS = Set.Make (Int) in

@@ -8,10 +8,6 @@
     best-objective package, which guarantees a 2-approximation of the
     optimal max-min dispersion. *)
 
-val jaccard_distance : Pb_paql.Package.t -> Pb_paql.Package.t -> float
-(** 1 − |A∩B| / |A∪B| over supports; two empty packages are at distance
-    0. *)
-
 val diverse_packages :
   ?pool_size:int ->
   ?k:int ->

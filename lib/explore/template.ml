@@ -7,12 +7,6 @@ let create db query =
   let result = Pb_core.Engine.run db query in
   { query; sample = result.Pb_core.Engine.package }
 
-let refine db t query =
-  let result = Pb_core.Engine.run db query in
-  match result.Pb_core.Engine.package with
-  | Some pkg -> { query; sample = Some pkg }
-  | None -> { t with query }
-
 let render ?(show_summary = false) db t =
   let buf = Buffer.create 1024 in
   let section title = Buffer.add_string buf ("== " ^ title ^ " ==\n") in

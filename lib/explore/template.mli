@@ -16,10 +16,6 @@ val create : Pb_sql.Database.t -> Pb_paql.Ast.t -> t
 (** Evaluate the query (hybrid strategy) to obtain the initial sample
     package. *)
 
-val refine : Pb_sql.Database.t -> t -> Pb_paql.Ast.t -> t
-(** Re-evaluate with a refined query (e.g. an applied suggestion), keeping
-    the old sample if the refined query has no valid package. *)
-
 val render : ?show_summary:bool -> Pb_sql.Database.t -> t -> string
 (** Multi-section rendering: sample package table, base constraints,
     global constraints, objective (all in both PaQL and natural

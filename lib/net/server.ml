@@ -14,9 +14,11 @@ type config = {
   max_inflight : int;
   max_queue : int;
   default_deadline : float option;
-  plan_cache_capacity : int;
   trace_capacity : int;
 }
+
+(* Entries in the prepared-plan cache shared by every connection. *)
+let plan_cache_entries = 128
 
 let default_config =
   {
@@ -26,7 +28,6 @@ let default_config =
     max_inflight = 64;
     max_queue = 128;
     default_deadline = None;
-    plan_cache_capacity = 128;
     trace_capacity = 256;
   }
 
@@ -770,7 +771,7 @@ let start ?(config = default_config) ?session_factory db =
     {
       config;
       db;
-      plan_cache = Pb_sql.Plan_cache.create ~capacity:config.plan_cache_capacity ();
+      plan_cache = Pb_sql.Plan_cache.create ~capacity:plan_cache_entries ();
       session_factory =
         Option.value session_factory ~default:default_session_factory;
       listen;

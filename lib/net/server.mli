@@ -65,9 +65,6 @@ type config = {
           >= 0 *)
   default_deadline : float option;
       (** applied to requests that carry no deadline; [None] = unlimited *)
-  plan_cache_capacity : int;
-      (** entries in the shared prepared-plan cache; [0] disables caching
-          (every request re-parses — the benchmark baseline) *)
   trace_capacity : int;
       (** completed request traces retained in
           {!Pb_obs.Trace_store.default} (FIFO eviction); [0] disables

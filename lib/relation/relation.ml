@@ -73,11 +73,6 @@ let product a b =
     a.store;
   { schema; store = Array.of_list (List.rev !out) }
 
-let sort_by cmp t =
-  let store = Array.copy t.store in
-  Array.sort cmp store;
-  { t with store }
-
 let column_stats t col =
   match Schema.index_of t.schema col with
   | None -> None

@@ -45,8 +45,6 @@ val rename : string -> t -> t
 val product : t -> t -> t
 (** Cartesian product; schemas are concatenated. *)
 
-val sort_by : (Value.t array -> Value.t array -> int) -> t -> t
-
 val column_stats : t -> string -> (float * float * float) option
 (** [column_stats r col] = [Some (min, max, sum)] over non-NULL numeric
     values of [col]; [None] if the column has no numeric values. The

@@ -385,28 +385,12 @@ let run_statement t ~gov stmt =
       raise (Executor.Eval_error ("table already exists on shards: " ^ name))
   | stmt -> Executor.execute ~gov t.local stmt
 
-let render_result buf = function
-  | Executor.Rows rel ->
-      Buffer.add_string buf (Relation.to_table ~max_rows:40 rel)
-  | Executor.Affected n ->
-      Buffer.add_string buf (Printf.sprintf "%d row(s) affected\n" n)
-  | Executor.Created -> Buffer.add_string buf "ok\n"
-
-let ok output = { Repl.output; quit = false }
-
 let run_script t ~gov text =
   match Parser.parse_script text with
-  | exception Pb_sql.Parser.Parse_error msg -> ok ("sql error: " ^ msg)
+  | exception Pb_sql.Parser.Parse_error msg -> Repl.ok ("sql error: " ^ msg)
   | statements -> (
-      let buf = Buffer.create 256 in
-      match
-        List.iter (fun stmt -> render_result buf (run_statement t ~gov stmt))
-          statements
-      with
-      | () -> ok (String.trim (Buffer.contents buf))
-      | exception Executor.Eval_error msg -> ok ("sql error: " ^ msg)
-      | exception Gov.Interrupted r -> ok ("cancelled: " ^ Gov.reason_to_string r)
-      | exception Shard_error msg -> ok ("shard error: " ^ msg))
+      match Repl.run_statements ~exec:(run_statement t ~gov) statements with
+      | Ok output | Error output -> Repl.ok output)
 
 (* ---- PaQL over shards -------------------------------------------------- *)
 
@@ -415,26 +399,22 @@ let run_script t ~gov text =
    relation before any partitioning; the pipeline, when it runs, uses
    the same partitioner as a single node. *)
 let run_paql t ~gov text =
-  let render result = ok (Repl.render_paql_result result) in
   match Pb_paql.Parser.parse text with
-  | exception Pb_paql.Parser.Parse_error msg -> ok ("paql error: " ^ msg)
+  | exception Pb_paql.Parser.Parse_error msg -> Repl.ok ("paql error: " ^ msg)
   | query -> (
       let input = query.Pb_paql.Ast.input_relation in
-      if not (is_sharded t input) then
-        match Pb_core.Engine.run ~gov t.local query with
-        | exception Failure msg -> ok ("error: " ^ msg)
-        | result -> render result
-      else
-        match
+      match
+        if not (is_sharded t input) then Pb_core.Engine.run ~gov t.local query
+        else begin
           let scratch = Database.create () in
           Database.put scratch input (pull_table t ~gov input);
           Pb_core.Engine.run ~gov
             ~strategy:(Pb_core.Engine.Sketch_refine Pb_core.Sketch_refine.default_params)
             scratch query
-        with
-        | exception Failure msg -> ok ("error: " ^ msg)
-        | exception Shard_error msg -> ok ("shard error: " ^ msg)
-        | result -> render result)
+        end
+      with
+      | exception Failure msg -> Repl.ok ("error: " ^ msg)
+      | result -> Repl.ok (Repl.render_paql_result result))
 
 (* ---- commands ---------------------------------------------------------- *)
 
@@ -449,18 +429,6 @@ let help_text =
       "  \\shards               list shard endpoints and health";
       "  \\quit                 leave";
     ]
-
-let local_schema t table =
-  match Database.find t.local table with
-  | None -> ok ("no such table: " ^ table)
-  | Some rel ->
-      ok
-        (String.concat "\n"
-           (List.map
-              (fun { Schema.name; ty } ->
-                Printf.sprintf "%-16s %s" name
-                  (Pb_relation.Value.ty_to_string ty))
-              (Schema.columns (Relation.schema rel))))
 
 (* Aggregated health: ask every shard its server-level \healthz over the
    query wire (a fresh short-lived connection, so a wedged pooled
@@ -514,50 +482,30 @@ let list_tables t ~gov =
   let names =
     List.sort_uniq String.compare (shard_names @ Database.table_names t.local)
   in
-  ok (String.concat "\n" names)
+  Repl.ok (String.concat "\n" names)
 
 let command t ~gov name arg =
   match (name, String.trim arg) with
-  | "help", _ -> ok help_text
+  | "help", _ -> Repl.ok help_text
   | ("quit" | "q"), _ -> { Repl.output = ""; quit = true }
   | "tables", _ -> list_tables t ~gov
   | "schema", table ->
-      if is_sharded t table then
-        ok (shard_request t ~gov 0 ("\\schema " ^ table))
-      else local_schema t table
-  | "shards", _ -> ok (shards_text t)
-  | "healthz", _ -> ok (health_json t)
-  | name, _ -> ok (Printf.sprintf "command not supported by pb_router: \\%s" name)
-
-(* Same dispatch heuristic as the REPL. *)
-let is_paql line =
-  match Pb_sql.Lexer.tokenize line with
-  | exception Pb_sql.Lexer.Lex_error _ -> false
-  | tokens ->
-      List.exists
-        (function Pb_sql.Lexer.Keyword "PACKAGE" -> true | _ -> false)
-        tokens
+      Repl.ok
+        (if is_sharded t table then shard_request t ~gov 0 ("\\schema " ^ table)
+         else Repl.render_schema t.local table)
+  | "shards", _ -> Repl.ok (shards_text t)
+  | "healthz", _ -> Repl.ok (health_json t)
+  | name, _ ->
+      Repl.ok (Printf.sprintf "command not supported by pb_router: \\%s" name)
 
 let handle t ~gov line =
-  let trimmed = String.trim line in
-  if trimmed = "" then ok ""
-  else if trimmed.[0] = '\\' then begin
-    let body = String.sub trimmed 1 (String.length trimmed - 1) in
-    match String.index_opt body ' ' with
-    | Some i ->
-        command t ~gov (String.sub body 0 i)
-          (String.sub body (i + 1) (String.length body - i - 1))
-    | None -> command t ~gov body ""
-  end
-  else
-    let line =
-      let n = String.length trimmed in
-      if n > 0 && trimmed.[n - 1] = ';' then String.sub trimmed 0 (n - 1)
-      else trimmed
-    in
-    try
-      if is_paql line then run_paql t ~gov line else run_script t ~gov line
-    with Shard_error msg -> ok ("shard error: " ^ msg)
+  try
+    match Repl.classify line with
+    | Repl.Blank -> Repl.ok ""
+    | Repl.Command (name, arg) -> command t ~gov name arg
+    | Repl.Paql text -> run_paql t ~gov text
+    | Repl.Sql text -> run_script t ~gov text
+  with Shard_error msg -> Repl.ok ("shard error: " ^ msg)
 
 (* ---- construction ------------------------------------------------------ *)
 

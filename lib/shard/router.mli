@@ -17,8 +17,10 @@
     a client is visible in each shard's [\traces] store, and a deadline
     set at the router cuts shard work short too.
 
-    SQL semantics: the router mirrors the single-node REPL's rendering
-    byte-for-byte. SELECTs whose sharded part admits a partial-aggregate
+    SQL semantics: the router classifies lines and renders answers
+    through {!Pb_shell.Repl} ({!Pb_shell.Repl.classify},
+    {!Pb_shell.Repl.run_statements}, {!Pb_shell.Repl.render_schema}),
+    with its own statement executor underneath. SELECTs whose sharded part admits a partial-aggregate
     plan ({!Merge.plan}) ship the partial to every shard in data mode
     and merge at the router; everything else falls back to pulling the
     referenced sharded tables whole ([SELECT *] per shard, concatenated
@@ -31,8 +33,8 @@
 
     PaQL: a query over a sharded input pulls the input table and runs
     {!Pb_core.Engine} under a [Sketch_refine] strategy with default
-    parameters, rendering the result as the single-node shell does
-    ({!Pb_shell.Repl.render_paql_result}). *)
+    parameters, rendering the result through
+    {!Pb_shell.Repl.render_paql_result}. *)
 
 type t
 
@@ -53,8 +55,7 @@ val session_factory : t -> Pb_net.Server.t -> Pb_net.Server.session_handler
     stateless closures over the shared router, so any number of
     concurrent clients share the per-shard connection pool. A session
     answers one REPL input line (SQL script, PaQL query, or [\ ]
-    command) rendered exactly like the single-node REPL, and never
-    raises: errors become output (["sql error: ..."],
+    command) rendered through {!Pb_shell.Repl}, and never raises: errors become output (["sql error: ..."],
     ["paql error: ..."], ["shard error: ..."], ["cancelled: ..."]). *)
 
 val health_json : t -> string

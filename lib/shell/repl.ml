@@ -120,6 +120,25 @@ let run_paql ?gov st text =
                ~elapsed:result.Pb_core.Engine.elapsed);
           ok (render_paql_result result))
 
+let run_statements ~exec statements =
+  let buf = Buffer.create 256 in
+  match
+    List.iter
+      (fun stmt ->
+        match exec stmt with
+        | Pb_sql.Executor.Rows rel ->
+            Buffer.add_string buf
+              (Pb_relation.Relation.to_table ~max_rows:40 rel)
+        | Pb_sql.Executor.Affected n ->
+            Buffer.add_string buf (Printf.sprintf "%d row(s) affected\n" n)
+        | Pb_sql.Executor.Created -> Buffer.add_string buf "ok\n")
+      statements
+  with
+  | () -> Ok (String.trim (Buffer.contents buf))
+  | exception Pb_sql.Executor.Eval_error msg -> Error ("sql error: " ^ msg)
+  | exception Gov.Interrupted r ->
+      Error ("cancelled: " ^ Gov.reason_to_string r)
+
 let run_sql ?gov st text =
   (* Prepared-statement path: repeat text skips lex/parse/resolve and
      reuses the cached statement's compiled closures via [memo]. *)
@@ -129,27 +148,15 @@ let run_sql ?gov st text =
   with
   | exception Pb_sql.Parser.Parse_error msg -> ok ("sql error: " ^ msg)
   | statements, memo -> (
-      let buf = Buffer.create 256 in
       match
         Trace.timed ~name:"sql.script" (fun () ->
-            List.iter
-              (fun stmt ->
-                match Pb_sql.Executor.execute ~memo ?gov st.db stmt with
-                | Pb_sql.Executor.Rows rel ->
-                    Buffer.add_string buf
-                      (Pb_relation.Relation.to_table ~max_rows:40 rel)
-                | Pb_sql.Executor.Affected n ->
-                    Buffer.add_string buf
-                      (Printf.sprintf "%d row(s) affected\n" n)
-                | Pb_sql.Executor.Created -> Buffer.add_string buf "ok\n")
-              statements)
+            run_statements statements
+              ~exec:(Pb_sql.Executor.execute ~memo ?gov st.db))
       with
-      | (), elapsed ->
+      | Ok output, elapsed ->
           ignore (Slow_log.observe ~query:text ~elapsed);
-          ok (String.trim (Buffer.contents buf))
-      | exception Pb_sql.Executor.Eval_error msg -> ok ("sql error: " ^ msg)
-      | exception Gov.Interrupted r ->
-          ok ("cancelled: " ^ Gov.reason_to_string r))
+          ok output
+      | Error output, _ -> ok output)
 
 (* EXPLAIN ANALYZE: actually run the query with tracing on, then print
    the span tree plus the engine/SQL counter deltas the run caused. *)
@@ -171,6 +178,17 @@ let explain_analyze ?gov st text =
           let after = Metrics.snapshot () in
           let tree = Trace.render_tree () in
           Trace.set_enabled was_enabled;
+          (* The §4.2 neighbourhood of the answer, built after the
+             snapshot so the deltas stay the query's own. *)
+          let neighbourhood =
+            match result.Pb_core.Engine.package with
+            | Some pkg when Pb_paql.Package.cardinality pkg >= 1 ->
+                let c = Pb_core.Coeffs.make st.db query in
+                (match Pb_core.Local_search.sql_replacements ?gov st.db c pkg ~k:1 with
+                | _, sql -> Some sql
+                | exception Gov.Interrupted _ -> None)
+            | _ -> None
+          in
           st.last_query <- Some query;
           st.last_package <- result.Pb_core.Engine.package;
           ignore
@@ -203,6 +221,12 @@ let explain_analyze ?gov st text =
                   Buffer.add_string buf
                     ("  " ^ Progress.event_to_string e ^ "\n"))
                 events);
+          Option.iter
+            (fun sql ->
+              Buffer.add_string buf
+                ("local-search neighbourhood query (k=1, sec 4.2):\n" ^ sql
+               ^ "\n"))
+            neighbourhood;
           (match result.Pb_core.Engine.stats with
           | [] -> ()
           | stats ->
@@ -226,6 +250,16 @@ let split_analyze text =
   then Some (strip (String.sub text n (String.length text - n)))
   else None
 
+let render_schema db table =
+  match Pb_sql.Database.find db table with
+  | None -> "no such table: " ^ table
+  | Some rel ->
+      String.concat "\n"
+        (List.map
+           (fun { Pb_relation.Schema.name; ty } ->
+             Printf.sprintf "%-16s %s" name (Pb_relation.Value.ty_to_string ty))
+           (Pb_relation.Schema.columns (Pb_relation.Relation.schema rel)))
+
 let command ?gov st name raw_arg =
   (* \complete is whitespace-sensitive: "SELECT " and "SELECT" sit in
      different grammatical positions. Everything else trims. *)
@@ -239,17 +273,7 @@ let command ?gov st name raw_arg =
   | "quit", _ | "q", _ -> { output = ""; quit = true }
   | "tables", _ ->
       ok (String.concat "\n" (Pb_sql.Database.table_names st.db))
-  | "schema", table -> (
-      match Pb_sql.Database.find st.db table with
-      | None -> ok ("no such table: " ^ table)
-      | Some rel ->
-          ok
-            (String.concat "\n"
-               (List.map
-                  (fun { Pb_relation.Schema.name; ty } ->
-                    Printf.sprintf "%-16s %s" name
-                      (Pb_relation.Value.ty_to_string ty))
-                  (Pb_relation.Schema.columns (Pb_relation.Relation.schema rel)))))
+  | "schema", table -> ok (render_schema st.db table)
   | "packages", _ -> (
       match Store.list_saved st.db with
       | [] -> ok "(no saved packages)"
@@ -289,14 +313,29 @@ let command ?gov st name raw_arg =
           | exception Failure msg -> ok ("error: " ^ msg)
           | c ->
               let b = Pb_core.Pruning.cardinality_bounds c in
+              let constraints =
+                match c.Pb_core.Coeffs.formula with
+                | Ok _ -> "linearizable (ILP-ready)"
+                | Error reason ->
+                    Printf.sprintf "opaque (%s) — search strategies only" reason
+              in
+              let objective =
+                match c.Pb_core.Coeffs.objective with
+                | None -> "none"
+                | Some (Some _) -> "linear"
+                | Some None -> "non-linear — search strategies only"
+              in
               ok
                 (Printf.sprintf
-                   "candidates: %d\ncardinality bounds: %s\nsearch space: \
-                    2^%.1f -> 2^%.1f\n%s"
-                   c.Pb_core.Coeffs.n
+                   "candidates: %d\nmultiplicity cap: %d\nglobal constraints: \
+                    %s\nobjective: %s\ncardinality bounds: %s\nsearch space: \
+                    2^%.1f -> 2^%.1f (10^%.1f x reduction)\n%s"
+                   c.Pb_core.Coeffs.n c.Pb_core.Coeffs.max_mult constraints
+                   objective
                    (Pb_core.Pruning.bounds_to_string b)
                    (Pb_core.Pruning.log2_unpruned c)
                    (Pb_core.Pruning.log2_pruned c b)
+                   (Pb_core.Pruning.reduction_factor_log10 c b)
                    (String.trim (Pb_core.Cost_model.to_table c)))))
   | "strategy", "" ->
       ok
@@ -327,20 +366,23 @@ let command ?gov st name raw_arg =
               if packages = [] then ok "no valid package"
               else
                 ok
-                  (String.concat "\n"
-                     (List.mapi
-                        (fun i pkg ->
-                          Printf.sprintf "#%d objective=%s tuples=%s" (i + 1)
-                            (match
-                               Pb_paql.Semantics.objective_value ~db:st.db query
-                                 pkg
-                             with
-                            | Some v -> Printf.sprintf "%g" v
-                            | None -> "-")
-                            (String.concat ","
-                               (List.map string_of_int
-                                  (Pb_paql.Package.support pkg))))
-                        packages))
+                  (String.trim
+                     (String.concat ""
+                        (List.mapi
+                           (fun i pkg ->
+                             Printf.sprintf "#%d objective=%s tuples=%s\n%s"
+                               (i + 1)
+                               (match
+                                  Pb_paql.Semantics.objective_value ~db:st.db
+                                    query pkg
+                                with
+                               | Some v -> Printf.sprintf "%g" v
+                               | None -> "-")
+                               (String.concat ","
+                                  (List.map string_of_int
+                                     (Pb_paql.Package.support pkg)))
+                               (Pb_paql.Package.to_string pkg))
+                           packages)))
           | exception Pb_paql.Parser.Parse_error msg -> ok ("paql error: " ^ msg)))
   | "plan", sql -> (
       match Pb_sql.Parser.parse_select sql with
@@ -413,15 +455,17 @@ let command ?gov st name raw_arg =
       | exception Failure msg -> ok ("dump failed: " ^ msg))
   | name, _ -> ok (Printf.sprintf "unknown command \\%s (try \\help)" name)
 
+type line = Blank | Command of string * string | Paql of string | Sql of string
+
 let left_trim s =
   let n = String.length s in
   let rec go i = if i < n && (s.[i] = ' ' || s.[i] = '\t') then go (i + 1) else i in
   let i = go 0 in
   String.sub s i (n - i)
 
-let handle ?gov st line =
+let classify line =
   let trimmed = strip line in
-  if trimmed = "" then ok ""
+  if trimmed = "" then Blank
   else if trimmed.[0] = '\\' then begin
     (* Keep trailing whitespace: \complete is sensitive to it. *)
     let body =
@@ -430,10 +474,9 @@ let handle ?gov st line =
     in
     match String.index_opt body ' ' with
     | Some i ->
-        command ?gov st
-          (String.sub body 0 i)
-          (String.sub body (i + 1) (String.length body - i - 1))
-    | None -> command ?gov st body ""
+        Command
+          (String.sub body 0 i, String.sub body (i + 1) (String.length body - i - 1))
+    | None -> Command (body, "")
   end
   else
     let line = trimmed in
@@ -442,4 +485,11 @@ let handle ?gov st line =
       let n = String.length line in
       if n > 0 && line.[n - 1] = ';' then String.sub line 0 (n - 1) else line
     in
-    if is_paql line then run_paql ?gov st line else run_sql ?gov st line
+    if is_paql line then Paql line else Sql line
+
+let handle ?gov st line =
+  match classify line with
+  | Blank -> ok ""
+  | Command (name, arg) -> command ?gov st name arg
+  | Paql text -> run_paql ?gov st text
+  | Sql text -> run_sql ?gov st text

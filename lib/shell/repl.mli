@@ -1,33 +1,17 @@
-(** The interactive shell's engine, factored out of the CLI so the whole
-    command surface is unit-testable: one call maps an input line to its
-    textual response plus the updated session state.
+(** The one front end: every PaQL, SQL and backslash-command line —
+    from the interactive shell, the [main.exe] subcommands, a
+    [pb_server] session or the shard router — is classified and rendered
+    here. One call maps an input line to its textual response plus the
+    updated session state.
 
-    Input forms:
+    Input forms ({!classify}):
 
-    - PaQL queries (any line whose first keyword sequence contains
-      [PACKAGE]) — evaluated with the session's sticky strategy
-      (hybrid until [\strategy] changes it); the result is remembered
-      for [\save];
+    - PaQL queries (any line whose tokens include the [PACKAGE]
+      keyword) — evaluated with the session's sticky strategy (hybrid
+      until [\strategy] changes it); the result is remembered for
+      [\save];
     - SQL statements — executed against the session database;
-    - backslash commands:
-      {v
-      \help                 this list
-      \tables               list tables
-      \schema TABLE         show a table's columns
-      \packages             list saved packages
-      \save NAME            save the last query's package
-      \revalidate NAME      re-check a saved package
-      \drop NAME            delete a saved package
-      \explain QUERY        pruning bounds, cost model, plan
-      \explain analyze QUERY run the query; print span tree + counters
-      \metrics              dump the metrics registry (Prometheus text)
-      \slowlog [S|off|clear] slow-query log; S = threshold in seconds
-      \strategy [NAME]      show or set the evaluation strategy
-      \complete PREFIX      auto-suggest next tokens
-      \next K QUERY         top-K packages
-      \dump DIR             persist the database to a directory
-      \quit                 leave (the CLI handles the actual exit)
-      v} *)
+    - backslash commands — [\help] lists them. *)
 
 type state
 
@@ -42,6 +26,39 @@ type reaction = {
   output : string;  (** text to print (may be multi-line, "" for quiet) *)
   quit : bool;  (** true after [\quit] *)
 }
+
+val ok : string -> reaction
+(** [ok output] does not quit. *)
+
+val strategies : (string * Pb_core.Engine.strategy) list
+(** The names [\strategy] and [main.exe --strategy] accept, each
+    spelled as {!Pb_core.Engine.strategy_name} prints it in result
+    footers. *)
+
+type line =
+  | Blank  (** whitespace only *)
+  | Command of string * string
+      (** [\name arg]: the name, and the rest after the first blank with
+          its trailing whitespace kept ([\complete] depends on it) *)
+  | Paql of string  (** trimmed; one trailing [;] stripped *)
+  | Sql of string  (** trimmed; one trailing [;] stripped *)
+
+val classify : string -> line
+(** The dispatch {!handle} applies; the shard router applies it too. *)
+
+val run_statements :
+  exec:(Pb_sql.Ast.statement -> Pb_sql.Executor.result) ->
+  Pb_sql.Ast.statement list ->
+  (string, string) result
+(** Run a parsed script through [exec], rendering every result (row
+    tables capped at 40 rows, ["N row(s) affected"], ["ok"]). The first
+    {!Pb_sql.Executor.Eval_error} or {!Pb_util.Gov.Interrupted} stops the
+    script and becomes [Error "sql error: ..."] or
+    [Error "cancelled: ..."]; other exceptions propagate. *)
+
+val render_schema : Pb_sql.Database.t -> string -> string
+(** The [\schema TABLE] answer: one [name type] line per column, or
+    ["no such table: TABLE"]. *)
 
 val render_paql_result : Pb_core.Engine.result -> string
 (** A PaQL answer as the shell prints it: the package table (or "no

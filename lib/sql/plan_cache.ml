@@ -24,8 +24,9 @@ type t = {
 }
 
 (* capacity 0 is a legal degenerate cache: every insertion is immediately
-   evicted, so every lookup parses — the "caching off" baseline for
-   benchmarks (pb_server --plan-cache 0). *)
+   evicted, so every lookup parses. The serving baseline without a cache
+   is recorded in EXPERIMENTS "SQL"; bench --sql measures a warm cache
+   against a cleared one in-process. *)
 let create ?(capacity = 128) () =
   if capacity < 0 then invalid_arg "Plan_cache.create: negative capacity";
   { mu = Mutex.create (); capacity; tbl = Hashtbl.create 64; clock = 0 }

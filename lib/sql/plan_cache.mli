@@ -26,7 +26,7 @@ type t
 val create : ?capacity:int -> unit -> t
 (** [capacity] defaults to 128 entries; least-recently-used entries are
     evicted beyond it. [~capacity:0] disables caching (every lookup
-    parses) — the benchmark baseline. Negative capacities are rejected
+    parses). Negative capacities are rejected
     with [Invalid_argument]. *)
 
 val lookup :

@@ -257,3 +257,27 @@ let install ?(seed = 7) ?(recipes_n = 500) ?(destinations = 8) ?(stocks_n = 200)
   Pb_sql.Database.put db "stocks" (stocks ~seed:(seed + 2) ~n:stocks_n ());
   Pb_sql.Database.put db "courses"
     (courses ~seed:(seed + 3) ~n_electives:electives ())
+
+let load ?db_dir ~tables ~size ~seed () =
+  match db_dir with
+  | Some dir when Sys.file_exists (Filename.concat dir "manifest.txt") ->
+      Pb_sql.Persist.load_dir dir
+  | _ ->
+      let db = Pb_sql.Database.create () in
+      if tables = [] then
+        install ~seed ~recipes_n:size
+          ~destinations:(max 2 (size / 60))
+          ~stocks_n:(max 20 (size / 2))
+          db
+      else
+        List.iter
+          (fun spec ->
+            match String.index_opt spec '=' with
+            | Some i ->
+                let name = String.sub spec 0 i in
+                let path = String.sub spec (i + 1) (String.length spec - i - 1) in
+                Pb_sql.Database.load_csv db ~name path
+            | None ->
+                failwith (Printf.sprintf "--table expects NAME=PATH, got %S" spec))
+          tables;
+      db

@@ -53,3 +53,16 @@ val install :
     one. A prerequisite then becomes the linear global constraint
     [SUM(P.is_cs201) <= SUM(P.is_cs101)], etc. The table holds the chain
     plus the electives (all indicator columns 0). *)
+
+val load :
+  ?db_dir:string ->
+  tables:string list ->
+  size:int ->
+  seed:int ->
+  unit ->
+  Pb_sql.Database.t
+(** The database the command-line tools ([main.exe], [pb_server]) start
+    from: the persisted database in [db_dir] when it holds a
+    [manifest.txt]; otherwise one table per [NAME=PATH] CSV spec in
+    [tables]; otherwise {!install} with [size] recipes, destinations and
+    stocks scaled along, and [seed]. Fails on a spec without [=]. *)

@@ -375,7 +375,6 @@ let test_local_search_cancel_within_round () =
       restarts = 1;
       max_rounds = 1;
       sample_cap = 1_000_000;
-      use_sql_neighborhood = false;
     }
   in
   let parent = Gov.create () in

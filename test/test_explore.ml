@@ -145,17 +145,6 @@ let test_template_render () =
     (contains text "Global constraints");
   Alcotest.(check bool) "has objective" true (contains text "MAXIMIZE")
 
-let test_template_refine_keeps_sample_on_failure () =
-  let db = demo_db () in
-  let q = Parser.parse paper_query in
-  let t = Template.create db q in
-  let impossible =
-    Parser.parse
-      "SELECT PACKAGE(r) AS p FROM recipes r SUCH THAT COUNT(*) = 1000"
-  in
-  let t2 = Template.refine db t impossible in
-  Alcotest.(check bool) "sample kept" true (t2.Template.sample = t.Template.sample)
-
 let test_summary_axes () =
   let q = Parser.parse paper_query in
   let x, y = (Summary.build ~max_packages:1 (demo_db ()) q).Summary.axes in
@@ -274,21 +263,44 @@ let test_session_no_package () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected error"
 
+(* Jaccard distance, observed through the greedy max-min picks: the
+   farthest package from the seed {0,1} is the disjoint {2,3} (distance
+   1), last in enumeration order; the next overlaps each earlier pick in
+   one of three tuples (1 - 1/3); a package with the seed's support sits
+   at distance 0. *)
 let test_jaccard () =
-  let rel =
-    Pb_relation.Relation.create
-      (Pb_relation.Schema.make
-         [ { Pb_relation.Schema.name = "x"; ty = Pb_relation.Value.T_int } ])
-      (List.init 4 (fun i -> [| Pb_relation.Value.Int i |]))
+  let db = Pb_sql.Database.create () in
+  Pb_sql.Database.put db "t"
+    (Pb_relation.Relation.create
+       (Pb_relation.Schema.make
+          [ { Pb_relation.Schema.name = "x"; ty = Pb_relation.Value.T_int } ])
+       (List.init 4 (fun i -> [| Pb_relation.Value.Int i |])));
+  let distance a b =
+    let sa = Package.support a and sb = Package.support b in
+    let union = List.sort_uniq compare (sa @ sb) in
+    let inter = List.filter (fun i -> List.mem i sb) sa in
+    1.0 -. (float_of_int (List.length inter) /. float_of_int (List.length union))
   in
-  let p1 = Package.of_indices rel ~alias:"p" [ 0; 1 ] in
-  let p2 = Package.of_indices rel ~alias:"p" [ 0; 1 ] in
-  let p3 = Package.of_indices rel ~alias:"p" [ 2; 3 ] in
-  let p4 = Package.of_indices rel ~alias:"p" [ 1; 2 ] in
-  Alcotest.(check (float 1e-9)) "identical" 0.0 (Diverse.jaccard_distance p1 p2);
-  Alcotest.(check (float 1e-9)) "disjoint" 1.0 (Diverse.jaccard_distance p1 p3);
-  Alcotest.(check (float 1e-9)) "overlap 1/3" (1.0 -. (1.0 /. 3.0))
-    (Diverse.jaccard_distance p1 p4)
+  let picks text k = Diverse.diverse_packages ~k db (Parser.parse text) in
+  (match
+     picks
+       "SELECT PACKAGE(r) AS p FROM t r SUCH THAT COUNT(*) = 2 MINIMIZE \
+        SUM(p.x)"
+       3
+   with
+  | [ p1; p2; p3 ] ->
+      Alcotest.(check (float 1e-9)) "disjoint" 1.0 (distance p1 p2);
+      Alcotest.(check (float 1e-9)) "overlap 1/3" (1.0 -. (1.0 /. 3.0))
+        (Float.min (distance p1 p3) (distance p2 p3))
+  | ps -> Alcotest.failf "expected 3 picks, got %d" (List.length ps));
+  match
+    picks
+      "SELECT PACKAGE(r) AS p FROM t r REPEAT 1 WHERE r.x = 0 SUCH THAT \
+       COUNT(*) BETWEEN 1 AND 2"
+      2
+  with
+  | [ p1; p2 ] -> Alcotest.(check (float 1e-9)) "identical" 0.0 (distance p1 p2)
+  | ps -> Alcotest.failf "expected 2 picks, got %d" (List.length ps)
 
 let test_diverse_selection () =
   let db = demo_db () in
@@ -323,8 +335,6 @@ let suite =
     Alcotest.test_case "suggestion application" `Quick
       test_suggestion_application_refines;
     Alcotest.test_case "template render" `Quick test_template_render;
-    Alcotest.test_case "template refine failure keeps sample" `Quick
-      test_template_refine_keeps_sample_on_failure;
     Alcotest.test_case "summary axes" `Quick test_summary_axes;
     Alcotest.test_case "summary axes (no objective)" `Quick
       test_summary_axes_no_objective;

@@ -137,16 +137,6 @@ let test_relation_product () =
   Alcotest.(check int) "9 rows" 9 (Relation.cardinality p);
   Alcotest.(check int) "6 cols" 6 (Schema.arity (Relation.schema p))
 
-let test_relation_sort () =
-  let r = mk_rel () in
-  let sorted =
-    Relation.sort_by
-      (fun a b -> Value.compare_values b.(0) a.(0))
-      r
-  in
-  Alcotest.(check bool) "descending" true
-    (Value.equal (v_int 3) (Relation.row sorted 0).(0))
-
 let test_column_stats () =
   let r = mk_rel () in
   match Relation.column_stats r "score" with
@@ -189,7 +179,6 @@ let suite =
     Alcotest.test_case "relation arity mismatch" `Quick test_relation_arity_mismatch;
     Alcotest.test_case "relation project" `Quick test_relation_project;
     Alcotest.test_case "relation product" `Quick test_relation_product;
-    Alcotest.test_case "relation sort" `Quick test_relation_sort;
     Alcotest.test_case "column stats" `Quick test_column_stats;
     Alcotest.test_case "column stats text" `Quick test_column_stats_text;
     Alcotest.test_case "append" `Quick test_append;

@@ -195,7 +195,8 @@ let server_config = { Server.default_config with port = 0 }
    reaction must match byte-for-byte. Covers merged aggregates, the
    scan-pull fallback (join with ORDER BY), routed INSERT, broadcast
    UPDATE/DELETE (with exact float and quoted string literals),
-   router-local tables, and \ commands. *)
+   router-local tables, \ commands, blank and ';'-terminated lines,
+   and a script whose second statement fails. *)
 let test_router_matches_single_node () =
   let full = Database.create () in
   Database.put full "recipes" (Pb_workload.Workload.recipes ~seed:11 ~n:60 ());
@@ -235,6 +236,7 @@ let test_router_matches_single_node () =
                   "CREATE TABLE note (k TEXT, n INT)";
                   "INSERT INTO note VALUES ('x', 1), ('y', 2)";
                   "SELECT * FROM note ORDER BY k";
+                  "\\schema note";
                   (* DML on the sharded table: routed INSERT, broadcast
                      UPDATE/DELETE, then re-aggregate *)
                   "INSERT INTO recipes VALUES (900, 'added #900', 'thai', \
@@ -261,6 +263,11 @@ let test_router_matches_single_node () =
                   "SELECT COUNT(*) FROM recipes WHERE id >= 902";
                   "DROP TABLE note";
                   "\\schema recipes";
+                  (* line classification: blanks and one trailing ';' *)
+                  "   SELECT COUNT(*) FROM recipes WHERE calories > 400;";
+                  "";
+                  (* a failing second statement answers its error alone *)
+                  "SELECT COUNT(*) FROM recipes; SELECT * FROM nosuch";
                   "sel ect nonsense";
                 ]
               in

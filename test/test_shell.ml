@@ -289,6 +289,14 @@ let test_repl_strategy () =
   Alcotest.(check bool) "help lists it" true
     (contains (Repl.handle st "\\help").Repl.output "\\strategy")
 
+(* \strategy NAME and main.exe --strategy NAME select the strategy the
+   result footer names NAME. *)
+let test_repl_strategy_names () =
+  List.iter
+    (fun (name, s) ->
+      Alcotest.(check string) name name (Pb_core.Engine.strategy_name s))
+    Repl.strategies
+
 let test_repl_save_without_query () =
   let st = shell () in
   Alcotest.(check bool) "nothing to save" true
@@ -375,4 +383,6 @@ let suite =
     Alcotest.test_case "repl paql parse error" `Quick test_repl_paql_parse_error;
     Alcotest.test_case "repl plan" `Quick test_repl_plan;
     Alcotest.test_case "repl dump" `Quick test_repl_dump;
+    Alcotest.test_case "repl strategy names are footer names" `Quick
+      test_repl_strategy_names;
   ]
